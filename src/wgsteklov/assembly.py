@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .polyquad import dim_pk
-from .wgcore import ANALYTIC_MARGIN, LocalCell, LocalKernels, local_bw, project_cell, project_edge
+from .wgcore import ANALYTIC_MARGIN, CellQuadrature, EdgeQuadrature, LocalKernels, evaluate, local_bw
 
 
 @dataclass(frozen=True)
@@ -105,27 +105,15 @@ class DofMap:
         self.dim_edge = self.k + 1
         self.n_cell_dofs = mesh.n_cells * self.dim_cell
         self.n_dofs = self.n_cell_dofs + mesh.n_edges * self.dim_edge
-        bnd = np.where(mesh.boundary_edge)[0]
-        self.boundary_dofs = (
-            self.n_cell_dofs
-            + (bnd[:, None] * self.dim_edge + np.arange(self.dim_edge)[None, :]).ravel()
+        self.boundary_dofs = self.split(np.arange(self.n_dofs))[1][mesh.boundary_edge].ravel()
+        self.interior_dofs = np.setdiff1d(np.arange(self.n_dofs), self.boundary_dofs)
+
+    def split(self, coeffs):
+        """Views of a global vector as cell rows (C, dim_cell) and edge rows (E, dim_edge)."""
+        return (
+            coeffs[: self.n_cell_dofs].reshape(-1, self.dim_cell),
+            coeffs[self.n_cell_dofs :].reshape(-1, self.dim_edge),
         )
-        mask = np.zeros(self.n_dofs, dtype=bool)
-        mask[self.boundary_dofs] = True
-        self.interior_dofs = np.where(~mask)[0]
-
-    def cell_dofs(self, ci):
-        return np.arange(ci * self.dim_cell, (ci + 1) * self.dim_cell)
-
-    def edge_dofs(self, ei):
-        start = self.n_cell_dofs + ei * self.dim_edge
-        return np.arange(start, start + self.dim_edge)
-
-    def local_to_global(self, ci):
-        """Global indices of a cell's local block (interior, then 3 edges)."""
-        parts = [self.cell_dofs(ci)]
-        parts += [self.edge_dofs(ei) for ei in self.mesh.cell_edges[ci]]
-        return np.concatenate(parts)
 
 
 def build_dof_map(mesh, k):
@@ -157,7 +145,7 @@ def assemble(mesh, k, stabilizer):
     coefficient = stabilizer.coefficient(mesh.h_max)
     kind = "alpha" if isinstance(stabilizer, AlphaStabilizer) else "gamma"
     local = kernels.stacked(coefficient, kind)
-    A = _scatter(local, dof_map)
+    A = _scatter(local, _local_dofs(dof_map), dof_map.n_dofs)
     B = _assemble_boundary(mesh, dof_map)
     return WgOperatorPair(A, B, dof_map, stabilizer, coefficient)
 
@@ -166,33 +154,27 @@ def assemble_stabilizer(mesh, k, kind="gamma"):
     """Assembled unit-coefficient stabilizer matrix (for linearity checks)."""
     dof_map = build_dof_map(mesh, k)
     kernels = LocalKernels(mesh, k)
-    return _scatter(kernels.stacked_stabilizer(kind), dof_map)
+    return _scatter(kernels.stacked_stabilizer(kind), _local_dofs(dof_map), dof_map.n_dofs)
 
 
-def _scatter(local, dof_map):
-    n_loc = local.shape[1]
-    gdofs = np.empty((dof_map.mesh.n_cells, n_loc), dtype=np.int64)
-    for ci in range(dof_map.mesh.n_cells):
-        gdofs[ci] = dof_map.local_to_global(ci)
-    rows = np.repeat(gdofs, n_loc, axis=1).ravel()
-    cols = np.tile(gdofs, (1, n_loc)).ravel()
-    A = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(dof_map.n_dofs, dof_map.n_dofs))
-    return A.tocsr()
+def _local_dofs(dof_map):
+    """(C, n_loc) global indices of each cell's local block (interior, then 3 edges)."""
+    cell_dofs, edge_dofs = dof_map.split(np.arange(dof_map.n_dofs))
+    cell_edge_dofs = edge_dofs[dof_map.mesh.cell_edges].reshape(len(cell_dofs), -1)
+    return np.concatenate([cell_dofs, cell_edge_dofs], axis=1)
+
+
+def _scatter(local, gdofs, n_dofs):
+    """Sum a stack of local matrices (N, m, m) into rows and columns gdofs (N, m)."""
+    m = gdofs.shape[1]
+    rows = np.repeat(gdofs, m, axis=1).ravel()
+    cols = np.tile(gdofs, (1, m)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
 
 
 def _assemble_boundary(mesh, dof_map):
-    rows, cols, data = [], [], []
-    for ei in np.where(mesh.boundary_edge)[0]:
-        block = local_bw(mesh, ei, dof_map.k)
-        dofs = dof_map.edge_dofs(ei)
-        rows.append(np.repeat(dofs, dof_map.dim_edge))
-        cols.append(np.tile(dofs, dof_map.dim_edge))
-        data.append(block.ravel())
-    B = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dof_map.n_dofs, dof_map.n_dofs),
-    )
-    return B.tocsr()
+    blocks = local_bw(mesh, np.flatnonzero(mesh.boundary_edge), dof_map.k)
+    return _scatter(blocks, dof_map.boundary_dofs.reshape(-1, dof_map.dim_edge), dof_map.n_dofs)
 
 
 def interpolate(mesh, k, f, quad_degree=None):
@@ -201,16 +183,13 @@ def interpolate(mesh, k, f, quad_degree=None):
     The default quadrature is elevated (analytic-integrand margin) since the
     usual argument is a smooth non-polynomial function.
     """
-    dof_map = build_dof_map(mesh, k)
     deg = quad_degree if quad_degree is not None else 2 * k + ANALYTIC_MARGIN
-    coeffs = np.zeros(dof_map.n_dofs)
-    for ci in range(mesh.n_cells):
-        cell = LocalCell.from_mesh(mesh, ci, k)
-        coeffs[dof_map.cell_dofs(ci)] = project_cell(cell, f, quad_degree=deg)
-    for ei in range(mesh.n_edges):
-        lo, hi = mesh.edge_endpoints(ei)
-        coeffs[dof_map.edge_dofs(ei)] = project_edge(k, lo, hi, f, quad_degree=deg)
-    return coeffs
+    cells = CellQuadrature(mesh, k, deg)
+    edges = EdgeQuadrature(mesh, k, deg, np.arange(mesh.n_edges))
+    # cell blocks first, then edge blocks: the DofMap layout
+    c0 = cells.project(evaluate(f, cells.points))
+    cb = edges.project(evaluate(f, edges.points))
+    return np.concatenate([c0.ravel(), cb.ravel()])
 
 
 def energy(matrix, u, v=None):

@@ -24,6 +24,8 @@ from .polyquad import (
     edge_quadrature,
     map_to_triangle,
     monomial_exponents,
+    scaled_monomial_grads,
+    scaled_monomials,
     triangle_quadrature,
 )
 from .wgcore import LocalCell
@@ -144,23 +146,10 @@ class LagrangeProbeSpace:
         centroid = self.mesh.vertices[self.mesh.cells[ci]].mean(axis=0)
         scale = float(self.mesh.diameter[ci])
         exps = monomial_exponents(self.p)
-
-        def raw(pts):
-            t = (np.asarray(pts) - centroid) / scale
-            return t[:, 0:1] ** exps[:, 0] * t[:, 1:2] ** exps[:, 1]
-
-        def raw_grad(pts):
-            t = (np.asarray(pts) - centroid) / scale
-            a, b = exps[:, 0], exps[:, 1]
-            xa1 = np.where(a > 0, t[:, 0:1] ** np.maximum(a - 1, 0), 0.0)
-            yb1 = np.where(b > 0, t[:, 1:2] ** np.maximum(b - 1, 0), 0.0)
-            return a * xa1 * t[:, 1:2] ** b / scale, t[:, 0:1] ** a * b * yb1 / scale
-
-        V = raw(nodes)
-        Vinv = np.linalg.inv(V)
+        Vinv = np.linalg.inv(scaled_monomials(nodes, centroid, scale, exps))
         return (
-            lambda pts: raw(pts) @ Vinv,
-            lambda pts: (raw_grad(pts)[0] @ Vinv, raw_grad(pts)[1] @ Vinv),
+            lambda pts: scaled_monomials(pts, centroid, scale, exps) @ Vinv,
+            lambda pts: tuple(g @ Vinv for g in scaled_monomial_grads(pts, centroid, scale, exps)),
             gdofs,
         )
 

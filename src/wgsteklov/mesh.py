@@ -124,11 +124,12 @@ class Mesh:
         return self.vertices[lo], self.vertices[hi]
 
     def boundary_normal(self, ei):
-        """Outward normal of a boundary edge (from its unique incident cell)."""
-        if not self.boundary_edge[ei]:
+        """Outward normal of a boundary edge, or the stacked normals of an index array."""
+        ei = np.asarray(ei)
+        if not np.all(self.boundary_edge[ei]):
             raise ValueError(f"edge {ei} is not a boundary edge")
-        ci = int(self.edge_cells[ei, 0])
-        l = int(np.where(self.cell_edges[ci] == ei)[0][0])
+        ci = self.edge_cells[ei, 0]
+        l = np.argmax(self.cell_edges[ci] == ei[..., None], axis=-1)
         return self.normals[ci, l]
 
 

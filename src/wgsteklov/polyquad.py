@@ -110,6 +110,21 @@ def map_to_edge(rule, p_lo, p_hi):
     return pts, rule.weights * float(np.hypot(*(p_hi - p_lo)))
 
 
+def scaled_monomials(points, center, scale, exponents):
+    """Monomials t^(a, b) in t = (points - center) / scale, shape (n_points, n_exponents)."""
+    t = (np.asarray(points, dtype=float) - center) / scale
+    return t[:, 0:1] ** exponents[:, 0] * t[:, 1:2] ** exponents[:, 1]
+
+
+def scaled_monomial_grads(points, center, scale, exponents):
+    """Physical x- and y-derivatives of :func:`scaled_monomials`, each (n_points, n_exponents)."""
+    t = (np.asarray(points, dtype=float) - center) / scale
+    a, b = exponents.T
+    xa1 = np.where(a > 0, t[:, 0:1] ** np.maximum(a - 1, 0), 0.0)
+    yb1 = np.where(b > 0, t[:, 1:2] ** np.maximum(b - 1, 0), 0.0)
+    return a * xa1 * t[:, 1:2] ** b / scale, t[:, 0:1] ** a * b * yb1 / scale
+
+
 def triangle_area(vertices):
     """Signed-positive area of a CCW triangle."""
     (x0, y0), (x1, y1), (x2, y2) = np.asarray(vertices, dtype=float)
@@ -145,7 +160,7 @@ class CellBasis:
         if inv_t is None:
             rule = triangle_quadrature(2 * self.k)
             pts, w = map_to_triangle(rule, self.vertices)
-            raw = self._raw(pts)
+            raw = scaled_monomials(pts, self.centroid, self.diameter, self.exponents)
             inv_t = np.eye(self.dim)
             # two orthonormalization passes keep the basis orthonormal to
             # machine precision even on badly shaped cells at high degree
@@ -160,32 +175,13 @@ class CellBasis:
             CellBasis._chol_cache[key] = inv_t
         self._inv_t = inv_t
 
-    def _scaled(self, points):
-        return (np.asarray(points, dtype=float) - self.centroid) / self.diameter
-
-    def _raw(self, points):
-        t = self._scaled(points)
-        a = self.exponents[:, 0]
-        b = self.exponents[:, 1]
-        return t[:, 0:1] ** a * t[:, 1:2] ** b
-
-    def _raw_grad(self, points):
-        t = self._scaled(points)
-        a = self.exponents[:, 0]
-        b = self.exponents[:, 1]
-        xa1 = np.where(a > 0, t[:, 0:1] ** np.maximum(a - 1, 0), 0.0)
-        yb1 = np.where(b > 0, t[:, 1:2] ** np.maximum(b - 1, 0), 0.0)
-        gx = a * xa1 * t[:, 1:2] ** b / self.diameter
-        gy = t[:, 0:1] ** a * b * yb1 / self.diameter
-        return gx, gy
-
     def eval(self, points):
         """Basis values at physical points, shape (n_points, dim)."""
-        return self._raw(points) @ self._inv_t
+        return scaled_monomials(points, self.centroid, self.diameter, self.exponents) @ self._inv_t
 
     def grad(self, points):
         """Basis gradients at physical points, shape (n_points, dim, 2)."""
-        gx, gy = self._raw_grad(points)
+        gx, gy = scaled_monomial_grads(points, self.centroid, self.diameter, self.exponents)
         return np.stack([gx @ self._inv_t, gy @ self._inv_t], axis=-1)
 
 

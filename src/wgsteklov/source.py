@@ -11,8 +11,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import assemble, build_dof_map, interpolate
 from .eigen import NumericalError
-from .polyquad import EdgeBasis, edge_quadrature, map_to_edge, map_to_triangle, triangle_quadrature
-from .wgcore import ANALYTIC_MARGIN, POLY_MARGIN, LocalCell
+from .wgcore import ANALYTIC_MARGIN, POLY_MARGIN, CellQuadrature, EdgeQuadrature, evaluate
 
 
 class ManufacturedSolution:
@@ -53,19 +52,19 @@ def exponential_solution(a=1.0, b=0.0):
 def boundary_load(mesh, k, flux, quad_degree=None):
     """Load vector F_j = <f, phi_j> over the boundary, zero elsewhere.
 
-    `flux` is called as flux(points, normal) per boundary edge, with `normal`
-    the outward unit normal of that edge.
+    `flux` is called as flux(points, normal), with `normal` the outward unit
+    normal shared by all the boundary edges the points lie on.
     """
     dof_map = build_dof_map(mesh, k)
     deg = quad_degree if quad_degree is not None else 2 * k + ANALYTIC_MARGIN
-    rule = edge_quadrature(deg)
-    eb = EdgeBasis(k).eval(rule.points)
+    bnd = EdgeQuadrature(mesh, k, deg, np.flatnonzero(mesh.boundary_edge))
+    normals, side = np.unique(mesh.boundary_normal(bnd.edges), axis=0, return_inverse=True)
+    values = np.empty(bnd.weights.shape)
+    for i, normal in enumerate(normals):
+        on_side = side.ravel() == i
+        values[on_side] = evaluate(lambda p: flux(p, normal), bnd.points[on_side])
     F = np.zeros(dof_map.n_dofs)
-    for ei in np.where(mesh.boundary_edge)[0]:
-        lo, hi = mesh.edge_endpoints(ei)
-        pts, w = map_to_edge(rule, lo, hi)
-        values = np.asarray(flux(pts, mesh.boundary_normal(ei)), dtype=float)
-        F[dof_map.edge_dofs(ei)] = (eb * w[:, None]).T @ values
+    dof_map.split(F)[1][bnd.edges] = (values * bnd.weights) @ bnd.basis
     return F
 
 
@@ -101,27 +100,12 @@ def discrete_v_norm(mesh, k, coeffs):
 
     ||v||_V^2 = sum_T ( ||grad v0||_T^2 + ||v0||_T^2 + h_T^{-1} ||v0 - vb||_{dT}^2 ).
     """
-    dof_map = build_dof_map(mesh, k)
-    rule = triangle_quadrature(2 * k + POLY_MARGIN)
-    erule = edge_quadrature(2 * k + POLY_MARGIN)
-    eb = EdgeBasis(k).eval(erule.points)
-    total = 0.0
-    for ci in range(mesh.n_cells):
-        cell = LocalCell.from_mesh(mesh, ci, k)
-        c0 = coeffs[dof_map.cell_dofs(ci)]
-        # interior L2 part: basis is orthonormal
-        total += float(c0 @ c0)
-        pts, w = map_to_triangle(rule, cell.vertices)
-        g = cell.basis.grad(pts)
-        gx = g[:, :, 0] @ c0
-        gy = g[:, :, 1] @ c0
-        total += float(w @ (gx**2 + gy**2))
-        for l in range(3):
-            lo, hi = cell.edge_canonical(l)
-            epts, ew = map_to_edge(erule, lo, hi)
-            cb = coeffs[dof_map.edge_dofs(mesh.cell_edges[ci, l])]
-            mismatch = cell.basis.eval(epts) @ c0 - eb @ cb
-            total += float(ew @ mismatch**2) / cell.diameter
+    c0, cb = build_dof_map(mesh, k).split(coeffs)
+    cells = CellQuadrature(mesh, k, 2 * k + POLY_MARGIN)
+    # interior L2 part: basis is orthonormal
+    total = float(np.sum(c0**2))
+    total += float(np.sum(cells.weights * np.sum(cells.gradients(c0) ** 2, axis=-1)))
+    total += cells.mismatch_energy(c0, cb)
     return float(np.sqrt(total))
 
 
@@ -133,17 +117,11 @@ def v_norm_error(u_h, exact, mesh, k, quad_degree=None):
 
 def x_norm_error(u_h, exact, mesh, k, quad_degree=None):
     """Boundary L2 error ||u - u_{h,b}|| over the domain boundary."""
-    dof_map = build_dof_map(mesh, k)
+    cb = build_dof_map(mesh, k).split(u_h)[1]
     deg = quad_degree if quad_degree is not None else 2 * k + ANALYTIC_MARGIN
-    rule = edge_quadrature(deg)
-    eb = EdgeBasis(k).eval(rule.points)
-    total = 0.0
-    for ei in np.where(mesh.boundary_edge)[0]:
-        lo, hi = mesh.edge_endpoints(ei)
-        pts, w = map_to_edge(rule, lo, hi)
-        diff = np.asarray(exact.u(pts), dtype=float) - eb @ u_h[dof_map.edge_dofs(ei)]
-        total += float(w @ diff**2)
-    return float(np.sqrt(total))
+    bnd = EdgeQuadrature(mesh, k, deg, np.flatnonzero(mesh.boundary_edge))
+    diff = evaluate(exact.u, bnd.points) - cb[bnd.edges] @ bnd.basis.T
+    return float(np.sqrt(np.sum(bnd.weights * diff**2)))
 
 
 def projection_errors(exact, mesh, k, quad_degree=None):
@@ -156,35 +134,11 @@ def projection_errors(exact, mesh, k, quad_degree=None):
     contribution dominates.
     """
     deg = quad_degree if quad_degree is not None else 2 * k + ANALYTIC_MARGIN
-    rule = triangle_quadrature(deg)
-    erule = edge_quadrature(deg)
-    ebasis = EdgeBasis(k)
-    eb = ebasis.eval(erule.points)
-    dof_map = build_dof_map(mesh, k)
     q = interpolate(mesh, k, exact.u, quad_degree=deg)
-
-    v_total = 0.0
-    for ci in range(mesh.n_cells):
-        cell = LocalCell.from_mesh(mesh, ci, k)
-        c0 = q[dof_map.cell_dofs(ci)]
-        pts, w = map_to_triangle(rule, cell.vertices)
-        ru = np.asarray(exact.u(pts), dtype=float) - cell.basis.eval(pts) @ c0
-        g = np.asarray(exact.grad(pts), dtype=float)
-        gb = cell.basis.grad(pts)
-        rgx = g[:, 0] - gb[:, :, 0] @ c0
-        rgy = g[:, 1] - gb[:, :, 1] @ c0
-        v_total += float(w @ (ru**2 + rgx**2 + rgy**2))
-        for l in range(3):
-            lo, hi = cell.edge_canonical(l)
-            epts, ew = map_to_edge(erule, lo, hi)
-            cb = q[dof_map.edge_dofs(mesh.cell_edges[ci, l])]
-            mismatch = cell.basis.eval(epts) @ c0 - eb @ cb
-            v_total += float(ew @ mismatch**2) / cell.diameter
-
-    x_total = 0.0
-    for ei in np.where(mesh.boundary_edge)[0]:
-        lo, hi = mesh.edge_endpoints(ei)
-        pts, w = map_to_edge(erule, lo, hi)
-        diff = np.asarray(exact.u(pts), dtype=float) - eb @ q[dof_map.edge_dofs(ei)]
-        x_total += float(w @ diff**2)
-    return float(np.sqrt(v_total)), float(np.sqrt(x_total))
+    c0, cb = build_dof_map(mesh, k).split(q)
+    cells = CellQuadrature(mesh, k, deg)
+    ru = evaluate(exact.u, cells.points) - cells.values(c0)
+    rg = evaluate(exact.grad, cells.points) - cells.gradients(c0)
+    v_total = float(np.sum(cells.weights * (ru**2 + np.sum(rg**2, axis=-1))))
+    v_total += cells.mismatch_energy(c0, cb)
+    return float(np.sqrt(v_total)), x_norm_error(q, exact, mesh, k, quad_degree=deg)

@@ -5,6 +5,8 @@ interior polynomial of degree <= k followed by one polynomial of degree <= k
 per edge, each expressed in the orthonormal bases of :mod:`polyquad`.  This
 module provides the L2 projections, the discrete weak gradient, the two
 trace-penalty stabilizers, and the local contributions to the global forms.
+Whole-mesh quadrature goes through :class:`CellQuadrature`, which tabulates
+the cell basis once per congruence class, and :class:`EdgeQuadrature`.
 """
 
 import numpy as np
@@ -80,11 +82,6 @@ class LocalCell:
         p = self.vertices[l]
         q = self.vertices[(l + 1) % 3]
         return (q, p) if self.flips[l] else (p, q)
-
-    def geometry_key(self):
-        """Translation-invariant cache key for local operator matrices."""
-        rel = np.round(self.vertices - self.vertices[0], 12)
-        return (self.k, rel.tobytes(), self.flips)
 
 
 def project_cell(cell, f, quad_degree=None):
@@ -194,53 +191,157 @@ def local_aw(cell, stabilizer):
 
 
 def local_bw(mesh, edge_index, k):
-    """L2(e) mass matrix of the edge basis on a boundary edge."""
-    if not mesh.boundary_edge[edge_index]:
+    """L2(e) mass matrix of the edge basis on a boundary edge.
+
+    An index array gives the stacked matrices of those edges.
+    """
+    edge_index = np.asarray(edge_index)
+    if not np.all(mesh.boundary_edge[edge_index]):
         raise ValueError(f"edge {edge_index} is interior; the boundary form has no support there")
     rule = edge_quadrature(2 * k + POLY_MARGIN)
     eb = EdgeBasis(k).eval(rule.points)
-    return float(mesh.length[edge_index]) * (eb * rule.weights[:, None]).T @ eb
+    return mesh.length[edge_index][..., None, None] * (eb * rule.weights[:, None]).T @ eb
+
+
+class CellClasses:
+    """The cells of a mesh grouped into translation-invariant congruence classes.
+
+    Two cells share a class when their vertex coordinates relative to the
+    first vertex agree after rounding to 12 decimals and their edges have
+    the same canonical orientations; their bases and local operators then
+    agree up to roundoff.  Classes are numbered by first appearance, and the
+    first cell of each class is its representative.
+    """
+
+    def __init__(self, mesh, k):
+        self.mesh = mesh
+        verts = mesh.vertices[mesh.cells]
+        rel = np.round(verts - verts[:, :1], 12).reshape(mesh.n_cells, 6)
+        # compare bit patterns, as the CellBasis factor cache keys do
+        key = np.concatenate([rel.view(np.int64), mesh.cell_edge_signs], axis=1)
+        _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        self.class_of = np.argsort(order)[inverse.ravel()]
+        self.representatives = first[order]
+        self.members = np.split(
+            np.argsort(self.class_of, kind="stable"),
+            np.cumsum(np.bincount(self.class_of))[:-1],
+        )
+        self.cells = [LocalCell.from_mesh(mesh, ci, k) for ci in self.representatives]
+
+    @property
+    def n_classes(self):
+        return len(self.representatives)
+
+
+def evaluate(f, points):
+    """f on a stacked (..., 2) point array, with values shaped like the stack."""
+    values = np.asarray(f(points.reshape(-1, 2)), dtype=float)
+    return values.reshape(points.shape[:-1] + values.shape[1:])
+
+
+class CellQuadrature(CellClasses):
+    """A triangle rule on every cell, with the cell basis tabulated per class.
+
+    Per cell only the physical ``points`` (C, q, 2), ``weights`` (C, q) and
+    ``edge_weights`` (arclength weights over the diameter, (C, 3, qe)) are
+    stored.  Basis values, gradients and edge traces are tabulated at each
+    representative's points, so evaluating cell polynomials with coefficient
+    rows ``c0`` (C, dim) takes one matrix product per class.  A narrower
+    ``c0`` uses the leading basis members, which span P_j for dim = dim P_j.
+    """
+
+    def __init__(self, mesh, k, degree):
+        super().__init__(mesh, k)
+        rule = triangle_quadrature(degree)
+        erule = edge_quadrature(degree)
+        self.points = rule.points @ mesh.vertices[mesh.cells]
+        self.weights = rule.weights * mesh.area[:, None]
+        scaled = mesh.length[mesh.cell_edges] / mesh.diameter[:, None]
+        self.edge_weights = scaled[:, :, None] * erule.weights
+        self.edge_basis = EdgeBasis(k).eval(erule.points)
+        self._values, self._grads, self._traces = [], [], []
+        for cell, pts in zip(self.cells, self.points[self.representatives]):
+            self._values.append(cell.basis.eval(pts).T)
+            self._grads.append(cell.basis.grad(pts).transpose(1, 0, 2).reshape(cell.n_interior, -1))
+            edge_pts = [map_to_edge(erule, *cell.edge_canonical(l))[0] for l in range(3)]
+            self._traces.append(cell.basis.eval(np.concatenate(edge_pts)).T)
+
+    def _per_class(self, tables, c0, shape):
+        out = np.empty((len(c0),) + shape)
+        for members, table in zip(self.members, tables):
+            out[members] = (c0[members] @ table[: c0.shape[1]]).reshape((-1,) + shape)
+        return out
+
+    def values(self, c0):
+        """Cell polynomial values at the quadrature points, (C, q)."""
+        return self._per_class(self._values, c0, self.weights.shape[1:])
+
+    def gradients(self, c0):
+        """Cell polynomial gradients at the quadrature points, (C, q, 2)."""
+        return self._per_class(self._grads, c0, self.points.shape[1:])
+
+    def project(self, values):
+        """Cellwise L2 projection coefficients of point values (C, q).
+
+        The basis is orthonormal, so the leading dim P_j columns are the
+        coefficients of the projection onto P_j.
+        """
+        phis = [phi.T for phi in self._values]
+        return self._per_class(phis, values * self.weights, (self._values[0].shape[0],))
+
+    def mismatch_energy(self, c0, cb):
+        """sum_T h_T^{-1} ||v0 - vb||_{dT}^2 for cell rows c0 and per-edge rows cb (E, k + 1)."""
+        traces = self._per_class(self._traces, c0, self.edge_weights.shape[1:])
+        jump = traces - cb[self.mesh.cell_edges] @ self.edge_basis.T
+        return float(np.sum(self.edge_weights * jump**2))
+
+
+class EdgeQuadrature:
+    """An edge rule on the given mesh edges, in canonical direction.
+
+    Stores physical ``points`` (n, q, 2) and arclength ``weights`` (n, q)
+    per edge, and the edge ``basis`` once, on the canonical parameter.
+    """
+
+    def __init__(self, mesh, k, degree, edges):
+        rule = edge_quadrature(degree)
+        self.edges = edges
+        lo, hi = np.moveaxis(mesh.vertices[mesh.edges[self.edges]], 1, 0)
+        self.points = lo[:, None] + rule.points[:, None] * (hi - lo)[:, None]
+        self.weights = rule.weights * mesh.length[self.edges, None]
+        self.basis = EdgeBasis(k).eval(rule.points)
+        self._projector = self.basis * rule.weights[:, None]
+
+    def project(self, values):
+        """Edgewise L2 projection coefficients of point values (n, q)."""
+        return values @ self._projector
 
 
 class LocalKernels:
-    """Cached local operator matrices for every cell of a mesh.
+    """Local operator matrices for every cell of a mesh, one set per congruence class.
 
     ``core`` is the stabilizer-free part G^T G + interior mass;
     ``stab_gamma`` and ``stab_alpha`` are the unit-coefficient stabilizers,
-    to be scaled by gamma(h) or alpha at assembly time.  Matrices are cached
-    by translation-invariant cell geometry, so structured meshes compute
-    only one kernel set per cell congruence class.
+    to be scaled by gamma(h) or alpha at assembly time.  Kernels are
+    computed on the representative of each :class:`CellClasses` class.
     """
 
     def __init__(self, mesh, k):
         self.mesh = mesh
         self.k = int(k)
-        self._cache = {}
-        self._class_of = np.empty(mesh.n_cells, dtype=np.int64)
-        self._kernels = []
-        for ci in range(mesh.n_cells):
-            cell = LocalCell.from_mesh(mesh, ci, self.k)
-            key = cell.geometry_key()
-            if key not in self._cache:
-                self._cache[key] = len(self._kernels)
-                self._kernels.append(self._compute(cell))
-            self._class_of[ci] = self._cache[key]
+        classes = CellClasses(mesh, self.k)
+        self._class_of = classes.class_of
+        self._kernels = [self._compute(cell) for cell in classes.cells]
 
     def _compute(self, cell):
-        core = weak_gradient_map(cell)
-        core = core.T @ core
-        core[: cell.n_interior, : cell.n_interior] += np.eye(cell.n_interior)
-        core = 0.5 * (core + core.T)
         sg = local_stabilizer_gamma(cell, 1.0)
         sa = local_stabilizer_alpha(cell, 1.0)
-        return core, 0.5 * (sg + sg.T), 0.5 * (sa + sa.T)
+        return local_aw(cell, 0.0), 0.5 * (sg + sg.T), 0.5 * (sa + sa.T)
 
     @property
     def n_classes(self):
         return len(self._kernels)
-
-    def for_cell(self, ci):
-        return self._kernels[self._class_of[ci]]
 
     def stacked(self, coefficient, kind):
         """(C, n_loc, n_loc) array of local matrices with the coefficient applied."""
@@ -264,34 +365,14 @@ def epsilon_h_diagnostic(u, grad_u, mesh, k, gamma_value, quad_degree=None):
     (n, 2) gradients.
     """
     deg = quad_degree if quad_degree is not None else 2 * k + ANALYTIC_MARGIN
-    rule = triangle_quadrature(deg)
-    erule = edge_quadrature(deg)
-    ebasis = EdgeBasis(k)
-    eb = ebasis.eval(erule.points)
-
-    edge_coefs = np.empty((mesh.n_edges, k + 1))
-    for ei in range(mesh.n_edges):
-        lo, hi = mesh.edge_endpoints(ei)
-        epts, _ = map_to_edge(erule, lo, hi)
-        edge_coefs[ei] = (eb * erule.weights[:, None]).T @ u(epts)
-
-    defect = 0.0
-    stab = 0.0
-    for ci in range(mesh.n_cells):
-        cell = LocalCell.from_mesh(mesh, ci, k)
-        pts, w = map_to_triangle(rule, cell.vertices)
-        uq = u(pts)
-        gq = np.asarray(grad_u(pts), dtype=float)
-        phi = cell.basis.eval(pts)
-        c0 = (phi * w[:, None]).T @ uq
-        defect += float(w @ (uq - phi @ c0) ** 2)
-        phiv = cell.vector_basis.scalar.eval(pts)
-        for comp in range(2):
-            cg = (phiv * w[:, None]).T @ gq[:, comp]
-            defect += float(w @ (gq[:, comp] - phiv @ cg) ** 2)
-        for l in range(3):
-            lo, hi = cell.edge_canonical(l)
-            epts, ew = map_to_edge(erule, lo, hi)
-            mismatch = cell.basis.eval(epts) @ c0 - eb @ edge_coefs[mesh.cell_edges[ci, l]]
-            stab += float(ew @ mismatch**2) / cell.diameter
+    cells = CellQuadrature(mesh, k, deg)
+    edges = EdgeQuadrature(mesh, k, deg, np.arange(mesh.n_edges))
+    uq = evaluate(u, cells.points)
+    gq = evaluate(grad_u, cells.points)
+    c0 = cells.project(uq)
+    defect = float(np.sum(cells.weights * (uq - cells.values(c0)) ** 2))
+    for comp in range(2):
+        cg = cells.project(gq[..., comp])[:, : dim_pk(k - 1)]
+        defect += float(np.sum(cells.weights * (gq[..., comp] - cells.values(cg)) ** 2))
+    stab = cells.mismatch_energy(c0, edges.project(evaluate(u, edges.points)))
     return defect - gamma_value * stab

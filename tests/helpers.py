@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from wgsteklov.mesh import Mesh
 from wgsteklov.polyquad import monomial_exponents
 from wgsteklov.wgcore import project_cell, project_edge
 
@@ -56,3 +57,10 @@ def local_interpolant(cell, f, quad_degree=None):
         lo, hi = cell.edge_canonical(l)
         dofs[cell.edge_slice(l)] = project_edge(cell.k, lo, hi, f, quad_degree=quad_degree)
     return dofs
+
+
+def renumbered_mesh(mesh, rng):
+    """The same cells with the vertices numbered at random, so translated cells
+    differ in their canonical edge orientations."""
+    perm = rng.permutation(mesh.n_vertices)
+    return Mesh(mesh.vertices[np.argsort(perm)], perm[mesh.cells])

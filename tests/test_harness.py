@@ -49,6 +49,8 @@ def test_config_validation():
         small_config(domain="disk")
     with pytest.raises(ValueError):
         small_config(fmt="xml")
+    with pytest.raises(ValueError):
+        small_config(stabilizer=GammaStabilizer(PowerEps(1.5)))
 
 
 def test_order_computation_matches_hand_value():
@@ -211,7 +213,7 @@ def test_cli_solve_lshape(capsys):
     assert values == sorted(values) and all(v > 0 for v in values)
 
 
-def test_cli_usage_errors(capsys):
+def test_cli_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(["converge", "--domain", "square", "--nope", "1"]) == 1
     assert "usage" in capsys.readouterr().err
     assert main(["frobnicate"]) == 1
@@ -220,6 +222,27 @@ def test_cli_usage_errors(capsys):
     assert main(["converge", "--domain", "square", "--k", "1", "--gamma", "pow:0.1"]) == 1
     # validation error: odd L-shape level
     assert main(["mesh", "--domain", "lshape", "--n", "3"]) == 1
+
+    # source and glb write csv or json only; any other format, from the flag
+    # or from a config file, is rejected before a mesh is built
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(harness, "build_structured_mesh", no_mesh)
+    monkeypatch.setattr(harness.glb_mod, "build_structured_mesh", no_mesh)
+    source = ["source", "--domain", "square", "--k", "1", "--gamma", "pow:0.1", "--levels", "2,4"]
+    glb = ["glb", "--domain", "square", "--k", "1", "--alpha", "0.01", "--stab-bound", "2.0",
+           "--proj-bound", "0.5", "--levels", "2,4"]
+    config = tmp_path / "format.conf"
+    for fmt in ("markdown", "xml"):
+        config.write_text(f"format = {fmt}\n")
+        for argv in (source, glb):
+            assert main(argv + ["--format", fmt]) == 1
+            assert main(argv + ["--config", str(config)]) == 1
+            assert "format" in capsys.readouterr().err
+    config.write_text("format = xml\n")
+    assert main(["converge", "--domain", "square", "--k", "1", "--gamma", "pow:0.1",
+                 "--levels", "2", "--config", str(config)]) == 1
 
 
 def test_cli_numerical_failures_exit_2(monkeypatch):

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from wgsteklov.assembly import GammaStabilizer, PowerEps, assemble, interpolate
+from wgsteklov.assembly import GammaStabilizer, PowerEps, assemble, build_dof_map, interpolate
 from wgsteklov.harness import run_source_study
-from wgsteklov.mesh import UNIT_SQUARE, build_structured_mesh
-from wgsteklov.polyquad import EdgeBasis, edge_quadrature, map_to_edge
+from helpers import Poly2, random_poly, renumbered_mesh
+from wgsteklov.mesh import DOMAIN_AREA, DOMAINS, L_SHAPE, UNIT_SQUARE, build_structured_mesh
+from wgsteklov.polyquad import (
+    EdgeBasis,
+    edge_quadrature,
+    map_to_edge,
+    map_to_triangle,
+    triangle_quadrature,
+)
 from wgsteklov.source import (
     ManufacturedSolution,
     boundary_load,
@@ -15,6 +22,7 @@ from wgsteklov.source import (
     v_norm_error,
     x_norm_error,
 )
+from wgsteklov.wgcore import LocalCell, project_cell, project_edge
 
 GAMMA = GammaStabilizer(PowerEps(0.1))
 
@@ -63,24 +71,109 @@ def test_solver_is_purely_algebraic(rng):
     assert np.linalg.norm(pair.A @ u - F) <= 1e-11 * np.linalg.norm(F)
 
 
-def test_v_norm_error_of_interpolant_is_zero():
-    mesh = build_structured_mesh(UNIT_SQUARE, 4)
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_v_norm_error_of_interpolant_is_zero(domain, k):
+    mesh = build_structured_mesh(domain, 4)
     sol = exponential_solution()
-    q = interpolate(mesh, 1, sol.u)
-    assert v_norm_error(q, sol, mesh, 1) <= 1e-12
+    q = interpolate(mesh, k, sol.u)
+    assert v_norm_error(q, sol, mesh, k) <= 1e-12
 
 
-def test_v_norm_of_constant_interpolant():
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_v_norm_of_constant_interpolant(domain, k):
     # interpolating u = 1 gives zero gradient and zero trace mismatch, so the
     # V-norm reduces to the L2 norm, i.e. the square root of the domain area
-    mesh = build_structured_mesh(UNIT_SQUARE, 4)
+    mesh = build_structured_mesh(domain, 4)
     one = ManufacturedSolution(
         lambda p: np.ones(len(p)), lambda p: np.zeros((len(p), 2)), label="one"
     )
-    u_h = np.zeros_like(interpolate(mesh, 1, one.u))
-    assert v_norm_error(u_h, one, mesh, 1) == pytest.approx(1.0, rel=1e-12)
-    q = interpolate(mesh, 1, one.u)
-    assert discrete_v_norm(mesh, 1, q) == pytest.approx(1.0, rel=1e-12)
+    root_area = np.sqrt(DOMAIN_AREA[domain])
+    u_h = np.zeros_like(interpolate(mesh, k, one.u))
+    assert v_norm_error(u_h, one, mesh, k) == pytest.approx(root_area, rel=1e-12)
+    q = interpolate(mesh, k, one.u)
+    assert discrete_v_norm(mesh, k, q) == pytest.approx(root_area, rel=1e-12)
+
+
+def _exact_integral(poly_a, poly_b, domain):
+    """Integral of the product of two Poly2 over the domain, monomial by monomial.
+
+    The L-shape is the unit square minus the box [1/2, 1]^2.
+    """
+    boxes = [(0.0, 1.0, 0.0, 1.0, 1.0)]
+    if domain == L_SHAPE:
+        boxes.append((0.5, 1.0, 0.5, 1.0, -1.0))
+    total = 0.0
+    for (a1, b1), ca in zip(poly_a.exponents, poly_a.coefficients):
+        for (a2, b2), cb in zip(poly_b.exponents, poly_b.coefficients):
+            i, j = a1 + a2, b1 + b2
+            for x0, x1, y0, y1, sign in boxes:
+                ix = (x1 ** (i + 1) - x0 ** (i + 1)) / (i + 1)
+                iy = (y1 ** (j + 1) - y0 ** (j + 1)) / (j + 1)
+                total += sign * ca * cb * ix * iy
+    return total
+
+
+def _partials(poly):
+    """The x- and y-derivatives of a Poly2, as Poly2."""
+    a, b = poly.exponents[:, 0], poly.exponents[:, 1]
+    dx = Poly2(np.stack([np.maximum(a - 1, 0), b], axis=1), poly.coefficients * a)
+    dy = Poly2(np.stack([a, np.maximum(b - 1, 0)], axis=1), poly.coefficients * b)
+    return dx, dy
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_norms_of_polynomial_interpolant_closed_form(domain, k, rng):
+    # for p of degree <= k the interpolant is exact: its V-norm is the H1
+    # norm of p, integrated in closed form, and the projection defects vanish
+    mesh = build_structured_mesh(domain, 4)
+    poly = random_poly(rng, k)
+    exact = sum(_exact_integral(f, f, domain) for f in (poly, *_partials(poly)))
+    q = interpolate(mesh, k, poly)
+    assert discrete_v_norm(mesh, k, q) == pytest.approx(np.sqrt(exact), rel=1e-12)
+    sol = ManufacturedSolution(poly, poly.grad, label="poly")
+    pv, px = projection_errors(sol, mesh, k)
+    assert pv <= 1e-12 and px <= 1e-12
+
+
+def _per_cell_v_norm(mesh, k, coeffs):
+    """Reference for discrete_v_norm: one LocalCell and quadrature map per cell."""
+    c0s, cbs = build_dof_map(mesh, k).split(coeffs)
+    rule = triangle_quadrature(2 * k + 3)
+    erule = edge_quadrature(2 * k + 3)
+    eb = EdgeBasis(k).eval(erule.points)
+    total = 0.0
+    for ci in range(mesh.n_cells):
+        cell = LocalCell.from_mesh(mesh, ci, k)
+        pts, w = map_to_triangle(rule, cell.vertices)
+        g = cell.basis.grad(pts)
+        total += c0s[ci] @ c0s[ci] + w @ ((g[:, :, 0] @ c0s[ci]) ** 2 + (g[:, :, 1] @ c0s[ci]) ** 2)
+        for l in range(3):
+            epts, ew = map_to_edge(erule, *cell.edge_canonical(l))
+            mismatch = cell.basis.eval(epts) @ c0s[ci] - eb @ cbs[mesh.cell_edges[ci, l]]
+            total += ew @ mismatch**2 / cell.diameter
+    return np.sqrt(total)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_class_tabulated_quadrature_matches_per_cell_loops(domain, rng):
+    # the class tables evaluate every cell with its representative's basis;
+    # per-cell loops are the reference, equal up to roundoff
+    k = 2
+    mesh = renumbered_mesh(build_structured_mesh(domain, 4), rng)
+    f = lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1])
+    q = interpolate(mesh, k, f)
+    c0, cb = build_dof_map(mesh, k).split(q)
+    for ci in range(mesh.n_cells):
+        want = project_cell(LocalCell.from_mesh(mesh, ci, k), f, quad_degree=2 * k + 6)
+        assert np.allclose(c0[ci], want, rtol=0, atol=1e-13)
+    for ei in range(mesh.n_edges):
+        want = project_edge(k, *mesh.edge_endpoints(ei), f, quad_degree=2 * k + 6)
+        assert np.allclose(cb[ei], want, rtol=0, atol=1e-13)
+    v = rng.standard_normal(len(q))
+    assert discrete_v_norm(mesh, k, v) == pytest.approx(_per_cell_v_norm(mesh, k, v), rel=1e-12)
 
 
 def test_x_norm_error_pythagoras():
@@ -105,10 +198,12 @@ def test_x_norm_error_pythagoras():
     assert got <= x_norm_error(zero, sol, mesh, k)
 
 
-def test_projection_errors_positive_and_decreasing():
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_projection_errors_positive_and_decreasing(domain, k):
     sol = exponential_solution()
-    v8, x8 = projection_errors(sol, build_structured_mesh(UNIT_SQUARE, 8), 1)
-    v16, x16 = projection_errors(sol, build_structured_mesh(UNIT_SQUARE, 16), 1)
+    v8, x8 = projection_errors(sol, build_structured_mesh(domain, 8), k)
+    v16, x16 = projection_errors(sol, build_structured_mesh(domain, 16), k)
     assert 0 < v16 < v8
     assert 0 < x16 < x8
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import local_interpolant, random_poly, random_triangle
+from helpers import local_interpolant, random_poly, random_triangle, renumbered_mesh
 from wgsteklov.assembly import GammaStabilizer, PowerEps, assemble, gamma_of_h, interpolate
-from wgsteklov.mesh import build_structured_mesh
+from wgsteklov.mesh import DOMAINS, Mesh, build_structured_mesh
 from wgsteklov.polyquad import (
     edge_quadrature,
     map_to_edge,
@@ -11,6 +11,7 @@ from wgsteklov.polyquad import (
     triangle_quadrature,
 )
 from wgsteklov.wgcore import (
+    CellClasses,
     LocalCell,
     epsilon_h_diagnostic,
     local_aw,
@@ -34,6 +35,35 @@ def test_local_layout():
     assert cell.n_loc == n_local(2)
     assert cell.edge_slice(0) == slice(6, 9)
     assert cell.edge_slice(2) == slice(12, 15)
+
+
+def _jittered(mesh, rng):
+    """The same connectivity with every vertex shifted at random, so no two cells are congruent."""
+    return Mesh(mesh.vertices + rng.uniform(-0.02, 0.02, mesh.vertices.shape), mesh.cells)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_cell_classes_match_translation_invariant_keys(domain, rng):
+    # two cells share a class exactly when their rounded relative vertex
+    # coordinates and edge orientations agree; the first member represents
+    structured = build_structured_mesh(domain, 4)
+    renumbered = renumbered_mesh(structured, rng)
+    for mesh in (structured, renumbered, _jittered(structured, rng)):
+        classes = CellClasses(mesh, 2)
+        keys = []
+        for ci in range(mesh.n_cells):
+            verts = mesh.vertices[mesh.cells[ci]]
+            rel = np.round(verts - verts[0], 12)
+            keys.append((rel.tobytes(), tuple(mesh.cell_edge_signs[ci])))
+        same_key = np.array([[a == b for b in keys] for a in keys])
+        same_class = classes.class_of[:, None] == classes.class_of[None, :]
+        assert np.array_equal(same_key, same_class)
+        first = [keys.index(key) for key in keys]
+        assert np.array_equal(classes.representatives[classes.class_of], first)
+        assert np.array_equal(classes.representatives, np.unique(first))
+    assert CellClasses(structured, 2).n_classes == 2
+    assert CellClasses(renumbered, 2).n_classes > 2
+    assert CellClasses(mesh, 2).n_classes == mesh.n_cells
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +310,13 @@ def test_local_bw():
 # projection-defect diagnostic
 
 
-def test_epsilon_vanishes_on_polynomial_data():
-    mesh = build_structured_mesh("square", 2)
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_epsilon_vanishes_on_polynomial_data(domain, k):
+    mesh = build_structured_mesh(domain, 2)
     u = lambda p: p[:, 0]
     grad = lambda p: np.tile([1.0, 0.0], (len(p), 1))
-    assert abs(epsilon_h_diagnostic(u, grad, mesh, 1, 0.5)) < 1e-12
+    assert abs(epsilon_h_diagnostic(u, grad, mesh, k, 0.5)) < 1e-12
 
 
 def test_epsilon_matches_energy_difference():
