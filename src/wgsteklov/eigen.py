@@ -1,11 +1,13 @@
 """Generalized eigensolver for the WG pencil via boundary condensation.
 
 The boundary form B is supported only on boundary-edge DOFs, so the pencil
-(A, B) reduces exactly to a dense problem on the boundary block: with
-S = A_GG - A_GI A_II^{-1} A_IG and M the boundary block of B, the finite
-eigenvalues of (A, B) are exactly the eigenvalues of (S, M), and interior
-components are recovered by back-substitution through the retained
-factorization of A_II.
+(A, B) reduces exactly to a dense problem on the boundary block.  Cells
+couple only to their own edges, so the block-diagonal cell block A_cc is
+eliminated first: with W = A_cc^{-1} A_ce, the edge operator is
+E = A_ee - A_ce^T W.  With S = E_GG - E_GI E_II^{-1} E_IG and M the boundary
+block of B, the finite eigenvalues of (A, B) are exactly the eigenvalues of
+(S, M).  Interior edge components are recovered by back-substitution
+through the retained factorization of E_II, and cell components as -W u_e.
 """
 
 import numpy as np
@@ -18,23 +20,34 @@ class NumericalError(RuntimeError):
     """A factorization or solve failed, or a result missed its tolerance."""
 
 
+def _stage(name, fn, *args, **kwargs):
+    """Call fn; a NumericalError it raises is re-raised naming the stage."""
+    try:
+        return fn(*args, **kwargs)
+    except NumericalError as exc:
+        raise NumericalError(f"stage '{name}' failed: {exc}") from exc
+
+
 DEFAULT_RTOL = 1e-9
+
+# boundary columns per dense right-hand-side block when forming S
+_CHUNK = 256
 
 
 class CondensedPencil:
     """Dense boundary-block reduction (S, M) of an operator pair.
 
-    Holds the factorization of the interior block (and, when cell blocks
-    were eliminated first, the cell-elimination map) so eigenvectors can be
-    expanded back to full DOF vectors.
+    Holds the cell-elimination map W and the factorization of the interior
+    edge block, so eigenvectors can be expanded back to full DOF vectors.
     """
 
-    def __init__(self, S, M, pair, expand):
+    def __init__(self, S, M, pair, W, interior):
         self.S = S
         self.M = M
         self.pair = pair
         self.boundary_dofs = pair.dof_map.boundary_dofs
-        self._expand = expand
+        self._W = W
+        self._interior = interior
 
     @property
     def size(self):
@@ -42,63 +55,63 @@ class CondensedPencil:
 
     def expand(self, x_boundary):
         """Full-length DOF vector(s) from boundary coefficients."""
-        return self._expand(x_boundary)
+        lu, E_ii, E_ig, iidx = self._interior
+        nc = self._W.shape[0]
+        u = np.zeros((self.pair.A.shape[0],) + x_boundary.shape[1:])
+        u[self.boundary_dofs] = x_boundary
+        u[nc + iidx] = -_refined_solve(lu, E_ii, E_ig @ x_boundary)
+        u[:nc] = -(self._W @ u[nc:])
+        return u
 
 
-def condense(pair, eliminate_cells=False, chunk=256):
+def condense(pair):
     """Reduce an operator pair onto its boundary DOFs.
 
-    With ``eliminate_cells`` the block-diagonal cell-interior block is
-    eliminated exactly first (cells couple only to their own edges), so the
-    sparse factorization sees the edge-only system; results agree with the
-    default path to solver tolerance.
+    The d x d cell blocks are inverted exactly, the edge operator
+    E = A_ee - A_ce^T A_cc^{-1} A_ce is formed, and its Schur complement
+    onto the boundary edge DOFs is built from one sparse factorization of
+    the interior edge block, with one refinement step per solve.
     """
     A = pair.A.tocsc()
     dof_map = pair.dof_map
-
-    if eliminate_cells:
-        nc = dof_map.n_cell_dofs
-        d = dof_map.dim_cell
-        A_cc = A[:nc, :nc].tobsr(blocksize=(d, d))
-        blocks = np.ascontiguousarray(A_cc.data)
-        try:
-            inv_blocks = np.linalg.inv(blocks)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("cell-block elimination failed: singular cell block") from exc
-        n_cells = dof_map.mesh.n_cells
-        A_cc_inv = sp.bsr_matrix(
-            (inv_blocks, np.arange(n_cells), np.arange(n_cells + 1)), shape=(nc, nc)
-        ).tocsc()
-        A_ce = A[:nc, nc:].tocsc()
-        W = (A_cc_inv @ A_ce).tocsc()
-        A_edges = (A[nc:, nc:] - A_ce.T @ W).tocsc()
-        g_edges = dof_map.boundary_dofs - nc
-        S, M, solve_interior, iidx = _boundary_schur(A_edges, pair.B, dof_map, g_edges, chunk, offset=nc)
-
-        def expand(xg):
-            u_edges = _expand_edges(A_edges.shape[0], g_edges, iidx, solve_interior, A_edges, xg)
-            u_cells = -(W @ u_edges)
-            return np.concatenate([u_cells, u_edges], axis=0)
-
-    else:
-        g = dof_map.boundary_dofs
-        S, M, solve_interior, iidx = _boundary_schur(A, pair.B, dof_map, g, chunk, offset=0)
-
-        def expand(xg):
-            return _expand_edges(A.shape[0], g, iidx, solve_interior, A, xg)
+    nc = dof_map.n_cell_dofs
+    d = dof_map.dim_cell
+    n_cells = nc // d
+    # scatter into dense blocks: a block without stored entries is zero, not missing
+    cc = A[:nc, :nc].tocoo()
+    blocks = np.zeros((n_cells, d, d))
+    blocks[cc.row // d, cc.row % d, cc.col % d] = cc.data
+    try:
+        inv_blocks = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("cell-block elimination failed: singular cell block") from exc
+    A_cc_inv = sp.bsr_matrix(
+        (inv_blocks, np.arange(n_cells), np.arange(n_cells + 1)), shape=(nc, nc)
+    ).tocsc()
+    A_ce = A[:nc, nc:].tocsc()
+    W = (A_cc_inv @ A_ce).tocsc()
+    E = (A[nc:, nc:] - A_ce.T @ W).tocsc()
+    S, interior = _boundary_schur(E, dof_map.boundary_dofs - nc)
 
     asym = np.abs(S - S.T).max()
     scale = np.abs(S).max()
     if asym > 1e-12 * scale:
         raise NumericalError(f"condensed matrix asymmetry {asym / scale:.2e} exceeds 1e-12")
-    return CondensedPencil(0.5 * (S + S.T), M, pair, expand)
+    g = dof_map.boundary_dofs
+    M = pair.B[g][:, g].toarray()
+    return CondensedPencil(0.5 * (S + S.T), M, pair, W, interior)
 
 
-def _boundary_schur(A, B, dof_map, g, chunk, offset):
-    n = A.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    mask[g] = True
-    iidx = np.where(~mask)[0]
+def _refined_solve(lu, A, rhs):
+    # one refinement step keeps the factorization error out of the
+    # condensed matrix and the eigenpair residuals
+    x = lu.solve(rhs)
+    x += lu.solve(rhs - A @ x)
+    return x
+
+
+def _boundary_schur(A, g):
+    iidx = np.setdiff1d(np.arange(A.shape[0]), g)
     A_ii = A[iidx][:, iidx].tocsc()
     A_ig = A[iidx][:, g].tocsc()
     A_gg = A[g][:, g].toarray()
@@ -107,30 +120,12 @@ def _boundary_schur(A, B, dof_map, g, chunk, offset):
     except RuntimeError as exc:
         raise NumericalError(f"interior factorization failed: {exc}") from exc
 
-    def solve_refined(rhs):
-        # one refinement step keeps the factorization error out of the
-        # condensed matrix and the eigenpair residuals
-        x = lu.solve(rhs)
-        x += lu.solve(rhs - A_ii @ x)
-        return x
-
     S = A_gg
-    for c0 in range(0, len(g), chunk):
-        cols = slice(c0, min(c0 + chunk, len(g)))
-        X = solve_refined(A_ig[:, cols].toarray())
+    for c0 in range(0, len(g), _CHUNK):
+        cols = slice(c0, min(c0 + _CHUNK, len(g)))
+        X = _refined_solve(lu, A_ii, A_ig[:, cols].toarray())
         S[:, cols] -= A_ig.T @ X
-    M = B[g + offset][:, g + offset].toarray()
-    return S, M, solve_refined, iidx
-
-
-def _expand_edges(n, g, iidx, solve_interior, A, xg):
-    single = xg.ndim == 1
-    X = xg[:, None] if single else xg
-    u = np.zeros((n, X.shape[1]))
-    u[g] = X
-    A_ig = A[iidx][:, g]
-    u[iidx] = -solve_interior(np.ascontiguousarray(A_ig @ X))
-    return u[:, 0] if single else u
+    return S, (lu, A_ii, A_ig, iidx)
 
 
 class EigenResult:
@@ -192,9 +187,9 @@ def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
     return EigenResult(values, vectors, residuals, b_norms)
 
 
-def solve_pair(pair, m, eliminate_cells=False, rtol=DEFAULT_RTOL):
+def solve_pair(pair, m, rtol=DEFAULT_RTOL):
     """Condense and solve in one step."""
-    return solve_condensed(condense(pair, eliminate_cells=eliminate_cells), m, rtol=rtol)
+    return solve_condensed(condense(pair), m, rtol=rtol)
 
 
 def rayleigh_quotient(pair, u):

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .assembly import AlphaStabilizer, assemble
-from .eigen import solve_pair
+from .eigen import _stage, solve_pair
 from .mesh import build_structured_mesh
 from .polyquad import (
     CellBasis,
@@ -109,8 +109,9 @@ class LagrangeProbeSpace:
         )
 
     def edge_node_dofs(self, ei):
-        start = self.mesh.n_vertices + ei * self.n_edge_nodes
-        return np.arange(start, start + self.n_edge_nodes)
+        """Edge-node DOFs of edge ei, or one row per edge for an index array."""
+        start = self.mesh.n_vertices + np.asarray(ei)[..., None] * self.n_edge_nodes
+        return start + np.arange(self.n_edge_nodes)
 
     def cell_node_dofs(self, ci):
         start = (
@@ -173,10 +174,7 @@ def estimate_delta(mesh, k, probe_degree, quad_degree=None):
     p = space.p
     deg = quad_degree if quad_degree is not None else 2 * p + 2
 
-    num = np.zeros((space.n_dofs, space.n_dofs))
-    den = np.zeros((space.n_dofs, space.n_dofs))
-
-    # numerator: boundary projection defect, edge by edge
+    # numerator: boundary projection defect, on the boundary-edge probe DOFs
     erule = edge_quadrature(deg)
     eb = EdgeBasis(k).eval(erule.points)
     tnodes = np.concatenate([[0.0, 1.0], np.arange(1, p) / p])
@@ -185,10 +183,14 @@ def estimate_delta(mesh, k, probe_degree, quad_degree=None):
     proj = eb @ (eb * erule.weights[:, None]).T @ trace
     resid = trace - proj
     block = (resid * erule.weights[:, None]).T @ resid
-    for ei in np.where(mesh.boundary_edge)[0]:
-        lo_v, hi_v = mesh.edges[ei]
-        gd = np.concatenate([[lo_v, hi_v], space.edge_node_dofs(ei)])
-        num[np.ix_(gd, gd)] += float(mesh.length[ei]) * block
+    edges = np.where(mesh.boundary_edge)[0]
+    gd = np.hstack([mesh.edges[edges], space.edge_node_dofs(edges)])
+    bnd, lb = np.unique(gd, return_inverse=True)
+    lb = lb.reshape(gd.shape)
+    num = np.zeros((len(bnd), len(bnd)))
+    np.add.at(num, (lb[:, :, None], lb[:, None, :]), mesh.length[edges, None, None] * block)
+
+    den = np.zeros((space.n_dofs, space.n_dofs))
 
     # denominator: gradient projection defect, cell by cell
     rule = triangle_quadrature(deg)
@@ -210,8 +212,11 @@ def estimate_delta(mesh, k, probe_degree, quad_degree=None):
     if not np.any(keep):
         raise ValueError("probe space lies entirely in the defect null space")
     basis = Q[:, keep] / np.sqrt(evals[keep])
-    reduced = basis.T @ num @ basis
-    return float(sla.eigh(0.5 * (reduced + reduced.T), eigvals_only=True)[-1])
+    # lambda_max(P^T num P) with P = basis[bnd] equals lambda_max(R^T P P^T R)
+    # for num = R R^T, an nb x nb problem instead of one of the kept rank
+    w, V = sla.eigh(num)
+    G = (V * np.sqrt(np.clip(w, 0.0, None))).T @ basis[bnd]
+    return float(sla.eigh(G @ G.T, eigvals_only=True)[-1])
 
 
 def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):
@@ -224,15 +229,15 @@ def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):
     """
     rows = []
     for n in levels:
-        mesh = build_structured_mesh(domain, n)
-        pair = assemble(mesh, k, AlphaStabilizer(config.alpha))
-        result = solve_pair(pair, config.index)
+        mesh = _stage("mesh", build_structured_mesh, domain, n)
+        pair = _stage("assemble", assemble, mesh, k, AlphaStabilizer(config.alpha))
+        result = _stage("solve", solve_pair, pair, config.index)
         lam_h = float(result.values[config.index - 1])
         if config.proj_bound is not None:
             delta = config.proj_bound
             delta_source = "configured"
         else:
-            delta = estimate_delta(mesh, k, probe_degree if probe_degree else k + 2)
+            delta = _stage("estimate_delta", estimate_delta, mesh, k, probe_degree or k + 2)
             delta_source = "estimated"
         level_config = GlbConfig(config.alpha, config.stab_bound, delta, config.index)
         ref = None if refs is None else float(refs[config.index - 1])

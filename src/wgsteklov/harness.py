@@ -16,7 +16,7 @@ import numpy as np
 
 from . import glb as glb_mod
 from .assembly import AlphaStabilizer, GammaStabilizer, NegInvLog, PowerEps, assemble
-from .eigen import NumericalError, condense, solve_condensed
+from .eigen import NumericalError, _stage, condense, solve_condensed
 from .mesh import DOMAINS, build_structured_mesh, locate_cell, mesh_stats, mesh_to_json
 from .polyquad import CellBasis
 from .source import exponential_solution, projection_errors, solve_source, v_norm_error, x_norm_error
@@ -216,21 +216,22 @@ def _fmt(x):
     return f"{x:.16e}"
 
 
-def _stage(name, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except NumericalError as exc:
-        raise NumericalError(f"stage '{name}' failed: {exc}") from exc
+def _solve_level(domain, n, k, stabilizer, m):
+    """Mesh, assemble, condense and solve one level for m eigenpairs.
+
+    Returns (mesh, EigenResult); a NumericalError names the failed stage.
+    """
+    mesh = _stage("mesh", build_structured_mesh, domain, n)
+    pair = _stage("assemble", assemble, mesh, k, stabilizer)
+    pencil = _stage("condense", condense, pair)
+    return mesh, _stage("solve", solve_condensed, pencil, m)
 
 
 def run_eigen_study(config):
     """Run the eigenvalue convergence study described by `config`."""
     ns, hs, eigenvalues = [], [], []
     for n in config.levels:
-        mesh = _stage("mesh", build_structured_mesh, config.domain, n)
-        pair = _stage("assemble", assemble, mesh, config.k, config.stabilizer)
-        pencil = _stage("condense", condense, pair)
-        result = _stage("solve", solve_condensed, pencil, config.n_eigs)
+        mesh, result = _solve_level(config.domain, n, config.k, config.stabilizer, config.n_eigs)
         ns.append(n)
         hs.append(mesh.h_max)
         eigenvalues.append([float(v) for v in result.values])
@@ -500,9 +501,7 @@ def _cmd_mesh(args):
 def _cmd_solve(args):
     _require(args, "domain", "n", "k")
     stab = parse_stabilizer(args.gamma, args.alpha)
-    mesh = build_structured_mesh(args.domain, int(args.n))
-    pair = assemble(mesh, int(args.k), stab)
-    result = solve_condensed(condense(pair), int(args.eigs or 4))
+    _, result = _solve_level(args.domain, int(args.n), int(args.k), stab, int(args.eigs or 4))
     for value in result.values:
         print(_fmt(value))
     return 0
@@ -570,9 +569,7 @@ def _cmd_glb(args):
 def _cmd_field(args):
     _require(args, "domain", "n", "k", "eig", "grid", "out")
     stab = parse_stabilizer(args.gamma, args.alpha)
-    mesh = build_structured_mesh(args.domain, int(args.n))
-    pair = assemble(mesh, int(args.k), stab)
-    result = solve_condensed(condense(pair), int(args.eig))
+    mesh, result = _solve_level(args.domain, int(args.n), int(args.k), stab, int(args.eig))
     text = export_eigenfunction_field(result, mesh, int(args.k), int(args.eig), int(args.grid))
     _emit(text, args.out)
     return 0

@@ -6,36 +6,50 @@ import scipy.sparse as sp
 
 from wgsteklov.assembly import GammaStabilizer, PowerEps, assemble, interpolate
 from wgsteklov.eigen import (
+    NumericalError,
     condense,
     dense_eigenvalues,
     rayleigh_quotient,
     solve_condensed,
     solve_pair,
 )
-from wgsteklov.mesh import UNIT_SQUARE, build_structured_mesh
+from wgsteklov.mesh import L_SHAPE, UNIT_SQUARE, build_structured_mesh
 
 GAMMA = GammaStabilizer(PowerEps(0.1))
 
 
 def synthetic_pair():
-    # hand-checkable 2x2 pencil: boundary block {0}, interior {1};
-    # Schur complement 2 - 1 * (1/2) * 1 = 3/2
-    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    B = sp.csr_matrix(np.diag([1.0, 0.0]))
-    dof_map = SimpleNamespace(boundary_dofs=np.array([0]), interior_dofs=np.array([1]))
+    # hand-checkable 3x3 pencil: cell DOF {0}, interior edge DOF {1},
+    # boundary DOF {2}
+    A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]))
+    B = sp.csr_matrix(np.diag([0.0, 0.0, 1.0]))
+    dof_map = SimpleNamespace(n_cell_dofs=1, dim_cell=1, boundary_dofs=np.array([2]))
     return SimpleNamespace(A=A, B=B, dof_map=dof_map)
 
 
 def test_synthetic_schur_complement():
+    # eliminating the cell leaves the edge operator [[3/2, 1], [1, 2]], whose
+    # boundary Schur complement is 2 - 1 * (2/3) * 1 = 4/3
     pencil = condense(synthetic_pair())
     assert pencil.S.shape == (1, 1)
-    assert pencil.S[0, 0] == pytest.approx(1.5, rel=1e-15)
+    assert pencil.S[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-15)
     result = solve_condensed(pencil, 1)
-    assert result.values[0] == pytest.approx(1.5, rel=1e-14)
+    assert result.values[0] == pytest.approx(4.0 / 3.0, rel=1e-14)
     assert result.residuals[0] < 1e-14
-    # interior back-substitution: u_1 = -(1/2) u_0
+    # back-substitution: u_1 = -(2/3) u_2 on the edge, u_0 = -(1/2) u_1 = (1/3) u_2
     u = result.vectors[:, 0]
-    assert u[1] == pytest.approx(-0.5 * u[0], rel=1e-14)
+    assert u[1] == pytest.approx(-2.0 / 3.0 * u[2], rel=1e-14)
+    assert u[0] == pytest.approx(1.0 / 3.0 * u[2], rel=1e-14)
+
+
+def test_singular_cell_block_raises():
+    pair = assemble(build_structured_mesh(UNIT_SQUARE, 2), 1, GAMMA)
+    d = pair.dof_map.dim_cell
+    A = pair.A.tolil()
+    A[:d, :d] = 0.0
+    broken = SimpleNamespace(A=A.tocsr(), B=pair.B, dof_map=pair.dof_map)
+    with pytest.raises(NumericalError, match="singular cell block"):
+        condense(broken)
 
 
 def test_condensed_size_and_symmetry():
@@ -49,10 +63,11 @@ def test_condensed_size_and_symmetry():
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_condensation_matches_dense_bruteforce(n):
+@pytest.mark.parametrize("domain,k", [(UNIT_SQUARE, 1), (UNIT_SQUARE, 2), (UNIT_SQUARE, 3), (L_SHAPE, 1)])
+def test_condensation_matches_dense_bruteforce(domain, k, n):
     # the condensed spectrum must equal the finite eigenvalues of the full
     # pencil, obtained by an independent dense QZ solve
-    pair = assemble(build_structured_mesh(UNIT_SQUARE, n), 1, GAMMA)
+    pair = assemble(build_structured_mesh(domain, n), k, GAMMA)
     pencil = condense(pair)
     full = solve_condensed(pencil, pencil.size, rtol=1e-8).values
     reference = dense_eigenvalues(pair)
@@ -78,15 +93,6 @@ def test_reference_eigenvalue_level_16():
     result = solve_pair(pair, 1)
     expected = 0.2400790854320629 - 2.1839e-4
     assert abs(result.values[0] - expected) <= 1e-6
-
-
-def test_eliminate_cells_gives_same_spectrum():
-    for k in (1, 2):
-        pair = assemble(build_structured_mesh(UNIT_SQUARE, 4), k, GAMMA)
-        direct = solve_condensed(condense(pair), 5)
-        eliminated = solve_condensed(condense(pair, eliminate_cells=True), 5)
-        assert np.allclose(direct.values, eliminated.values, rtol=1e-10)
-        assert np.all(eliminated.residuals <= 1e-9)
 
 
 def test_monotone_under_refinement():

@@ -245,13 +245,28 @@ def test_cli_usage_errors(capsys, monkeypatch, tmp_path):
                  "--levels", "2", "--config", str(config)]) == 1
 
 
-def test_cli_numerical_failures_exit_2(monkeypatch):
-    def boom(args):
+def test_cli_numerical_failures_exit_2(monkeypatch, tmp_path, capsys):
+    def boom(*args):
         raise NumericalError("synthetic failure")
 
     monkeypatch.setitem(harness._COMMANDS, "solve", boom)
     assert main(["solve", "--domain", "square", "--n", "2", "--k", "1",
                  "--gamma", "pow:0.1"]) == 2
+    monkeypatch.undo()
+
+    # the failure reaches stderr with the name of the stage that raised it
+    monkeypatch.setattr(harness, "condense", boom)
+    monkeypatch.setattr(harness.glb_mod, "solve_pair", boom)
+    stab = ["--domain", "square", "--n", "2", "--k", "1", "--gamma", "pow:0.1"]
+    for argv, stage in (
+        (["solve"] + stab, "condense"),
+        (["field"] + stab + ["--eig", "1", "--grid", "3", "--out", str(tmp_path / "f.csv")], "condense"),
+        (["glb", "--domain", "square", "--k", "1", "--alpha", "0.01", "--stab-bound", "2.0",
+          "--proj-bound", "0.5", "--levels", "2"], "solve"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"stage '{stage}'" in capsys.readouterr().err
 
 
 def test_cli_config_file(tmp_path, capsys):
