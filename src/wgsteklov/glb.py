@@ -18,7 +18,6 @@ from .assembly import AlphaStabilizer, assemble
 from .eigen import _stage, solve_pair
 from .mesh import build_structured_mesh
 from .polyquad import (
-    CellBasis,
     EdgeBasis,
     dim_pk,
     edge_quadrature,
@@ -28,7 +27,7 @@ from .polyquad import (
     scaled_monomials,
     triangle_quadrature,
 )
-from .wgcore import LocalCell
+from .wgcore import CellClasses
 
 
 @dataclass(frozen=True)
@@ -113,46 +112,20 @@ class LagrangeProbeSpace:
         start = self.mesh.n_vertices + np.asarray(ei)[..., None] * self.n_edge_nodes
         return start + np.arange(self.n_edge_nodes)
 
-    def cell_node_dofs(self, ci):
-        start = (
-            self.mesh.n_vertices
-            + self.mesh.n_edges * self.n_edge_nodes
-            + ci * self.n_cell_nodes
-        )
-        return np.arange(start, start + self.n_cell_nodes)
-
-    def cell_nodes(self, ci):
-        """Physical node positions and global DOFs of one cell, edge nodes in
-        canonical order."""
-        mesh = self.mesh
-        cell = LocalCell.from_mesh(mesh, ci, 1)
-        points = [mesh.vertices[v] for v in mesh.cells[ci]]
-        gdofs = list(mesh.cells[ci])
+    def cell_nodes(self, cell):
+        """Physical node positions of a :class:`LocalCell`: vertices, edge
+        nodes in canonical order, then the interior lattice."""
+        points = list(cell.vertices)
         for l in range(3):
             lo, hi = cell.edge_canonical(l)
             for i in range(1, self.p):
                 points.append(lo + (i / self.p) * (hi - lo))
-            gdofs.extend(self.edge_node_dofs(mesh.cell_edges[ci, l]))
-        verts = mesh.vertices[mesh.cells[ci]]
+        verts = cell.vertices
         for a in range(1, self.p):
             for b in range(1, self.p - a):
                 c = self.p - a - b
                 points.append((a * verts[0] + b * verts[1] + c * verts[2]) / self.p)
-        gdofs.extend(self.cell_node_dofs(ci))
-        return np.array(points), np.array(gdofs, dtype=np.int64)
-
-    def local_basis(self, ci):
-        """Evaluators for the local nodal basis: (eval, grad) callables."""
-        nodes, gdofs = self.cell_nodes(ci)
-        centroid = self.mesh.vertices[self.mesh.cells[ci]].mean(axis=0)
-        scale = float(self.mesh.diameter[ci])
-        exps = monomial_exponents(self.p)
-        Vinv = np.linalg.inv(scaled_monomials(nodes, centroid, scale, exps))
-        return (
-            lambda pts: scaled_monomials(pts, centroid, scale, exps) @ Vinv,
-            lambda pts: tuple(g @ Vinv for g in scaled_monomial_grads(pts, centroid, scale, exps)),
-            gdofs,
-        )
+        return np.array(points)
 
 
 def estimate_delta(mesh, k, probe_degree, quad_degree=None):
@@ -190,20 +163,30 @@ def estimate_delta(mesh, k, probe_degree, quad_degree=None):
     num = np.zeros((len(bnd), len(bnd)))
     np.add.at(num, (lb[:, :, None], lb[:, None, :]), mesh.length[edges, None, None] * block)
 
-    den = np.zeros((space.n_dofs, space.n_dofs))
-
-    # denominator: gradient projection defect, cell by cell
+    # denominator: gradient projection defect, one local matrix per class
     rule = triangle_quadrature(deg)
-    for ci in range(mesh.n_cells):
-        basis_eval, basis_grad, gdofs = space.local_basis(ci)
-        pts, w = map_to_triangle(rule, mesh.vertices[mesh.cells[ci]])
-        gx, gy = basis_grad(pts)
-        phiv = CellBasis(mesh.vertices[mesh.cells[ci]], k - 1).eval(pts)
+    exps = monomial_exponents(p)
+    classes = CellClasses(mesh, k)
+    local = []
+    for cell in classes.cells:
+        centroid, scale = cell.basis.centroid, cell.diameter
+        vinv = np.linalg.inv(scaled_monomials(space.cell_nodes(cell), centroid, scale, exps))
+        pts, w = map_to_triangle(rule, cell.vertices)
+        gx, gy = (g @ vinv for g in scaled_monomial_grads(pts, centroid, scale, exps))
+        phiv = cell.vector_basis.scalar.eval(pts)
         wproj = phiv @ (phiv * w[:, None]).T
         rx = gx - wproj @ gx
         ry = gy - wproj @ gy
-        dloc = (rx * w[:, None]).T @ rx + (ry * w[:, None]).T @ ry
-        den[np.ix_(gdofs, gdofs)] += dloc
+        local.append((rx * w[:, None]).T @ rx + (ry * w[:, None]).T @ ry)
+    # local-to-global table in cell_nodes order, one row per cell
+    start = mesh.n_vertices + mesh.n_edges * space.n_edge_nodes
+    l2g = np.hstack([
+        mesh.cells,
+        space.edge_node_dofs(mesh.cell_edges).reshape(mesh.n_cells, -1),
+        start + np.arange(mesh.n_cells * space.n_cell_nodes).reshape(mesh.n_cells, -1),
+    ])
+    den = np.zeros((space.n_dofs, space.n_dofs))
+    np.add.at(den, (l2g[:, :, None], l2g[:, None, :]), np.array(local)[classes.class_of])
 
     num = 0.5 * (num + num.T)
     den = 0.5 * (den + den.T)
@@ -227,6 +210,8 @@ def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):
     estimated when absent), and evaluate the certificate against the
     discrete eigenvalue (case 2) or the reference (case 1) when available.
     """
+    if refs is not None and config.index > len(refs):
+        raise ValueError(f"index {config.index} exceeds the {len(refs)} reference values")
     rows = []
     for n in levels:
         mesh = _stage("mesh", build_structured_mesh, domain, n)

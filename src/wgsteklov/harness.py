@@ -18,8 +18,9 @@ from . import glb as glb_mod
 from .assembly import AlphaStabilizer, GammaStabilizer, NegInvLog, PowerEps, assemble
 from .eigen import NumericalError, _stage, condense, solve_condensed
 from .mesh import DOMAINS, build_structured_mesh, locate_cell, mesh_stats, mesh_to_json
-from .polyquad import CellBasis
+from .polyquad import dim_pk
 from .source import exponential_solution, projection_errors, solve_source, v_norm_error, x_norm_error
+from .wgcore import CellClasses
 
 # High-accuracy reference values for the first four eigenvalues on the unit
 # square, used when a study is configured with refs="builtin:square".  They
@@ -47,9 +48,7 @@ class StudyConfig:
     levels: tuple
     n_eigs: int = 4
     refs: tuple = None
-    out: str = None
     fmt: str = "csv"
-    field_grid: int = None
 
     def __post_init__(self):
         if self.domain not in DOMAINS:
@@ -141,7 +140,7 @@ class ConvergenceReport:
                 cols.append(f"order_{j + 1}")
         if multi:
             cols += [f"trend_{j + 1}" for j in range(m)]
-        lines = [",".join(cols)]
+        rows = []
         for i, n in enumerate(self.ns):
             row = [str(n), _fmt(self.hs[i])]
             row += [_fmt(self.eigenvalues[i][j]) for j in range(m)]
@@ -151,14 +150,13 @@ class ConvergenceReport:
                     "1" if self.lower_bound[j][i] else "0",
                 ]
                 if multi:
-                    order = self.orders[j][i]
-                    row.append("" if order is None else _fmt(order))
+                    row.append(_opt(self.orders[j][i]))
             if multi:
                 for j in range(m):
                     flag = self.trend[j][i]
                     row.append("" if flag is None else ("1" if flag else "0"))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+            rows.append(row)
+        return _csv(cols, rows)
 
     def _render_json(self):
         payload = {
@@ -196,10 +194,6 @@ class ConvergenceReport:
                 lines.append("| " + " | ".join([f"order_{j + 1}"] + orders + [""]) + " |")
         return "\n".join(lines) + "\n"
 
-    def save(self, path, fmt=None):
-        with open(path, "w") as fh:
-            fh.write(self.render(fmt))
-
 
 def describe_stabilizer(stabilizer):
     if isinstance(stabilizer, AlphaStabilizer):
@@ -214,6 +208,15 @@ def describe_stabilizer(stabilizer):
 
 def _fmt(x):
     return f"{x:.16e}"
+
+
+def _opt(x):
+    return "" if x is None else _fmt(x)
+
+
+def _csv(header, rows):
+    """CSV text from a header and rows of already formatted cells."""
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows])
 
 
 def _solve_level(domain, n, k, stabilizer, m):
@@ -235,10 +238,7 @@ def run_eigen_study(config):
         ns.append(n)
         hs.append(mesh.h_max)
         eigenvalues.append([float(v) for v in result.values])
-    report = ConvergenceReport(config, ns, hs, eigenvalues)
-    if config.out:
-        report.save(config.out)
-    return report
+    return ConvergenceReport(config, ns, hs, eigenvalues)
 
 
 class SourceReport:
@@ -263,24 +263,11 @@ class SourceReport:
 
     def render(self, fmt="csv"):
         if fmt == "csv":
-            cols = "n,h,v_error,v_order,x_error,x_order,proj_v,proj_x"
-            lines = [cols]
-            for i, n in enumerate(self.ns):
-                lines.append(
-                    ",".join(
-                        [
-                            str(n),
-                            _fmt(self.hs[i]),
-                            _fmt(self.v_errors[i]),
-                            "" if self.v_orders[i] is None else _fmt(self.v_orders[i]),
-                            _fmt(self.x_errors[i]),
-                            "" if self.x_orders[i] is None else _fmt(self.x_orders[i]),
-                            _fmt(self.proj_v[i]),
-                            _fmt(self.proj_x[i]),
-                        ]
-                    )
-                )
-            return "\n".join(lines) + "\n"
+            cols = ["n", "h", "v_error", "v_order", "x_error", "x_order", "proj_v", "proj_x"]
+            data = zip(self.hs, self.v_errors, self.v_orders, self.x_errors, self.x_orders,
+                       self.proj_v, self.proj_x)
+            return _csv(cols, [[str(n)] + [_opt(v) for v in row]
+                               for n, row in zip(self.ns, data)])
         if fmt == "json":
             payload = {
                 "solution": self.label,
@@ -297,10 +284,6 @@ class SourceReport:
             }
             return json.dumps(payload, indent=2) + "\n"
         raise ValueError(f"unknown output format {fmt!r}")
-
-    def save(self, path, fmt="csv"):
-        with open(path, "w") as fh:
-            fh.write(self.render(fmt))
 
 
 def run_source_study(domain, k, stabilizer, levels, solution=None):
@@ -329,30 +312,23 @@ def export_eigenfunction_field(result, mesh, k, j, grid_resolution):
     """
     if not 1 <= j <= result.vectors.shape[1]:
         raise ValueError(f"eigenfunction index {j} out of range")
-    u = result.vectors[:, j - 1]
-    dim_cell = CellBasis(mesh.vertices[mesh.cells[0]], k).dim
-    bases = {}
     coords = np.linspace(0.0, 1.0, grid_resolution)
-    xs, ys, values = [], [], []
-    for y in coords:
-        for x in coords:
-            ci = locate_cell(mesh, x, y)
-            if ci < 0:
-                continue
-            if ci not in bases:
-                bases[ci] = CellBasis(mesh.vertices[mesh.cells[ci]], k)
-            phi = bases[ci].eval(np.array([[x, y]]))[0]
-            c0 = u[ci * dim_cell : (ci + 1) * dim_cell]
-            xs.append(x)
-            ys.append(y)
-            values.append(float(phi @ c0))
-    values = np.asarray(values)
+    xs, ys = (c.ravel() for c in np.meshgrid(coords, coords))
+    cells = locate_cell(mesh, xs, ys)
+    inside = cells >= 0
+    xs, ys, cells = xs[inside], ys[inside], cells[inside]
+    classes = CellClasses(mesh, k)
+    u0 = result.vectors[: mesh.n_cells * dim_pk(k), j - 1].reshape(mesh.n_cells, -1)
+    centroids = mesh.vertices[mesh.cells].mean(axis=1)
+    values = np.empty(len(cells))
+    for c, cell in enumerate(classes.cells):
+        # members are translates of the representative: shift the points onto it
+        at = classes.class_of[cells] == c
+        pts = np.column_stack([xs[at], ys[at]]) + (cell.basis.centroid - centroids[cells[at]])
+        values[at] = np.einsum("pi,pi->p", cell.basis.eval(pts), u0[cells[at]])
     if len(values) and values[np.argmax(np.abs(values))] < 0:
         values = -values
-    lines = ["x,y,u"]
-    for x, y, v in zip(xs, ys, values):
-        lines.append(f"{x:.16e},{y:.16e},{v:.16e}")
-    return "\n".join(lines) + "\n"
+    return _csv(["x", "y", "u"], [[_fmt(x), _fmt(y), _fmt(v)] for x, y, v in zip(xs, ys, values)])
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +389,9 @@ def load_config_file(path):
 def _merge_config(args):
     if getattr(args, "config", None):
         for key, value in load_config_file(args.config).items():
-            if getattr(args, key, None) is None:
+            if key in ("command", "config") or not hasattr(args, key):
+                raise ValueError(f"{args.config}: unknown key {key!r} for {args.command}")
+            if getattr(args, key) is None:
                 setattr(args, key, value)
     # a config file bypasses the parser's choices, so check the merged value
     fmt = getattr(args, "format", None)
@@ -557,11 +535,8 @@ def _cmd_glb(args):
     if (args.format or "csv") == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        cols = list(rows[0].keys())
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join("" if row[c] is None else str(row[c]) for c in cols))
-        text = "\n".join(lines) + "\n"
+        text = _csv(list(rows[0]), [["" if v is None else str(v) for v in row.values()]
+                                    for row in rows])
     _emit(text, args.out)
     return 0
 

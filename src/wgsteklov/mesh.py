@@ -203,34 +203,35 @@ def outward_normal(mesh, cell, local_edge):
 def locate_cell(mesh, x, y):
     """Cell index containing a point of a structured mesh, or -1 if outside.
 
-    Points on internal cell interfaces are assigned deterministically; the
-    lower triangle of a grid square owns its diagonal.
+    `x` and `y` may be arrays of the same shape, giving an index array;
+    scalars give an int.  Points on internal cell interfaces are assigned
+    deterministically; the lower triangle of a grid square owns its diagonal.
     """
     if mesh.domain not in DOMAINS or mesh.n is None:
         raise ValueError("point location requires a structured mesh")
     n = mesh.n
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        return -1
-    if mesh.domain == L_SHAPE and x > 0.5 and y > 0.5:
-        return -1
-    i = min(int(x * n), n - 1)
-    j = min(int(y * n), n - 1)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    inside = (0.0 <= x) & (x <= 1.0) & (0.0 <= y) & (y <= 1.0)
     if mesh.domain == L_SHAPE:
-        # points on the notch boundary belong to the adjacent interior square
-        if i >= n // 2 and j >= n // 2:
-            if x <= 0.5:
-                i = n // 2 - 1
-            else:
-                j = n // 2 - 1
-        squares_per_row = [n if jj < n // 2 else n // 2 for jj in range(n)]
-        if i >= squares_per_row[j]:
-            return -1
-        base = 2 * (sum(squares_per_row[:j]) + i)
+        inside &= ~((x > 0.5) & (y > 0.5))
+    x = np.where(inside, x, 0.0)
+    y = np.where(inside, y, 0.0)
+    i = np.minimum((x * n).astype(np.int64), n - 1)
+    j = np.minimum((y * n).astype(np.int64), n - 1)
+    if mesh.domain == L_SHAPE:
+        # points on the notch boundary belong to the adjacent interior square;
+        # rows above the notch hold n // 2 squares each
+        notch = (i >= n // 2) & (j >= n // 2)
+        i = np.where(notch & (x <= 0.5), n // 2 - 1, i)
+        j = np.where(notch & (x > 0.5), n // 2 - 1, j)
+        upper = np.maximum(j - n // 2, 0)
+        base = 2 * (n * (j - upper) + (n // 2) * upper + i)
     else:
         base = 2 * (j * n + i)
     fx = x * n - i
     fy = y * n - j
-    return base if fy <= fx else base + 1
+    cell = np.where(inside, np.where(fy <= fx, base, base + 1), -1)
+    return int(cell) if cell.ndim == 0 else cell
 
 
 def mesh_to_json(mesh):

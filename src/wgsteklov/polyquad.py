@@ -140,10 +140,6 @@ class CellBasis:
     conditioning does not degrade under mesh refinement.
     """
 
-    # orthonormalization factors are translation invariant; cache them so
-    # structured meshes factorize once per cell congruence class
-    _chol_cache = {}
-
     def __init__(self, vertices, k):
         self.vertices = np.asarray(vertices, dtype=float)
         self.k = int(k)
@@ -155,24 +151,20 @@ class CellBasis:
         self.area = triangle_area(self.vertices)
         if self.area <= 0.0:
             raise ValueError("degenerate cell: nonpositive area")
-        key = (self.k, np.round(self.vertices - self.vertices[0], 12).tobytes())
-        inv_t = CellBasis._chol_cache.get(key)
-        if inv_t is None:
-            rule = triangle_quadrature(2 * self.k)
-            pts, w = map_to_triangle(rule, self.vertices)
-            raw = scaled_monomials(pts, self.centroid, self.diameter, self.exponents)
-            inv_t = np.eye(self.dim)
-            # two orthonormalization passes keep the basis orthonormal to
-            # machine precision even on badly shaped cells at high degree
-            for _ in range(2):
-                phi = raw @ inv_t
-                mass = (phi * w[:, None]).T @ phi
-                try:
-                    chol = np.linalg.cholesky(mass)
-                except np.linalg.LinAlgError as exc:
-                    raise ValueError("singular local mass matrix (degenerate cell)") from exc
-                inv_t = inv_t @ solve_triangular(chol, np.eye(self.dim), lower=True).T
-            CellBasis._chol_cache[key] = inv_t
+        rule = triangle_quadrature(2 * self.k)
+        pts, w = map_to_triangle(rule, self.vertices)
+        raw = scaled_monomials(pts, self.centroid, self.diameter, self.exponents)
+        inv_t = np.eye(self.dim)
+        # two orthonormalization passes keep the basis orthonormal to
+        # machine precision even on badly shaped cells at high degree
+        for _ in range(2):
+            phi = raw @ inv_t
+            mass = (phi * w[:, None]).T @ phi
+            try:
+                chol = np.linalg.cholesky(mass)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("singular local mass matrix (degenerate cell)") from exc
+            inv_t = inv_t @ solve_triangular(chol, np.eye(self.dim), lower=True).T
         self._inv_t = inv_t
 
     def eval(self, points):

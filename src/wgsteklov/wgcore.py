@@ -217,7 +217,7 @@ class CellClasses:
         self.mesh = mesh
         verts = mesh.vertices[mesh.cells]
         rel = np.round(verts - verts[:, :1], 12).reshape(mesh.n_cells, 6)
-        # compare bit patterns, as the CellBasis factor cache keys do
+        # compare the bit patterns of the rounded coordinates
         key = np.concatenate([rel.view(np.int64), mesh.cell_edge_signs], axis=1)
         _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
         order = np.argsort(first)

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import renumbered_mesh
 from wgsteklov.glb import Certificate, GlbConfig, estimate_delta, glb_criterion, run_glb_study
 from wgsteklov.harness import SQUARE_REFERENCE_EIGENVALUES
 from wgsteklov.mesh import UNIT_SQUARE, build_structured_mesh
@@ -69,6 +70,16 @@ def test_estimate_delta_positive_and_monotone_in_probe():
     d4 = estimate_delta(mesh, 1, 4)
     assert d3 > 0
     assert d4 >= d3  # larger probe space, larger maximum ratio
+
+
+@pytest.mark.parametrize("probe_degree", [3, 4])
+def test_estimate_delta_independent_of_vertex_numbering(probe_degree, rng):
+    # renumbering splits the congruence classes by edge orientation and
+    # permutes the probe DOFs; the estimate must not change
+    mesh = build_structured_mesh(UNIT_SQUARE, 4)
+    want = estimate_delta(mesh, 1, probe_degree)
+    got = estimate_delta(renumbered_mesh(mesh, rng), 1, probe_degree)
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_estimate_delta_refinement_scaling():

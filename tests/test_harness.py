@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wgsteklov.harness as harness
-from wgsteklov.assembly import GammaStabilizer, NegInvLog, PowerEps
+from wgsteklov.assembly import AlphaStabilizer, GammaStabilizer, NegInvLog, PowerEps
 from wgsteklov.eigen import NumericalError
 from wgsteklov.harness import (
     SQUARE_REFERENCE_EIGENVALUES,
@@ -18,7 +20,9 @@ from wgsteklov.harness import (
     parse_stabilizer,
     run_eigen_study,
 )
-from wgsteklov.mesh import L_SHAPE, UNIT_SQUARE, build_structured_mesh
+from wgsteklov.mesh import L_SHAPE, UNIT_SQUARE, build_structured_mesh, locate_cell
+from wgsteklov.polyquad import dim_pk
+from wgsteklov.wgcore import LocalCell
 from wgsteklov.assembly import assemble
 from wgsteklov.eigen import solve_pair
 
@@ -139,6 +143,25 @@ def test_field_export_omits_points_outside_lshape():
         assert not (x > 0.5 and y > 0.5)
 
 
+@pytest.mark.parametrize("domain,n,k,grid", [(UNIT_SQUARE, 4, 2, 13), (L_SHAPE, 4, 1, 11)])
+def test_field_export_matches_direct_cell_evaluation(domain, n, k, grid):
+    mesh = build_structured_mesh(domain, n)
+    result = solve_pair(assemble(mesh, k, GAMMA), 1)
+    rows = np.array([line.split(",") for line in
+                     export_eigenfunction_field(result, mesh, k, 1, grid).splitlines()[1:]],
+                    dtype=float)
+    u = result.vectors[:, 0]
+    dim = dim_pk(k)
+    want = []
+    for x, y, _ in rows:
+        ci = locate_cell(mesh, x, y)
+        phi = LocalCell.from_mesh(mesh, ci, k).basis.eval(np.array([[x, y]]))[0]
+        want.append(phi @ u[ci * dim : (ci + 1) * dim])
+    want = np.array(want)
+    want *= np.sign(want[np.argmax(np.abs(want))])
+    assert np.max(np.abs(rows[:, 2] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_parse_helpers():
     assert isinstance(parse_stabilizer("pow:0.2", None).spec, PowerEps)
     assert isinstance(parse_stabilizer("neglog", None).spec, NegInvLog)
@@ -243,6 +266,10 @@ def test_cli_usage_errors(capsys, monkeypatch, tmp_path):
     config.write_text("format = xml\n")
     assert main(["converge", "--domain", "square", "--k", "1", "--gamma", "pow:0.1",
                  "--levels", "2", "--config", str(config)]) == 1
+    # a certificate index beyond the reference values
+    capsys.readouterr()
+    assert main(glb[:-2] + ["--levels", "2", "--index", "5", "--refs", "builtin:square"]) == 1
+    assert "wg-steklov: index 5" in capsys.readouterr().err
 
 
 def test_cli_numerical_failures_exit_2(monkeypatch, tmp_path, capsys):
@@ -289,3 +316,65 @@ def test_cli_config_file(tmp_path, capsys):
     with pytest.raises(ValueError):
         load_config_file(bad)
     assert main(["solve", "--config", str(bad)]) == 1
+    # a key the subcommand has no option for is rejected, not dropped:
+    # converge takes --eigs, not --eig
+    for key in ("eig", "command", "config"):
+        bad.write_text(f"{key} = 2\n")
+        capsys.readouterr()
+        assert main(["converge", "--domain", "square", "--k", "1", "--gamma", "pow:0.1",
+                     "--levels", "2", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and repr(key) in err
+
+
+floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       eps=floats, fixed=floats, junk=st.text(max_size=12))
+def test_parse_stabilizer_properties(alpha, eps, fixed, junk):
+    stab = parse_stabilizer(None, repr(alpha))
+    assert isinstance(stab, AlphaStabilizer) and stab.alpha == alpha
+    for gamma, alpha_text in ((None, None), ("neglog", repr(alpha)), (junk, repr(alpha))):
+        with pytest.raises(ValueError):
+            parse_stabilizer(gamma, alpha_text)
+    if 0.0 < eps < 1.0:
+        assert parse_stabilizer(f"pow:{eps!r}", None).spec == PowerEps(eps)
+    else:
+        with pytest.raises(ValueError):
+            parse_stabilizer(f"pow:{eps!r}", None)
+    assert parse_stabilizer(f"fixed:{fixed!r}", None).spec == fixed
+    assert isinstance(parse_stabilizer("neglog", None).spec, NegInvLog)
+    if junk != "neglog" and not junk.startswith(("pow:", "fixed:")):
+        with pytest.raises(ValueError):
+            parse_stabilizer(junk, None)
+
+
+config_keys = st.from_regex(r"[a-z][a-z0-9_-]{0,8}", fullmatch=True)
+config_values = st.text(
+    st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="#"), max_size=12
+)
+config_lines = st.one_of(
+    st.tuples(config_keys, config_values).map(lambda kv: ("pair", kv)),
+    st.sampled_from(["", "   ", "# comment", "  # key = value"]).map(lambda t: ("text", t)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=st.lists(config_lines, max_size=12), comment=st.booleans())
+def test_load_config_file_properties(tmp_path_factory, entries, comment):
+    path = tmp_path_factory.mktemp("conf") / "study.conf"
+    text, want = [], {}
+    for kind, item in entries:
+        if kind == "text":
+            text.append(item)
+            continue
+        key, value = item
+        text.append(f" {key} = {value}" + (" # trailing" if comment else ""))
+        want[key.replace("-", "_")] = value.strip()
+    path.write_text("\n".join(text) + "\n")
+    assert load_config_file(path) == want
+    path.write_text("\n".join(text + ["no equals sign"]) + "\n")
+    with pytest.raises(ValueError, match=f":{len(text) + 1}:"):
+        load_config_file(path)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgsteklov.mesh import (
     DOMAIN_AREA,
@@ -143,6 +145,41 @@ def test_locate_cell_notch_boundary():
     assert locate_cell(mesh, 0.75, 0.75) == -1
     for x, y in [(0.5, 0.75), (0.75, 0.5), (0.5, 0.5), (1.0, 0.5), (0.5, 1.0)]:
         assert locate_cell(mesh, x, y) >= 0, (x, y)
+
+
+@st.composite
+def meshes_and_points(draw):
+    """A structured mesh and points inside, outside and on grid lines of it,
+    always including the lattice of half grid steps around the domain."""
+    domain = draw(st.sampled_from([UNIT_SQUARE, L_SHAPE]))
+    n = 2 * draw(st.integers(1, 4))
+    coord = st.one_of(
+        st.floats(-0.5, 1.5, allow_nan=False),
+        st.integers(-2, 2 * n + 2).map(lambda i: i / (2 * n)),
+    )
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+    lattice = np.arange(-1, 2 * n + 2) / (2 * n)
+    grid = np.stack(np.meshgrid(lattice, lattice), axis=-1).reshape(-1, 2)
+    return build_structured_mesh(domain, n), np.vstack([np.array(points), grid])
+
+
+@settings(max_examples=60, deadline=None)
+@given(meshes_and_points())
+def test_locate_cell_array_properties(case):
+    mesh, points = case
+    x, y = points.T
+    cells = locate_cell(mesh, x, y)
+    assert cells.shape == x.shape and cells.dtype.kind == "i"
+    assert cells.tolist() == [locate_cell(mesh, a, b) for a, b in points]
+    assert all(type(locate_cell(mesh, a, b)) is int for a, b in points)
+    outside = (x < 0) | (x > 1) | (y < 0) | (y > 1)
+    if mesh.domain == L_SHAPE:
+        outside |= (x > 0.5) & (y > 0.5)
+    assert np.all((cells < 0) == outside)
+    for ci, p in zip(cells[~outside], points[~outside]):
+        v = mesh.vertices[mesh.cells[ci]]
+        lam = np.linalg.solve(np.column_stack([v[1] - v[0], v[2] - v[0]]), p - v[0])
+        assert lam.min() >= -1e-12 and lam.sum() <= 1 + 1e-12, (ci, p)
 
 
 def test_json_dump_schema():
