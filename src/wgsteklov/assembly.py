@@ -7,6 +7,7 @@ there only.  Assembly order is deterministic, so repeated runs produce
 bit-identical matrices.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ class GammaStabilizer:
 
     spec: object
 
+    def __post_init__(self):
+        if isinstance(self.spec, (int, float)):
+            _fixed_gamma(self.spec)
+
     def coefficient(self, h):
         return gamma_of_h(self.spec, h)
 
@@ -56,11 +61,23 @@ class AlphaStabilizer:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        check_alpha(self.alpha)
 
     def coefficient(self, h):
         return self.alpha
+
+
+def check_alpha(alpha):
+    """Reject a stabilizer coefficient alpha that is not finite and positive."""
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+
+
+def _fixed_gamma(value):
+    value = float(value)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"fixed gamma must lie in (0, 1], got {value}")
+    return value
 
 
 def gamma_of_h(spec, h):
@@ -71,10 +88,7 @@ def gamma_of_h(spec, h):
     -1/log(h) choice only stays <= 1 once h <= 1/e.
     """
     if isinstance(spec, (int, float)):
-        value = float(spec)
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"fixed gamma must lie in (0, 1], got {value}")
-        return value
+        return _fixed_gamma(spec)
     if not 0.0 < h < 1.0:
         raise ValueError(f"gamma(h) requires h in (0, 1), got {h}")
     if isinstance(spec, PowerEps):

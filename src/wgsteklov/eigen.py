@@ -1,14 +1,22 @@
 """Generalized eigensolver for the WG pencil via boundary condensation.
 
-The boundary form B is supported only on boundary-edge DOFs, so the pencil
-(A, B) reduces exactly to a dense problem on the boundary block.  Cells
-couple only to their own edges, so the block-diagonal cell block A_cc is
-eliminated first: with W = A_cc^{-1} A_ce, the edge operator is
-E = A_ee - A_ce^T W.  With S = E_GG - E_GI E_II^{-1} E_IG and M the boundary
-block of B, the finite eigenvalues of (A, B) are exactly the eigenvalues of
-(S, M).  Interior edge components are recovered by back-substitution
-through the retained factorization of E_II, and cell components as -W u_e.
+The boundary form B is supported only on boundary-edge DOFs, so the finite
+eigenpairs of (A, B) live on the boundary block.  Cells couple only to their
+own edges, so the block-diagonal cell block A_cc is eliminated exactly: with
+W = A_cc^{-1} A_ce, the edge operator is E = A_ee - A_ce^T W, and it is
+factored once.  With S the Schur complement of E onto the boundary edge DOFs
+g and M the boundary block of B, the finite eigenvalues of (A, B) are those
+of (S, M), and S^{-1} = (E^{-1})_gg: applying S^{-1} is one solve with E on a
+right-hand side supported on g.  With M = L L^T, one Cholesky block per
+boundary edge, the m smallest eigenvalues are the reciprocals of the m
+largest eigenvalues of the symmetric operator T = L^T S^{-1} L, which Lanczos
+(ARPACK) finds without forming S.  Only a full-spectrum request, which ARPACK
+cannot serve, forms the dense S from the same factorization.  A boundary
+eigenvector x expands with one more solve, u_e = lambda E^{-1} [M x; 0], and
+the cell components follow as -W u_e.
 """
+
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -30,102 +38,136 @@ def _stage(name, fn, *args, **kwargs):
 
 DEFAULT_RTOL = 1e-9
 
-# boundary columns per dense right-hand-side block when forming S
-_CHUNK = 256
+# relative accuracy asked of the Lanczos Ritz values 1 / lambda
+_LANCZOS_TOL = 1e-13
 
 
 class CondensedPencil:
-    """Dense boundary-block reduction (S, M) of an operator pair.
+    """Boundary reduction (S, M) of an operator pair, held matrix-free.
 
-    Holds the cell-elimination map W and the factorization of the interior
-    edge block, so eigenvectors can be expanded back to full DOF vectors.
+    Holds the cell-elimination map W, one sparse factorization of the edge
+    operator E and the block Cholesky factor of M; S^{-1} is applied through
+    the factorization, and the dense S is formed only when it is read.
     """
 
-    def __init__(self, S, M, pair, W, interior):
-        self.S = S
-        self.M = M
+    def __init__(self, pair, W, E, lu, M, L):
         self.pair = pair
-        self.boundary_dofs = pair.dof_map.boundary_dofs
+        self.M = M
         self._W = W
-        self._interior = interior
+        self._E = E
+        self._lu = lu
+        self._g = pair.dof_map.boundary_dofs - pair.dof_map.n_cell_dofs
+        self._L = _block_diagonal(L)
+        self._L_inv = _block_diagonal(np.linalg.inv(L))
 
     @property
     def size(self):
-        return self.S.shape[0]
+        return len(self._g)
 
-    def expand(self, x_boundary):
-        """Full-length DOF vector(s) from boundary coefficients."""
-        lu, E_ii, E_ig, iidx = self._interior
-        nc = self._W.shape[0]
-        u = np.zeros((self.pair.A.shape[0],) + x_boundary.shape[1:])
-        u[self.boundary_dofs] = x_boundary
-        u[nc + iidx] = -_refined_solve(lu, E_ii, E_ig @ x_boundary)
-        u[:nc] = -(self._W @ u[nc:])
-        return u
+    def _edge_solve(self, rhs_boundary):
+        """E^{-1} [rhs; 0] for right-hand side(s) given on the boundary DOFs."""
+        rhs = np.zeros((self._E.shape[0],) + rhs_boundary.shape[1:])
+        rhs[self._g] = rhs_boundary
+        return _refined_solve(self._lu, self._E, rhs)
+
+    @cached_property
+    def S(self):
+        """Dense boundary Schur complement inv((E^{-1})_gg), formed on first read."""
+        try:
+            S = np.linalg.inv(self._edge_solve(np.eye(self.size))[self._g])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("boundary block of the inverse edge operator is singular") from exc
+        asym = np.abs(S - S.T).max()
+        scale = np.abs(S).max()
+        if asym > 1e-12 * scale:
+            raise NumericalError(f"condensed matrix asymmetry {asym / scale:.2e} exceeds 1e-12")
+        return 0.5 * (S + S.T)
+
+    def eigenpairs(self, m):
+        """The m smallest eigenvalues of (S, M), ascending, with M-orthonormal
+        boundary eigenvectors as columns."""
+        if m == self.size:
+            St = self._L_inv @ (self._L_inv @ self.S).T
+            values, Y = sla.eigh(0.5 * (St + St.T))
+        else:
+            T = spla.LinearOperator(
+                (self.size, self.size),
+                matvec=lambda y: self._L.T @ self._edge_solve(self._L @ y.ravel())[self._g],
+                dtype=float,
+            )
+            # a fixed start vector keeps repeated solves bit-identical; a
+            # random one has components along every eigenvector, where a
+            # symmetric one would miss the antisymmetric modes
+            v0 = np.random.default_rng(0).standard_normal(self.size)
+            try:
+                mu, Y = spla.eigsh(T, k=m, which="LA", tol=_LANCZOS_TOL, v0=v0)
+            except spla.ArpackError as exc:
+                raise NumericalError(f"Lanczos solve failed: {exc}") from exc
+            values, Y = 1.0 / mu[::-1], Y[:, ::-1]
+        return values, self._L_inv.T @ Y
+
+    def expand(self, values, X):
+        """Full DOF vectors of boundary eigenpairs (values, X): the edge part
+        solves E u_e = [lambda M x; 0], the cell part is -W u_e."""
+        u_e = self._edge_solve((self.M @ X) * values)
+        return np.vstack([-(self._W @ u_e), u_e])
+
+
+def _block_diagonal(blocks):
+    """Sparse block-diagonal matrix of (n, d, d) dense blocks."""
+    n, d, _ = blocks.shape
+    return sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)), shape=(n * d, n * d))
+
+
+def _diagonal_blocks(matrix, d):
+    """Dense (n / d, d, d) diagonal blocks of a sparse matrix whose entries
+    all lie in them; a block without stored entries is zero, not missing."""
+    coo = matrix.tocoo()
+    if np.any(coo.row // d != coo.col // d):
+        raise NumericalError(f"matrix is not block diagonal with {d} x {d} blocks")
+    blocks = np.zeros((matrix.shape[0] // d, d, d))
+    blocks[coo.row // d, coo.row % d, coo.col % d] = coo.data
+    return blocks
 
 
 def condense(pair):
     """Reduce an operator pair onto its boundary DOFs.
 
     The d x d cell blocks are inverted exactly, the edge operator
-    E = A_ee - A_ce^T A_cc^{-1} A_ce is formed, and its Schur complement
-    onto the boundary edge DOFs is built from one sparse factorization of
-    the interior edge block, with one refinement step per solve.
+    E = A_ee - A_ce^T A_cc^{-1} A_ce is formed and factored once, and the
+    boundary mass block M is factored edge by edge.  No dense matrix is
+    formed here.
     """
     A = pair.A.tocsc()
     dof_map = pair.dof_map
     nc = dof_map.n_cell_dofs
-    d = dof_map.dim_cell
-    n_cells = nc // d
-    # scatter into dense blocks: a block without stored entries is zero, not missing
-    cc = A[:nc, :nc].tocoo()
-    blocks = np.zeros((n_cells, d, d))
-    blocks[cc.row // d, cc.row % d, cc.col % d] = cc.data
     try:
-        inv_blocks = np.linalg.inv(blocks)
+        inv_blocks = np.linalg.inv(_diagonal_blocks(A[:nc, :nc], dof_map.dim_cell))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("cell-block elimination failed: singular cell block") from exc
-    A_cc_inv = sp.bsr_matrix(
-        (inv_blocks, np.arange(n_cells), np.arange(n_cells + 1)), shape=(nc, nc)
-    ).tocsc()
     A_ce = A[:nc, nc:].tocsc()
-    W = (A_cc_inv @ A_ce).tocsc()
+    W = (_block_diagonal(inv_blocks).tocsc() @ A_ce).tocsc()
     E = (A[nc:, nc:] - A_ce.T @ W).tocsc()
-    S, interior = _boundary_schur(E, dof_map.boundary_dofs - nc)
+    try:
+        lu = spla.splu(E, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise NumericalError(f"edge factorization failed: {exc}") from exc
 
-    asym = np.abs(S - S.T).max()
-    scale = np.abs(S).max()
-    if asym > 1e-12 * scale:
-        raise NumericalError(f"condensed matrix asymmetry {asym / scale:.2e} exceeds 1e-12")
     g = dof_map.boundary_dofs
-    M = pair.B[g][:, g].toarray()
-    return CondensedPencil(0.5 * (S + S.T), M, pair, W, interior)
+    M = pair.B[g][:, g].tocsr()
+    try:
+        L = np.linalg.cholesky(_diagonal_blocks(M, dof_map.dim_edge))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("boundary mass block is not positive definite") from exc
+    return CondensedPencil(pair, W, E, lu, M, L)
 
 
 def _refined_solve(lu, A, rhs):
     # one refinement step keeps the factorization error out of the
-    # condensed matrix and the eigenpair residuals
+    # Lanczos operator, the condensed matrix and the eigenpair residuals
     x = lu.solve(rhs)
     x += lu.solve(rhs - A @ x)
     return x
-
-
-def _boundary_schur(A, g):
-    iidx = np.setdiff1d(np.arange(A.shape[0]), g)
-    A_ii = A[iidx][:, iidx].tocsc()
-    A_ig = A[iidx][:, g].tocsc()
-    A_gg = A[g][:, g].toarray()
-    try:
-        lu = spla.splu(A_ii)
-    except RuntimeError as exc:
-        raise NumericalError(f"interior factorization failed: {exc}") from exc
-
-    S = A_gg
-    for c0 in range(0, len(g), _CHUNK):
-        cols = slice(c0, min(c0 + _CHUNK, len(g)))
-        X = _refined_solve(lu, A_ii, A_ig[:, cols].toarray())
-        S[:, cols] -= A_ig.T @ X
-    return S, (lu, A_ii, A_ig, iidx)
 
 
 class EigenResult:
@@ -152,24 +194,16 @@ class EigenResult:
 def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
     """Solve for the m smallest eigenpairs of the condensed pencil.
 
-    The M-Cholesky congruence transforms (S, M) to a standard symmetric
-    problem; eigenvectors come back b_w-normalized and are expanded to full
-    DOF vectors.  Raises NumericalError if any backward-error residual (see
-    EigenResult) exceeds `rtol`.
+    Lanczos on the inverse operator serves m below the boundary size, a
+    dense solve of the M-Cholesky transformed S the full spectrum.
+    Eigenvectors come back b_w-normalized and are expanded to full DOF
+    vectors.  Raises NumericalError if Lanczos fails to converge or any
+    backward-error residual (see EigenResult) exceeds `rtol`.
     """
     if not 1 <= m <= pencil.size:
         raise ValueError(f"m must lie in [1, {pencil.size}], got {m}")
-    try:
-        L = sla.cholesky(pencil.M, lower=True)
-    except sla.LinAlgError as exc:
-        raise NumericalError("boundary mass block is not positive definite") from exc
-    St = sla.solve_triangular(L, pencil.S, lower=True)
-    St = sla.solve_triangular(L, St.T, lower=True).T
-    St = 0.5 * (St + St.T)
-    values, Y = sla.eigh(St, subset_by_index=[0, m - 1])
-    X = sla.solve_triangular(L.T, Y, lower=False)
-
-    vectors = pencil.expand(X)
+    values, X = pencil.eigenpairs(m)
+    vectors = pencil.expand(values, X)
     A, B = pencil.pair.A, pencil.pair.B
     a_norm = float(abs(A).sum(axis=1).max())
     b_norm = float(abs(B).sum(axis=1).max())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import AlphaStabilizer, assemble
+from .assembly import AlphaStabilizer, assemble, check_alpha
 from .eigen import _stage, solve_pair
 from .mesh import build_structured_mesh
 from .polyquad import (
@@ -43,8 +43,7 @@ class GlbConfig:
     index: int = 1
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        check_alpha(self.alpha)
         if self.stab_bound < 0.0:
             raise ValueError(f"stab_bound must be nonnegative, got {self.stab_bound}")
         if self.proj_bound is not None and self.proj_bound < 0.0:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.io
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_poly
 from wgsteklov.assembly import (
@@ -37,6 +39,31 @@ def test_dof_counts(domain, n, k, n_dofs, n_boundary):
     assert len(dof_map.boundary_dofs) == n_boundary
     assert len(dof_map.interior_dofs) == n_dofs - n_boundary
     assert not set(dof_map.boundary_dofs) & set(dof_map.interior_dofs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(domain=st.sampled_from([UNIT_SQUARE, L_SHAPE]), half_n=st.integers(1, 6),
+       k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_dof_map_properties(domain, half_n, k, seed):
+    mesh = build_structured_mesh(domain, 2 * half_n)
+    dof_map = build_dof_map(mesh, k)
+    assert dof_map.n_cell_dofs == mesh.n_cells * dof_map.dim_cell
+    assert dof_map.n_dofs == dof_map.n_cell_dofs + mesh.n_edges * dof_map.dim_edge
+    # boundary DOFs: strictly increasing, inside the edge range, k + 1 per
+    # boundary edge, and disjoint from the interior DOFs that complete them
+    g = dof_map.boundary_dofs
+    assert np.all(np.diff(g) > 0)
+    assert dof_map.n_cell_dofs <= g.min() and g.max() < dof_map.n_dofs
+    assert len(g) == mesh.boundary_edge.sum() * dof_map.dim_edge
+    assert np.array_equal(np.union1d(g, dof_map.interior_dofs), np.arange(dof_map.n_dofs))
+    assert len(np.intersect1d(g, dof_map.interior_dofs)) == 0
+    # split gives views whose rows concatenate back to the vector
+    values = np.random.default_rng(seed).standard_normal(dof_map.n_dofs)
+    cells, edges = dof_map.split(values)
+    assert cells.shape == (mesh.n_cells, dof_map.dim_cell)
+    assert edges.shape == (mesh.n_edges, dof_map.dim_edge)
+    assert np.array_equal(np.concatenate([cells.ravel(), edges.ravel()]), values)
+    assert np.shares_memory(cells, values) and np.shares_memory(edges, values)
 
 
 def test_dof_map_rejects_k_zero():

@@ -1,8 +1,10 @@
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from wgsteklov.assembly import GammaStabilizer, PowerEps, assemble, interpolate
 from wgsteklov.eigen import (
@@ -23,7 +25,7 @@ def synthetic_pair():
     # boundary DOF {2}
     A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]))
     B = sp.csr_matrix(np.diag([0.0, 0.0, 1.0]))
-    dof_map = SimpleNamespace(n_cell_dofs=1, dim_cell=1, boundary_dofs=np.array([2]))
+    dof_map = SimpleNamespace(n_cell_dofs=1, dim_cell=1, dim_edge=1, boundary_dofs=np.array([2]))
     return SimpleNamespace(A=A, B=B, dof_map=dof_map)
 
 
@@ -73,6 +75,42 @@ def test_condensation_matches_dense_bruteforce(domain, k, n):
     reference = dense_eigenvalues(pair)
     assert len(reference) == len(pair.dof_map.boundary_dofs)
     assert np.allclose(full, reference, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("domain,k", [(UNIT_SQUARE, 1), (UNIT_SQUARE, 2), (L_SHAPE, 1)])
+def test_lanczos_matches_dense_spectrum(domain, k, n):
+    # m below the boundary size runs Lanczos on the inverse boundary Schur
+    # operator; the full spectrum comes from the dense S of the same pencil
+    pencil = condense(assemble(build_structured_mesh(domain, n), k, GAMMA))
+    dense = solve_condensed(pencil, pencil.size).values
+    for m in (1, 4, pencil.size - 1):
+        result = solve_condensed(pencil, m)
+        assert np.allclose(result.values, dense[:m], rtol=1e-12, atol=0.0)
+        assert np.all(result.normalized)
+
+
+def test_near_degenerate_pair_comes_out_as_two_values():
+    # the square's second and third eigenvalues nearly coincide: at k=3,
+    # n=16 they lie 3.5e-11 apart, and Lanczos must return both of them
+    pencil = condense(assemble(build_structured_mesh(UNIT_SQUARE, 16), 3, GAMMA))
+    values = solve_condensed(pencil, 4).values
+    assert np.allclose(values, solve_condensed(pencil, pencil.size).values[:4], rtol=1e-12, atol=0.0)
+    assert 1e-11 < values[2] - values[1] < 1e-10
+
+
+def test_repeated_solves_are_bit_identical():
+    pair = assemble(build_structured_mesh(UNIT_SQUARE, 8), 2, GAMMA)
+    first, second = solve_pair(pair, 4), solve_pair(pair, 4)
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.vectors, second.vectors)
+
+
+def test_lanczos_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(spla, "eigsh", partial(spla.eigsh, maxiter=1, ncv=5))
+    pair = assemble(build_structured_mesh(UNIT_SQUARE, 8), 1, GAMMA)
+    with pytest.raises(NumericalError, match="Lanczos solve failed.*No convergence"):
+        solve_pair(pair, 4)
 
 
 def test_solver_invariants():

@@ -1,7 +1,9 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -196,6 +198,14 @@ def test_cli_converge_roundtrip(tmp_path, capsys):
     assert out.read_bytes() == first  # byte-identical reruns
     header = first.decode().splitlines()[0]
     assert header.startswith("n,h,lambda_1")
+    # the Lanczos start vector is fixed, so JSON reruns are byte-identical too
+    argv[argv.index("--levels") + 1] = "4,8"
+    argv[argv.index("--eigs") + 1] = "4"
+    argv += ["--format", "json"]
+    assert main(argv) == 0
+    first = out.read_bytes()
+    assert main(argv) == 0
+    assert out.read_bytes() == first
 
 
 def test_cli_solve_prints_ascending_eigenvalues(capsys):
@@ -270,6 +280,19 @@ def test_cli_usage_errors(capsys, monkeypatch, tmp_path):
     capsys.readouterr()
     assert main(glb[:-2] + ["--levels", "2", "--index", "5", "--refs", "builtin:square"]) == 1
     assert "wg-steklov: index 5" in capsys.readouterr().err
+    # a stabilizer weight out of range: alpha must be finite and positive,
+    # a fixed gamma must lie in (0, 1]
+    solve = ["solve", "--domain", "square", "--n", "2", "--k", "1"]
+    for value in ("nan", "inf", "-inf", "0"):
+        for argv in (solve + [f"--alpha={value}"], glb[:5] + [f"--alpha={value}"] + glb[7:]):
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert "alpha must be finite and positive" in capsys.readouterr().err
+    for value in ("5", "0", "-0.5", "nan", "inf"):
+        capsys.readouterr()
+        assert main(source[:6] + [f"fixed:{value}"] + source[7:]) == 1
+        assert main(solve + ["--gamma", f"fixed:{value}"]) == 1
+        assert "fixed gamma must lie in (0, 1]" in capsys.readouterr().err
 
 
 def test_cli_numerical_failures_exit_2(monkeypatch, tmp_path, capsys):
@@ -294,6 +317,14 @@ def test_cli_numerical_failures_exit_2(monkeypatch, tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 2
         assert f"stage '{stage}'" in capsys.readouterr().err
+    monkeypatch.undo()
+
+    # a Lanczos run that stops short of convergence is a numerical failure
+    monkeypatch.setattr(spla, "eigsh", partial(spla.eigsh, maxiter=1, ncv=5))
+    capsys.readouterr()
+    assert main(["solve", "--domain", "square", "--n", "8", "--k", "1", "--gamma", "pow:0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'solve'" in err and "No convergence" in err
 
 
 def test_cli_config_file(tmp_path, capsys):
@@ -344,7 +375,11 @@ def test_parse_stabilizer_properties(alpha, eps, fixed, junk):
     else:
         with pytest.raises(ValueError):
             parse_stabilizer(f"pow:{eps!r}", None)
-    assert parse_stabilizer(f"fixed:{fixed!r}", None).spec == fixed
+    if 0.0 < fixed <= 1.0:
+        assert parse_stabilizer(f"fixed:{fixed!r}", None).spec == fixed
+    else:
+        with pytest.raises(ValueError):
+            parse_stabilizer(f"fixed:{fixed!r}", None)
     assert isinstance(parse_stabilizer("neglog", None).spec, NegInvLog)
     if junk != "neglog" and not junk.startswith(("pow:", "fixed:")):
         with pytest.raises(ValueError):
