@@ -9,13 +9,16 @@ configuration; :func:`estimate_delta` provides a numerical lower estimate of
 polynomial probe space, for exploratory certification only.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .assembly import AlphaStabilizer, assemble, check_alpha
-from .eigen import _stage, solve_pair
+from .eigen import DEFAULT_RTOL, NumericalError, _stage, solve_pair
 from .mesh import build_structured_mesh
 from .polyquad import (
     EdgeBasis,
@@ -44,10 +47,10 @@ class GlbConfig:
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        if self.stab_bound < 0.0:
-            raise ValueError(f"stab_bound must be nonnegative, got {self.stab_bound}")
-        if self.proj_bound is not None and self.proj_bound < 0.0:
-            raise ValueError(f"proj_bound must be nonnegative, got {self.proj_bound}")
+        for name in ("stab_bound", "proj_bound"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.index < 1:
             raise ValueError(f"index must be >= 1, got {self.index}")
 
@@ -111,6 +114,16 @@ class LagrangeProbeSpace:
         start = self.mesh.n_vertices + np.asarray(ei)[..., None] * self.n_edge_nodes
         return start + np.arange(self.n_edge_nodes)
 
+    def cell_dofs(self):
+        """Local-to-global table, one row per cell in :meth:`cell_nodes` order."""
+        mesh = self.mesh
+        start = mesh.n_vertices + mesh.n_edges * self.n_edge_nodes
+        return np.hstack([
+            mesh.cells,
+            self.edge_node_dofs(mesh.cell_edges).reshape(mesh.n_cells, -1),
+            start + np.arange(mesh.n_cells * self.n_cell_nodes).reshape(mesh.n_cells, -1),
+        ])
+
     def cell_nodes(self, cell):
         """Physical node positions of a :class:`LocalCell`: vertices, edge
         nodes in canonical order, then the interior lattice."""
@@ -127,22 +140,36 @@ class LagrangeProbeSpace:
         return np.array(points)
 
 
-def estimate_delta(mesh, k, probe_degree, quad_degree=None):
-    """Numerical lower estimate of the boundary-defect constant.
-
-    Maximizes || (I - Q_b) f ||^2 over the boundary against
-    || (I - Q_vec) grad f ||^2 over the domain, for f in a continuous
-    piecewise P_{probe_degree} probe space, after deflating the common null
-    space (piecewise P_k functions make both defects vanish).  The true
-    constant can only be larger, so this is a lower estimate; meant for
-    small meshes.
-    """
+def _check_probe_degree(k, probe_degree):
     if probe_degree <= k:
         raise ValueError(
             f"probe_degree must exceed k (got {probe_degree} <= {k}); "
             "the whole probe space would sit in the null space"
         )
+
+
+@dataclass(frozen=True)
+class ProbeDefects:
+    """The two defect forms of the P_p probe space and their common null space.
+
+    `num` is the boundary projection defect on the boundary-edge probe DOFs
+    `boundary` (dense, nb x nb), `den` the gradient projection defect on the
+    whole probe space (sparse), and `Z` the sparse prolongation of the
+    continuous P_k Lagrange basis into the probe space, whose range is the
+    null space of `den` and lies in the null space of `num`.
+    """
+
+    num: np.ndarray
+    boundary: np.ndarray
+    den: sp.csc_matrix
+    Z: sp.csc_matrix
+
+
+def probe_defects(mesh, k, probe_degree, quad_degree=None):
+    """Assemble the :class:`ProbeDefects` of a P_{probe_degree} probe space."""
+    _check_probe_degree(k, probe_degree)
     space = LagrangeProbeSpace(mesh, probe_degree)
+    null_space = LagrangeProbeSpace(mesh, k)
     p = space.p
     deg = quad_degree if quad_degree is not None else 2 * p + 2
 
@@ -162,14 +189,17 @@ def estimate_delta(mesh, k, probe_degree, quad_degree=None):
     num = np.zeros((len(bnd), len(bnd)))
     np.add.at(num, (lb[:, :, None], lb[:, None, :]), mesh.length[edges, None, None] * block)
 
-    # denominator: gradient projection defect, one local matrix per class
+    # per class: the local gradient-defect matrix and the P_k nodal basis
+    # at the probe nodes
     rule = triangle_quadrature(deg)
     exps = monomial_exponents(p)
+    exps_k = monomial_exponents(k)
     classes = CellClasses(mesh, k)
-    local = []
+    local, prolong = [], []
     for cell in classes.cells:
         centroid, scale = cell.basis.centroid, cell.diameter
-        vinv = np.linalg.inv(scaled_monomials(space.cell_nodes(cell), centroid, scale, exps))
+        nodes = space.cell_nodes(cell)
+        vinv = np.linalg.inv(scaled_monomials(nodes, centroid, scale, exps))
         pts, w = map_to_triangle(rule, cell.vertices)
         gx, gy = (g @ vinv for g in scaled_monomial_grads(pts, centroid, scale, exps))
         phiv = cell.vector_basis.scalar.eval(pts)
@@ -177,28 +207,57 @@ def estimate_delta(mesh, k, probe_degree, quad_degree=None):
         rx = gx - wproj @ gx
         ry = gy - wproj @ gy
         local.append((rx * w[:, None]).T @ rx + (ry * w[:, None]).T @ ry)
-    # local-to-global table in cell_nodes order, one row per cell
-    start = mesh.n_vertices + mesh.n_edges * space.n_edge_nodes
-    l2g = np.hstack([
-        mesh.cells,
-        space.edge_node_dofs(mesh.cell_edges).reshape(mesh.n_cells, -1),
-        start + np.arange(mesh.n_cells * space.n_cell_nodes).reshape(mesh.n_cells, -1),
-    ])
-    den = np.zeros((space.n_dofs, space.n_dofs))
-    np.add.at(den, (l2g[:, :, None], l2g[:, None, :]), np.array(local)[classes.class_of])
+        vk = scaled_monomials(null_space.cell_nodes(cell), centroid, scale, exps_k)
+        prolong.append(scaled_monomials(nodes, centroid, scale, exps_k) @ np.linalg.inv(vk))
 
-    num = 0.5 * (num + num.T)
-    den = 0.5 * (den + den.T)
-    evals, Q = sla.eigh(den)
-    keep = evals > 1e-10 * evals.max()
-    if not np.any(keep):
+    dofs, dofs_k = space.cell_dofs(), null_space.cell_dofs()
+    rows, cols = (a.ravel() for a in np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :]))
+    den = sp.csc_matrix((np.array(local)[classes.class_of].ravel(), (rows, cols)),
+                        shape=(space.n_dofs, space.n_dofs))
+    # a node shared by several cells takes its value from the first of them
+    rows, cols = (a.ravel() for a in np.broadcast_arrays(dofs[:, :, None], dofs_k[:, None, :]))
+    _, first = np.unique(rows * null_space.n_dofs + cols, return_index=True)
+    Z = sp.csc_matrix((np.array(prolong)[classes.class_of].ravel()[first],
+                       (rows[first], cols[first])), shape=(space.n_dofs, null_space.n_dofs))
+    return ProbeDefects(0.5 * (num + num.T), bnd, (0.5 * (den + den.T)).tocsc(), Z)
+
+
+def estimate_delta(mesh, k, probe_degree, quad_degree=None):
+    """Numerical lower estimate of the boundary-defect constant.
+
+    Maximizes || (I - Q_b) f ||^2 over the boundary against
+    || (I - Q_vec) grad f ||^2 over the domain, for f in a continuous
+    piecewise P_{probe_degree} probe space.  Both defects vanish on the
+    continuous P_k space range(Z), which is exactly the null space of the
+    denominator `den`, so with num = R R^T the maximum is
+    lambda_max(R^T den^+ R).  One sparse LU of the nonsingular bordered
+    matrix K = [[den, Z], [Z^T, 0]] gives den^+ R as the first block of
+    K^{-1} [R; 0].  The true constant can only be larger, so this is a lower
+    estimate.  Raises NumericalError if the factorization fails or the
+    normwise backward error of the solve exceeds `DEFAULT_RTOL`.
+    """
+    forms = probe_defects(mesh, k, probe_degree, quad_degree)
+    w, V = sla.eigh(forms.num)
+    R = V[:, w > 0.0] * np.sqrt(w[w > 0.0])
+    if R.shape[1] == 0:
         raise ValueError("probe space lies entirely in the defect null space")
-    basis = Q[:, keep] / np.sqrt(evals[keep])
-    # lambda_max(P^T num P) with P = basis[bnd] equals lambda_max(R^T P P^T R)
-    # for num = R R^T, an nb x nb problem instead of one of the kept rank
-    w, V = sla.eigh(num)
-    G = (V * np.sqrt(np.clip(w, 0.0, None))).T @ basis[bnd]
-    return float(sla.eigh(G @ G.T, eigvals_only=True)[-1])
+    K = sp.bmat([[forms.den, forms.Z], [forms.Z.T, None]], format="csc")
+    rhs = np.zeros((K.shape[0], R.shape[1]))
+    rhs[forms.boundary] = R
+    try:
+        lu = splu(K, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise NumericalError(f"bordered factorization failed: {exc}") from exc
+    x = lu.solve(rhs)
+    k_norm = float(abs(K).sum(axis=1).max())
+    error = np.linalg.norm(K @ x - rhs, axis=0) / (
+        k_norm * np.linalg.norm(x, axis=0) + np.linalg.norm(rhs, axis=0)
+    )
+    if not error.max() <= DEFAULT_RTOL:
+        raise NumericalError(f"bordered solve backward error {error.max():.2e} "
+                             f"exceeds tolerance {DEFAULT_RTOL:.1e}")
+    H = R.T @ x[forms.boundary]
+    return float(sla.eigh(0.5 * (H + H.T), eigvals_only=True)[-1])
 
 
 def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):
@@ -211,6 +270,9 @@ def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):
     """
     if refs is not None and config.index > len(refs):
         raise ValueError(f"index {config.index} exceeds the {len(refs)} reference values")
+    probe_degree = k + 2 if probe_degree is None else probe_degree
+    if config.proj_bound is None:
+        _check_probe_degree(k, probe_degree)
     rows = []
     for n in levels:
         mesh = _stage("mesh", build_structured_mesh, domain, n)
@@ -221,7 +283,7 @@ def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):
             delta = config.proj_bound
             delta_source = "configured"
         else:
-            delta = _stage("estimate_delta", estimate_delta, mesh, k, probe_degree or k + 2)
+            delta = _stage("estimate_delta", estimate_delta, mesh, k, probe_degree)
             delta_source = "estimated"
         level_config = GlbConfig(config.alpha, config.stab_bound, delta, config.index)
         ref = None if refs is None else float(refs[config.index - 1])

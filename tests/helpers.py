@@ -64,3 +64,16 @@ def renumbered_mesh(mesh, rng):
     differ in their canonical edge orientations."""
     perm = rng.permutation(mesh.n_vertices)
     return Mesh(mesh.vertices[np.argsort(perm)], perm[mesh.cells])
+
+
+def pinv_delta(forms):
+    """Dense reference for `glb.estimate_delta` from its :class:`glb.ProbeDefects`:
+    lambda_max(num^{1/2} pinv(den) num^{1/2}) on the whole probe space, with
+    eigenvalues of den below 1e-10 of the largest cut off."""
+    den = forms.den.toarray()
+    num = np.zeros_like(den)
+    num[np.ix_(forms.boundary, forms.boundary)] = forms.num
+    w, V = np.linalg.eigh(num)
+    root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+    pinv = np.linalg.pinv(den, rtol=1e-10, hermitian=True)
+    return float(np.linalg.eigvalsh(root @ pinv @ root)[-1])

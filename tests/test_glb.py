@@ -1,9 +1,19 @@
+import numpy as np
 import pytest
 
-from helpers import renumbered_mesh
-from wgsteklov.glb import Certificate, GlbConfig, estimate_delta, glb_criterion, run_glb_study
+import wgsteklov.glb as glb
+from helpers import pinv_delta, renumbered_mesh
+from wgsteklov.eigen import NumericalError
+from wgsteklov.glb import (
+    Certificate,
+    GlbConfig,
+    estimate_delta,
+    glb_criterion,
+    probe_defects,
+    run_glb_study,
+)
 from wgsteklov.harness import SQUARE_REFERENCE_EIGENVALUES
-from wgsteklov.mesh import UNIT_SQUARE, build_structured_mesh
+from wgsteklov.mesh import L_SHAPE, UNIT_SQUARE, build_structured_mesh
 
 
 def test_criterion_hand_cases():
@@ -36,6 +46,12 @@ def test_criterion_validation():
         GlbConfig(alpha=1.0, stab_bound=1.0, proj_bound=-0.5)
     with pytest.raises(ValueError):
         GlbConfig(alpha=1.0, stab_bound=1.0, index=0)
+    # the analysis constants must be finite numbers
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="stab_bound must be finite and nonnegative"):
+            GlbConfig(alpha=1.0, stab_bound=value, proj_bound=0.5)
+        with pytest.raises(ValueError, match="proj_bound must be finite and nonnegative"):
+            GlbConfig(alpha=1.0, stab_bound=1.0, proj_bound=value)
 
 
 def test_criterion_monotone_predicate(rng):
@@ -84,10 +100,56 @@ def test_estimate_delta_independent_of_vertex_numbering(probe_degree, rng):
 
 def test_estimate_delta_refinement_scaling():
     # the defect ratio shrinks linearly in h: the boundary defect is a trace
-    # quantity, one factor of h weaker than the volume defect it is divided by
-    d4 = estimate_delta(build_structured_mesh(UNIT_SQUARE, 4), 1, 3)
-    d8 = estimate_delta(build_structured_mesh(UNIT_SQUARE, 8), 1, 3)
-    assert 0.4 < d8 / d4 < 0.6
+    # quantity, one factor of h weaker than the volume defect it is divided by;
+    # n=32 has 9 409 probe DOFs, out of reach of a dense eigensolve
+    for k, probe_degree, levels in ((1, 3, (4, 8, 16, 32)), (2, 4, (4, 8))):
+        deltas = [estimate_delta(build_structured_mesh(UNIT_SQUARE, n), k, probe_degree)
+                  for n in levels]
+        for coarse, fine in zip(deltas, deltas[1:]):
+            assert 0.4 <= fine / coarse <= 0.6
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("extra", [1, 2])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("domain", [UNIT_SQUARE, L_SHAPE])
+def test_estimate_delta_matches_pseudo_inverse(domain, k, extra, n):
+    mesh = build_structured_mesh(domain, n)
+    forms = probe_defects(mesh, k, k + extra)
+    # range(Z), the continuous P_k space, is the null space of den and lies
+    # in the null space of num
+    Z = forms.Z.toarray()
+    assert np.abs(forms.den @ Z).max() <= 1e-14 * abs(forms.den).max() * np.abs(Z).max()
+    assert (np.abs(forms.num @ Z[forms.boundary]).max()
+            <= 1e-14 * np.abs(forms.num).max() * np.abs(Z).max())
+    assert np.linalg.matrix_rank(Z) == Z.shape[1]
+    assert np.linalg.matrix_rank(forms.den.toarray(), hermitian=True) == Z.shape[0] - Z.shape[1]
+    assert estimate_delta(mesh, k, k + extra) == pytest.approx(pinv_delta(forms), rel=1e-12)
+
+
+class _FailingLU:
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs) * (1.0 + 1e-6)
+
+
+def test_estimate_delta_numerical_failures(monkeypatch):
+    mesh = build_structured_mesh(UNIT_SQUARE, 4)
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(glb, "splu", singular)
+    with pytest.raises(NumericalError, match="bordered factorization failed"):
+        estimate_delta(mesh, 1, 3)
+    # a solve that misses the backward-error gate
+    monkeypatch.undo()
+    splu = glb.splu
+    monkeypatch.setattr(glb, "splu", lambda *args, **kwargs: _FailingLU(splu(*args, **kwargs)))
+    with pytest.raises(NumericalError, match="backward error"):
+        estimate_delta(mesh, 1, 3)
 
 
 def test_run_glb_study_certified_below_reference():

@@ -293,6 +293,18 @@ def test_cli_usage_errors(capsys, monkeypatch, tmp_path):
         assert main(source[:6] + [f"fixed:{value}"] + source[7:]) == 1
         assert main(solve + ["--gamma", f"fixed:{value}"]) == 1
         assert "fixed gamma must lie in (0, 1]" in capsys.readouterr().err
+    # the analysis constants must be finite and nonnegative
+    for flag, values in (("--stab-bound", ("nan", "inf", "-inf", "-1")),
+                         ("--proj-bound", ("nan", "inf", "-inf", "-0.5"))):
+        for value in values:
+            capsys.readouterr()
+            assert main(glb + [f"{flag}={value}", "--format", "json"]) == 1
+            assert "must be finite and nonnegative" in capsys.readouterr().err
+    # an estimated proj_bound needs a probe degree above k
+    for value in ("1", "0"):
+        capsys.readouterr()
+        assert main(glb[:-4] + ["--probe-degree", value, "--levels", "4,8"]) == 1
+        assert "probe_degree must exceed k" in capsys.readouterr().err
 
 
 def test_cli_numerical_failures_exit_2(monkeypatch, tmp_path, capsys):
@@ -317,6 +329,18 @@ def test_cli_numerical_failures_exit_2(monkeypatch, tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 2
         assert f"stage '{stage}'" in capsys.readouterr().err
+    monkeypatch.undo()
+
+    # a singular bordered matrix in the delta estimate fails stage estimate_delta
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(harness.glb_mod, "splu", singular)
+    capsys.readouterr()
+    assert main(["glb", "--domain", "square", "--k", "1", "--alpha", "0.01", "--stab-bound",
+                 "2.0", "--proj-bound", "estimate", "--levels", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'estimate_delta'" in err and "exactly singular" in err
     monkeypatch.undo()
 
     # a Lanczos run that stops short of convergence is a numerical failure
