@@ -13,7 +13,9 @@ largest eigenvalues of the symmetric operator T = L^T S^{-1} L, which Lanczos
 (ARPACK) finds without forming S.  Only a full-spectrum request, which ARPACK
 cannot serve, forms the dense S from the same factorization.  A boundary
 eigenvector x expands with one more solve, u_e = lambda E^{-1} [M x; 0], and
-the cell components follow as -W u_e.
+the cell components follow as -W u_e.  The cell elimination and the
+factorization of E (`eliminate_cells`) also serve the boundary-flux source
+problem (`source.solve_source`), whose load vanishes on the cell DOFs.
 """
 
 from functools import cached_property
@@ -130,16 +132,11 @@ def _diagonal_blocks(matrix, d):
     return blocks
 
 
-def condense(pair):
-    """Reduce an operator pair onto its boundary DOFs.
-
-    The d x d cell blocks are inverted exactly, the edge operator
-    E = A_ee - A_ce^T A_cc^{-1} A_ce is formed and factored once, and the
-    boundary mass block M is factored edge by edge.  No dense matrix is
-    formed here.
-    """
-    A = pair.A.tocsc()
-    dof_map = pair.dof_map
+def eliminate_cells(A, dof_map):
+    """Eliminate the block-diagonal cell block of A exactly: invert the d x d
+    cell blocks, form W = A_cc^{-1} A_ce and E = A_ee - A_ce^T W, and factor E.
+    Returns (W, E, lu); u = [-W u_e; u_e] solves A u = [0; f] if E u_e = f."""
+    A = A.tocsc()
     nc = dof_map.n_cell_dofs
     try:
         inv_blocks = np.linalg.inv(_diagonal_blocks(A[:nc, :nc], dof_map.dim_cell))
@@ -152,7 +149,14 @@ def condense(pair):
         lu = spla.splu(E, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise NumericalError(f"edge factorization failed: {exc}") from exc
+    return W, E, lu
 
+
+def condense(pair):
+    """Reduce an operator pair onto its boundary DOFs: `eliminate_cells`, then
+    factor the boundary mass block M edge by edge.  No dense matrix is formed."""
+    dof_map = pair.dof_map
+    W, E, lu = eliminate_cells(pair.A, dof_map)
     g = dof_map.boundary_dofs
     M = pair.B[g][:, g].tocsr()
     try:
@@ -163,8 +167,8 @@ def condense(pair):
 
 
 def _refined_solve(lu, A, rhs):
-    # one refinement step keeps the factorization error out of the
-    # Lanczos operator, the condensed matrix and the eigenpair residuals
+    # one refinement step keeps the factorization error out of the Lanczos
+    # operator, the condensed matrix and the eigen and source residuals
     x = lu.solve(rhs)
     x += lu.solve(rhs - A @ x)
     return x

@@ -271,8 +271,7 @@ def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):
     if refs is not None and config.index > len(refs):
         raise ValueError(f"index {config.index} exceeds the {len(refs)} reference values")
     probe_degree = k + 2 if probe_degree is None else probe_degree
-    if config.proj_bound is None:
-        _check_probe_degree(k, probe_degree)
+    _check_probe_degree(k, probe_degree)
     rows = []
     for n in levels:
         mesh = _stage("mesh", build_structured_mesh, domain, n)

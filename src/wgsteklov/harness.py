@@ -19,7 +19,8 @@ from .assembly import AlphaStabilizer, GammaStabilizer, NegInvLog, PowerEps, ass
 from .eigen import NumericalError, _stage, condense, solve_condensed
 from .mesh import DOMAINS, build_structured_mesh, locate_cell, mesh_stats, mesh_to_json
 from .polyquad import dim_pk
-from .source import exponential_solution, projection_errors, solve_source, v_norm_error, x_norm_error
+from .source import exponential_solution, interpolant, projection_errors, solve_source
+from .source import v_norm_error, x_norm_error
 from .wgcore import CellClasses
 
 # High-accuracy reference values for the first four eigenvalues on the unit
@@ -293,9 +294,10 @@ def run_source_study(domain, k, stabilizer, levels, solution=None):
     for n in levels:
         mesh = _stage("mesh", build_structured_mesh, domain, n)
         u_h = _stage("solve", solve_source, mesh, k, stabilizer, solution.flux)
-        v_errs.append(v_norm_error(u_h, solution, mesh, k))
+        q = interpolant(solution, mesh, k)
+        v_errs.append(v_norm_error(u_h, q, mesh, k))
         x_errs.append(x_norm_error(u_h, solution, mesh, k))
-        pv, px = projection_errors(solution, mesh, k)
+        pv, px = projection_errors(solution, q, mesh, k)
         pvs.append(pv)
         pxs.append(px)
         ns.append(n)

@@ -57,30 +57,26 @@ class Mesh:
         self._build_geometry()
 
     def _build_edges(self):
-        edge_index = {}
-        cell_edges = np.empty_like(self.cells)
-        cell_edge_signs = np.empty_like(self.cells)
-        for ci, tri in enumerate(self.cells):
-            for l in range(3):
-                p, q = int(tri[l]), int(tri[(l + 1) % 3])
-                key = (p, q) if p < q else (q, p)
-                ei = edge_index.setdefault(key, len(edge_index))
-                cell_edges[ci, l] = ei
-                cell_edge_signs[ci, l] = 1 if p < q else -1
-        self.edges = np.array(sorted(edge_index, key=edge_index.get), dtype=np.int64)
-        self.cell_edges = cell_edges
-        self.cell_edge_signs = cell_edge_signs
-        edge_cells = np.full((len(self.edges), 2), -1, dtype=np.int64)
-        for ci in range(len(self.cells)):
-            for ei in self.cell_edges[ci]:
-                if edge_cells[ei, 0] < 0:
-                    edge_cells[ei, 0] = ci
-                elif edge_cells[ei, 1] < 0:
-                    edge_cells[ei, 1] = ci
-                else:
-                    raise ValueError(f"edge {ei} has more than two incident cells")
-        self.edge_cells = edge_cells
-        self.boundary_edge = edge_cells[:, 1] < 0
+        # local edge l runs from local vertex l to (l + 1) % 3; the edges are
+        # numbered in order of first occurrence over (cell, local edge)
+        tail, head = self.cells, np.roll(self.cells, -1, axis=1)
+        keys = np.stack([np.minimum(tail, head), np.maximum(tail, head)], axis=-1).reshape(-1, 2)
+        edges, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        self.edges = edges[order]
+        self.cell_edges = np.argsort(order)[inverse.reshape(self.cells.shape)]
+        self.cell_edge_signs = np.where(tail < head, 1, -1).astype(np.int64)
+        # the incident cells of each edge in cell order: the first, and the
+        # last when the edge is shared
+        flat = self.cell_edges.ravel()
+        counts = np.bincount(flat, minlength=len(self.edges))
+        if np.any(counts > 2):
+            raise ValueError(f"edge {np.argmax(counts > 2)} has more than two incident cells")
+        by_edge = np.argsort(flat, kind="stable") // 3
+        start = np.cumsum(counts) - counts
+        last = np.where(counts == 2, by_edge[start + counts - 1], -1)
+        self.edge_cells = np.stack([by_edge[start], last], axis=1)
+        self.boundary_edge = last < 0
 
     def _build_geometry(self):
         v = self.vertices[self.cells]

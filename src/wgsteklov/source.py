@@ -3,14 +3,14 @@
 The companion problem to the eigenproblem keeps the same principal form but
 replaces the eigenvalue coupling by a prescribed normal flux on the domain
 boundary; solving it across a refinement sequence gives an independent
-convergence check of the assembled operators.
+convergence check of the assembled operators.  Its solve shares the eigen
+path's cell elimination and edge factorization (`eigen.eliminate_cells`).
 """
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .assembly import assemble, build_dof_map, interpolate
-from .eigen import NumericalError
+from .eigen import NumericalError, _refined_solve, eliminate_cells
 from .wgcore import ANALYTIC_MARGIN, POLY_MARGIN, CellQuadrature, EdgeQuadrature, evaluate
 
 
@@ -71,21 +71,19 @@ def boundary_load(mesh, k, flux, quad_degree=None):
 def solve_source(mesh, k, stabilizer, flux, quad_degree=None, rtol=1e-10):
     """Solve the boundary-flux problem: find u_h with a_w(u_h, v) = <f, v_b>.
 
-    Returns the coefficient vector of u_h.  Raises NumericalError when the
-    factorization fails or the relative algebraic residual, measured as the
-    normwise backward error ||A u - F|| / (||A|| ||u|| + ||F||), exceeds
-    `rtol`.
+    The load vanishes on the cell DOFs, so one refined solve with the
+    cell-eliminated edge operator gives the coefficient vector of u_h.
+    Raises NumericalError when the elimination fails or the normwise
+    backward error ||A u - F|| / (||A|| ||u|| + ||F||) on the full operator
+    exceeds `rtol`.
     """
     pair = assemble(mesh, k, stabilizer)
     F = boundary_load(mesh, k, flux, quad_degree=quad_degree)
-    try:
-        lu = spla.splu(pair.A.tocsc())
-    except RuntimeError as exc:
-        raise NumericalError(f"source factorization failed: {exc}") from exc
-    u = lu.solve(F)
-    # one step of iterative refinement keeps the algebraic residual well
-    # below the contract tolerance on fine meshes
-    u += lu.solve(F - pair.A @ u)
+    nc = pair.dof_map.n_cell_dofs
+    assert not F[:nc].any(), "the boundary load must vanish on the cell DOFs"
+    W, E, lu = eliminate_cells(pair.A, pair.dof_map)
+    u_e = _refined_solve(lu, E, F[nc:])
+    u = np.concatenate([-(W @ u_e), u_e])
     f_norm = np.linalg.norm(F)
     if f_norm > 0.0:
         a_norm = float(abs(pair.A).sum(axis=1).max())
@@ -109,23 +107,26 @@ def discrete_v_norm(mesh, k, coeffs):
     return float(np.sqrt(total))
 
 
-def v_norm_error(u_h, exact, mesh, k, quad_degree=None):
-    """Discrete part of the V-norm error: ||Q_h u - u_h||_V."""
-    q = interpolate(mesh, k, exact.u, quad_degree=quad_degree)
+def interpolant(exact, mesh, k):
+    """Q_h u, which `v_norm_error` and `projection_errors` both measure against."""
+    return interpolate(mesh, k, exact.u)
+
+
+def v_norm_error(u_h, q, mesh, k):
+    """Discrete part of the V-norm error: ||Q_h u - u_h||_V, with q = Q_h u."""
     return discrete_v_norm(mesh, k, q - u_h)
 
 
-def x_norm_error(u_h, exact, mesh, k, quad_degree=None):
+def x_norm_error(u_h, exact, mesh, k):
     """Boundary L2 error ||u - u_{h,b}|| over the domain boundary."""
     cb = build_dof_map(mesh, k).split(u_h)[1]
-    deg = quad_degree if quad_degree is not None else 2 * k + ANALYTIC_MARGIN
-    bnd = EdgeQuadrature(mesh, k, deg, np.flatnonzero(mesh.boundary_edge))
+    bnd = EdgeQuadrature(mesh, k, 2 * k + ANALYTIC_MARGIN, np.flatnonzero(mesh.boundary_edge))
     diff = evaluate(exact.u, bnd.points) - cb[bnd.edges] @ bnd.basis.T
     return float(np.sqrt(np.sum(bnd.weights * diff**2)))
 
 
-def projection_errors(exact, mesh, k, quad_degree=None):
-    """Projection remainder (V-part, X-part) of the exact solution.
+def projection_errors(exact, q, mesh, k):
+    """Projection remainder (V-part, X-part) of the exact solution, given q = Q_h u.
 
     V-part: sum_T ||grad(u - Q0 u)||^2 + ||u - Q0 u||^2
             + h_T^{-1} ||Q0 u - Qb u||_{dT}^2, square-rooted.
@@ -133,12 +134,10 @@ def projection_errors(exact, mesh, k, quad_degree=None):
     Reported separately from the discrete error so studies can tell which
     contribution dominates.
     """
-    deg = quad_degree if quad_degree is not None else 2 * k + ANALYTIC_MARGIN
-    q = interpolate(mesh, k, exact.u, quad_degree=deg)
     c0, cb = build_dof_map(mesh, k).split(q)
-    cells = CellQuadrature(mesh, k, deg)
+    cells = CellQuadrature(mesh, k, 2 * k + ANALYTIC_MARGIN)
     ru = evaluate(exact.u, cells.points) - cells.values(c0)
     rg = evaluate(exact.grad, cells.points) - cells.gradients(c0)
     v_total = float(np.sum(cells.weights * (ru**2 + np.sum(rg**2, axis=-1))))
     v_total += cells.mismatch_energy(c0, cb)
-    return float(np.sqrt(v_total)), x_norm_error(q, exact, mesh, k, quad_degree=deg)
+    return float(np.sqrt(v_total)), x_norm_error(q, exact, mesh, k)

@@ -77,3 +77,27 @@ def pinv_delta(forms):
     root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
     pinv = np.linalg.pinv(den, rtol=1e-10, hermitian=True)
     return float(np.linalg.eigvalsh(root @ pinv @ root)[-1])
+
+
+def loop_edges(cells):
+    """Reference for `Mesh._build_edges`: one pass over (cell, local edge),
+    numbering the edges by first occurrence.  Returns (edges, cell_edges,
+    cell_edge_signs, edge_cells, boundary_edge)."""
+    cells = np.asarray(cells, dtype=np.int64)
+    index = {}
+    cell_edges = np.empty_like(cells)
+    signs = np.empty_like(cells)
+    incident = []
+    for ci, tri in enumerate(cells):
+        for l in range(3):
+            p, q = int(tri[l]), int(tri[(l + 1) % 3])
+            key = (min(p, q), max(p, q))
+            if key not in index:
+                index[key] = len(index)
+                incident.append([])
+            cell_edges[ci, l] = index[key]
+            signs[ci, l] = 1 if p < q else -1
+            incident[index[key]].append(ci)
+    edges = np.array(list(index), dtype=np.int64).reshape(-1, 2)
+    edge_cells = np.array([(c + [-1])[:2] for c in incident], dtype=np.int64).reshape(-1, 2)
+    return edges, cell_edges, signs, edge_cells, edge_cells[:, 1] < 0

@@ -305,6 +305,9 @@ def test_cli_usage_errors(capsys, monkeypatch, tmp_path):
         capsys.readouterr()
         assert main(glb[:-4] + ["--probe-degree", value, "--levels", "4,8"]) == 1
         assert "probe_degree must exceed k" in capsys.readouterr().err
+    # a given probe degree is checked also when proj_bound is configured
+    assert main(glb[:-2] + ["--probe-degree", "1", "--levels", "2", "--format", "json"]) == 1
+    assert "probe_degree must exceed k" in capsys.readouterr().err
 
 
 def test_cli_numerical_failures_exit_2(monkeypatch, tmp_path, capsys):

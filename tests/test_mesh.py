@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import loop_edges, renumbered_mesh
 from wgsteklov.mesh import (
     DOMAIN_AREA,
     L_SHAPE,
@@ -189,3 +190,21 @@ def test_json_dump_schema():
     assert len(payload["vertices"]) == mesh.n_vertices
     assert len(payload["cells"]) == mesh.n_cells
     assert len(payload["edges"]) == len(payload["boundary_edge"]) == mesh.n_edges
+
+
+@pytest.mark.parametrize(
+    "domain,n", [(UNIT_SQUARE, n) for n in (1, 2, 4, 8, 16)] + [(L_SHAPE, n) for n in (2, 4, 8, 16)]
+)
+def test_edge_tables_match_loop_oracle(domain, n, rng):
+    mesh = build_structured_mesh(domain, n)
+    names = ("edges", "cell_edges", "cell_edge_signs", "edge_cells", "boundary_edge")
+    for m in (mesh, renumbered_mesh(mesh, rng)):
+        for name, want in zip(names, loop_edges(m.cells)):
+            got = getattr(m, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_edge_with_three_cells_rejected():
+    vertices = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 2.0)]
+    with pytest.raises(ValueError, match="more than two incident cells"):
+        Mesh(vertices, [(0, 1, 2), (1, 3, 2), (1, 4, 2)])

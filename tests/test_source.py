@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from wgsteklov.assembly import GammaStabilizer, PowerEps, assemble, build_dof_map, interpolate
-from wgsteklov.harness import run_source_study
+from wgsteklov import source
+from wgsteklov.assembly import (
+    AlphaStabilizer,
+    GammaStabilizer,
+    PowerEps,
+    assemble,
+    build_dof_map,
+    interpolate,
+)
+from wgsteklov.eigen import NumericalError
+from wgsteklov.harness import main, run_source_study
 from helpers import Poly2, random_poly, renumbered_mesh
 from wgsteklov.mesh import DOMAIN_AREA, DOMAINS, L_SHAPE, UNIT_SQUARE, build_structured_mesh
 from wgsteklov.polyquad import (
@@ -17,6 +27,7 @@ from wgsteklov.source import (
     boundary_load,
     discrete_v_norm,
     exponential_solution,
+    interpolant,
     projection_errors,
     solve_source,
     v_norm_error,
@@ -60,6 +71,43 @@ def test_galerkin_orthogonality(rng):
         assert abs(v @ r) <= 1e-9
 
 
+@pytest.mark.parametrize("stabilizer", [GAMMA, AlphaStabilizer(0.01)], ids=["gamma", "alpha"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_condensed_solve_matches_full_solve(domain, n, k, stabilizer):
+    # the cell elimination is exact, so the solution is that of the full
+    # system up to roundoff
+    mesh = build_structured_mesh(domain, n)
+    sol = exponential_solution()
+    u = solve_source(mesh, k, stabilizer, sol.flux)
+    A = assemble(mesh, k, stabilizer).A.tocsc()
+    want = spla.spsolve(A, boundary_load(mesh, k, sol.flux))
+    assert np.linalg.norm(u - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_source_backward_error_gate_runs():
+    mesh = build_structured_mesh(UNIT_SQUARE, 2)
+    with pytest.raises(NumericalError, match="source solve residual"):
+        solve_source(mesh, 1, GAMMA, exponential_solution().flux, rtol=0.0)
+
+
+def test_cli_source_singular_cell_block_exits_2(monkeypatch, capsys):
+    def singular_assemble(*args):
+        pair = assemble(*args)
+        d = pair.dof_map.dim_cell
+        A = pair.A.tolil()
+        A[:d, :d] = 0.0
+        pair.A = A.tocsr()
+        return pair
+
+    monkeypatch.setattr(source, "assemble", singular_assemble)
+    argv = ["source", "--domain", "square", "--k", "1", "--gamma", "pow:0.1", "--levels", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "stage 'solve'" in err and "singular cell block" in err
+
+
 def test_solver_is_purely_algebraic(rng):
     # data from a polynomial that does not satisfy the interior equation:
     # the solver still returns the exact algebraic solution
@@ -77,7 +125,7 @@ def test_v_norm_error_of_interpolant_is_zero(domain, k):
     mesh = build_structured_mesh(domain, 4)
     sol = exponential_solution()
     q = interpolate(mesh, k, sol.u)
-    assert v_norm_error(q, sol, mesh, k) <= 1e-12
+    assert v_norm_error(q, interpolant(sol, mesh, k), mesh, k) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -90,9 +138,8 @@ def test_v_norm_of_constant_interpolant(domain, k):
         lambda p: np.ones(len(p)), lambda p: np.zeros((len(p), 2)), label="one"
     )
     root_area = np.sqrt(DOMAIN_AREA[domain])
-    u_h = np.zeros_like(interpolate(mesh, k, one.u))
-    assert v_norm_error(u_h, one, mesh, k) == pytest.approx(root_area, rel=1e-12)
-    q = interpolate(mesh, k, one.u)
+    q = interpolant(one, mesh, k)
+    assert v_norm_error(np.zeros_like(q), q, mesh, k) == pytest.approx(root_area, rel=1e-12)
     assert discrete_v_norm(mesh, k, q) == pytest.approx(root_area, rel=1e-12)
 
 
@@ -134,7 +181,7 @@ def test_norms_of_polynomial_interpolant_closed_form(domain, k, rng):
     q = interpolate(mesh, k, poly)
     assert discrete_v_norm(mesh, k, q) == pytest.approx(np.sqrt(exact), rel=1e-12)
     sol = ManufacturedSolution(poly, poly.grad, label="poly")
-    pv, px = projection_errors(sol, mesh, k)
+    pv, px = projection_errors(sol, interpolant(sol, mesh, k), mesh, k)
     assert pv <= 1e-12 and px <= 1e-12
 
 
@@ -202,8 +249,9 @@ def test_x_norm_error_pythagoras():
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_projection_errors_positive_and_decreasing(domain, k):
     sol = exponential_solution()
-    v8, x8 = projection_errors(sol, build_structured_mesh(domain, 8), k)
-    v16, x16 = projection_errors(sol, build_structured_mesh(domain, 16), k)
+    mesh8, mesh16 = build_structured_mesh(domain, 8), build_structured_mesh(domain, 16)
+    v8, x8 = projection_errors(sol, interpolant(sol, mesh8, k), mesh8, k)
+    v16, x16 = projection_errors(sol, interpolant(sol, mesh16, k), mesh16, k)
     assert 0 < v16 < v8
     assert 0 < x16 < x8
 
