@@ -9,13 +9,18 @@ g and M the boundary block of B, the finite eigenvalues of (A, B) are those
 of (S, M), and S^{-1} = (E^{-1})_gg: applying S^{-1} is one solve with E on a
 right-hand side supported on g.  With M = L L^T, one Cholesky block per
 boundary edge, the m smallest eigenvalues are the reciprocals of the m
-largest eigenvalues of the symmetric operator T = L^T S^{-1} L, which Lanczos
-(ARPACK) finds without forming S.  Only a full-spectrum request, which ARPACK
-cannot serve, forms the dense S from the same factorization.  A boundary
-eigenvector x expands with one more solve, u_e = lambda E^{-1} [M x; 0], and
-the cell components follow as -W u_e.  The cell elimination and the
-factorization of E (`eliminate_cells`) also serve the boundary-flux source
-problem (`source.solve_source`), whose load vanishes on the cell DOFs.
+largest eigenvalues of the symmetric operator T = L^T S^{-1} L.  Lanczos
+(ARPACK) only finds their invariant subspace, so each of its applications of
+T is one unrefined solve with E; a full-spectrum request, which ARPACK cannot
+serve, takes the whole boundary space.  One refined block solve
+Z = E^{-1} [L Y; 0] on the orthonormal basis Y then sets both the values, by
+a Rayleigh-Ritz step on Y^T L^T Z_g, whose error is quadratic in that of the
+subspace, and the expanded eigenvectors: with (mu, Q) the eigenpairs of that
+m x m matrix, lambda = 1 / mu, the edge part is u_e = lambda Z Q, and the
+cell part -W u_e.  No dense S is formed unless it is read.  The cell
+elimination and the factorization of E (`eliminate_cells`) also serve the
+boundary-flux source problem (`source.solve_source`), whose load vanishes on
+the cell DOFs.
 """
 
 from functools import cached_property
@@ -40,8 +45,10 @@ def _stage(name, fn, *args, **kwargs):
 
 DEFAULT_RTOL = 1e-9
 
-# relative accuracy asked of the Lanczos Ritz values 1 / lambda
-_LANCZOS_TOL = 1e-13
+# relative residual asked of the Lanczos Ritz pairs of the unrefined
+# operator: Lanczos only locates the invariant subspace, and the error of
+# that subspace enters the Rayleigh-Ritz values squared
+_LANCZOS_TOL = 1e-10
 
 
 class CondensedPencil:
@@ -52,25 +59,27 @@ class CondensedPencil:
     the factorization, and the dense S is formed only when it is read.
     """
 
-    def __init__(self, pair, W, E, lu, M, L):
+    def __init__(self, pair, W, E, lu, L):
         self.pair = pair
-        self.M = M
         self._W = W
         self._E = E
         self._lu = lu
         self._g = pair.dof_map.boundary_dofs - pair.dof_map.n_cell_dofs
         self._L = _block_diagonal(L)
-        self._L_inv = _block_diagonal(np.linalg.inv(L))
 
     @property
     def size(self):
         return len(self._g)
 
-    def _edge_solve(self, rhs_boundary):
-        """E^{-1} [rhs; 0] for right-hand side(s) given on the boundary DOFs."""
+    def _lift(self, rhs_boundary):
+        """[rhs; 0] on the edge DOFs for right-hand side(s) given on the boundary DOFs."""
         rhs = np.zeros((self._E.shape[0],) + rhs_boundary.shape[1:])
         rhs[self._g] = rhs_boundary
-        return _refined_solve(self._lu, self._E, rhs)
+        return rhs
+
+    def _edge_solve(self, rhs_boundary):
+        """E^{-1} [rhs; 0], refined, for right-hand side(s) given on the boundary DOFs."""
+        return _refined_solve(self._lu, self._E, self._lift(rhs_boundary))
 
     @cached_property
     def S(self):
@@ -85,34 +94,41 @@ class CondensedPencil:
             raise NumericalError(f"condensed matrix asymmetry {asym / scale:.2e} exceeds 1e-12")
         return 0.5 * (S + S.T)
 
-    def eigenpairs(self, m):
-        """The m smallest eigenvalues of (S, M), ascending, with M-orthonormal
-        boundary eigenvectors as columns."""
-        if m == self.size:
-            St = self._L_inv @ (self._L_inv @ self.S).T
-            values, Y = sla.eigh(0.5 * (St + St.T))
-        else:
-            T = spla.LinearOperator(
-                (self.size, self.size),
-                matvec=lambda y: self._L.T @ self._edge_solve(self._L @ y.ravel())[self._g],
-                dtype=float,
-            )
-            # a fixed start vector keeps repeated solves bit-identical; a
-            # random one has components along every eigenvector, where a
-            # symmetric one would miss the antisymmetric modes
-            v0 = np.random.default_rng(0).standard_normal(self.size)
-            try:
-                mu, Y = spla.eigsh(T, k=m, which="LA", tol=_LANCZOS_TOL, v0=v0)
-            except spla.ArpackError as exc:
-                raise NumericalError(f"Lanczos solve failed: {exc}") from exc
-            values, Y = 1.0 / mu[::-1], Y[:, ::-1]
-        return values, self._L_inv.T @ Y
+    def _lanczos_matvec(self, y):
+        """T y = L^T S^{-1} L y by one unrefined solve with E."""
+        return self._L.T @ self._lu.solve(self._lift(self._L @ y.ravel()))[self._g]
 
-    def expand(self, values, X):
-        """Full DOF vectors of boundary eigenpairs (values, X): the edge part
-        solves E u_e = [lambda M x; 0], the cell part is -W u_e."""
-        u_e = self._edge_solve((self.M @ X) * values)
-        return np.vstack([-(self._W @ u_e), u_e])
+    def _lanczos_basis(self, m):
+        """Orthonormal basis of the invariant subspace of T for its m largest
+        eigenvalues, found by Lanczos (ARPACK)."""
+        T = spla.LinearOperator((self.size, self.size), matvec=self._lanczos_matvec, dtype=float)
+        # a fixed start vector keeps repeated solves bit-identical; a random
+        # one has components along every eigenvector, where a symmetric one
+        # would miss the antisymmetric modes
+        v0 = np.random.default_rng(0).standard_normal(self.size)
+        try:
+            _, Y = spla.eigsh(T, k=m, which="LA", tol=_LANCZOS_TOL, v0=v0)
+        except spla.ArpackError as exc:
+            raise NumericalError(f"Lanczos solve failed: {exc}") from exc
+        return Y
+
+    def eigenpairs(self, m):
+        """The m smallest eigenvalues of (A, B), ascending, with full DOF
+        eigenvectors of unit boundary norm as columns.
+
+        A Rayleigh-Ritz step on an orthonormal basis Y (Lanczos's, or the
+        identity for the whole spectrum) takes one refined block solve
+        Z = E^{-1} [L Y; 0]: the eigenpairs (mu, Q) of Y^T L^T Z_g give the
+        values 1 / mu, and the same Z gives the edge part lambda Z Q of each
+        eigenvector; its cell part is -W u_e.
+        """
+        Y = np.eye(self.size) if m == self.size else self._lanczos_basis(m)
+        Z = self._edge_solve(self._L @ Y)
+        H = Y.T @ (self._L.T @ Z[self._g])
+        mu, Q = sla.eigh(0.5 * (H + H.T))
+        values = 1.0 / mu[::-1]
+        u_e = (Z @ Q[:, ::-1]) * values
+        return values, np.vstack([-(self._W @ u_e), u_e])
 
 
 def _block_diagonal(blocks):
@@ -163,12 +179,13 @@ def condense(pair):
         L = np.linalg.cholesky(_diagonal_blocks(M, dof_map.dim_edge))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("boundary mass block is not positive definite") from exc
-    return CondensedPencil(pair, W, E, lu, M, L)
+    return CondensedPencil(pair, W, E, lu, L)
 
 
 def _refined_solve(lu, A, rhs):
-    # one refinement step keeps the factorization error out of the Lanczos
-    # operator, the condensed matrix and the eigen and source residuals
+    # one refinement step keeps the factorization error out of the
+    # Rayleigh-Ritz values, the eigenvectors, the condensed matrix and the
+    # source solution
     x = lu.solve(rhs)
     x += lu.solve(rhs - A @ x)
     return x
@@ -198,26 +215,23 @@ class EigenResult:
 def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
     """Solve for the m smallest eigenpairs of the condensed pencil.
 
-    Lanczos on the inverse operator serves m below the boundary size, a
-    dense solve of the M-Cholesky transformed S the full spectrum.
-    Eigenvectors come back b_w-normalized and are expanded to full DOF
-    vectors.  Raises NumericalError if Lanczos fails to converge or any
+    Lanczos on the inverse operator finds the subspace for m below the
+    boundary size, the whole boundary space serves the full spectrum, and
+    one refined Rayleigh-Ritz step sets the values and the eigenvectors
+    (`CondensedPencil.eigenpairs`).  Eigenvectors come back b_w-normalized
+    as full DOF vectors.  Raises NumericalError if Lanczos fails to converge or any
     backward-error residual (see EigenResult) exceeds `rtol`.
     """
     if not 1 <= m <= pencil.size:
         raise ValueError(f"m must lie in [1, {pencil.size}], got {m}")
-    values, X = pencil.eigenpairs(m)
-    vectors = pencil.expand(values, X)
+    values, vectors = pencil.eigenpairs(m)
     A, B = pencil.pair.A, pencil.pair.B
     a_norm = float(abs(A).sum(axis=1).max())
     b_norm = float(abs(B).sum(axis=1).max())
-    residuals = np.empty(m)
-    b_norms = np.empty(m)
-    for j in range(m):
-        u = vectors[:, j]
-        r = np.linalg.norm(A @ u - values[j] * (B @ u))
-        residuals[j] = r / ((a_norm + abs(values[j]) * b_norm) * np.linalg.norm(u))
-        b_norms[j] = u @ (B @ u)
+    BV = B @ vectors
+    r = np.linalg.norm(A @ vectors - BV * values, axis=0)
+    residuals = r / ((a_norm + np.abs(values) * b_norm) * np.linalg.norm(vectors, axis=0))
+    b_norms = np.einsum("ij,ij->j", vectors, BV)
     if np.any(residuals > rtol):
         raise NumericalError(
             f"eigenpair residual {residuals.max():.2e} exceeds tolerance {rtol:.1e}"

@@ -148,31 +148,24 @@ def build_structured_mesh(domain, n):
     if domain == L_SHAPE and n % 2 != 0:
         raise ValueError(f"L-shaped domain requires even n, got {n}")
 
-    removed_vertex = lambda i, j: domain == L_SHAPE and i > n // 2 and j > n // 2
-    removed_square = lambda i, j: domain == L_SHAPE and i >= n // 2 and j >= n // 2
+    # grid points and squares in row-major order (j, then i); the L-shape
+    # drops the squares with i, j >= n / 2 and the points strictly inside them
+    j, i = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    keep = ~((domain == L_SHAPE) & (i > n // 2) & (j > n // 2))
+    index = np.cumsum(keep) - 1
+    vertices = np.stack([i[keep] / n, j[keep] / n], axis=1)
 
-    index = {}
-    vertices = []
-    for j in range(n + 1):
-        for i in range(n + 1):
-            if removed_vertex(i, j):
-                continue
-            index[(i, j)] = len(vertices)
-            vertices.append((i / n, j / n))
+    j, i = np.divmod(np.arange(n * n), n)
+    square = ~((domain == L_SHAPE) & (i >= n // 2) & (j >= n // 2))
+    i, j = i[square], j[square]
+    a = index[j * (n + 1) + i]
+    b = index[j * (n + 1) + i + 1]
+    c = index[(j + 1) * (n + 1) + i + 1]
+    d = index[(j + 1) * (n + 1) + i]
+    # two triangles per square, (a, b, c) then (a, c, d)
+    cells = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
 
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            if removed_square(i, j):
-                continue
-            a = index[(i, j)]
-            b = index[(i + 1, j)]
-            c = index[(i + 1, j + 1)]
-            d = index[(i, j + 1)]
-            cells.append((a, b, c))
-            cells.append((a, c, d))
-
-    return Mesh(np.array(vertices), np.array(cells), domain=domain, n=n)
+    return Mesh(vertices, cells, domain=domain, n=n)
 
 
 def mesh_stats(mesh):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from wgsteklov.mesh import Mesh
+from wgsteklov.mesh import L_SHAPE, Mesh
 from wgsteklov.polyquad import monomial_exponents
 from wgsteklov.wgcore import project_cell, project_edge
 
@@ -101,3 +101,26 @@ def loop_edges(cells):
     edges = np.array(list(index), dtype=np.int64).reshape(-1, 2)
     edge_cells = np.array([(c + [-1])[:2] for c in incident], dtype=np.int64).reshape(-1, 2)
     return edges, cell_edges, signs, edge_cells, edge_cells[:, 1] < 0
+
+
+def loop_structured_mesh(domain, n):
+    """Reference for `mesh.build_structured_mesh`: one pass over the grid
+    points and one over the squares, numbering the kept points through a
+    dict.  Returns (vertices, cells)."""
+    removed_vertex = lambda i, j: domain == L_SHAPE and i > n // 2 and j > n // 2
+    removed_square = lambda i, j: domain == L_SHAPE and i >= n // 2 and j >= n // 2
+    index = {}
+    vertices = []
+    for j in range(n + 1):
+        for i in range(n + 1):
+            if not removed_vertex(i, j):
+                index[(i, j)] = len(vertices)
+                vertices.append((i / n, j / n))
+    cells = []
+    for j in range(n):
+        for i in range(n):
+            if not removed_square(i, j):
+                a, b = index[(i, j)], index[(i + 1, j)]
+                c, d = index[(i + 1, j + 1)], index[(i, j + 1)]
+                cells += [(a, b, c), (a, c, d)]
+    return np.array(vertices, dtype=float), np.array(cells, dtype=np.int64)

@@ -1,3 +1,4 @@
+import re
 from functools import partial
 from types import SimpleNamespace
 
@@ -6,8 +7,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from wgsteklov import eigen
 from wgsteklov.assembly import GammaStabilizer, PowerEps, assemble, interpolate
 from wgsteklov.eigen import (
+    CondensedPencil,
     NumericalError,
     condense,
     dense_eigenvalues,
@@ -88,6 +91,63 @@ def test_lanczos_matches_dense_spectrum(domain, k, n):
         result = solve_condensed(pencil, m)
         assert np.allclose(result.values, dense[:m], rtol=1e-12, atol=0.0)
         assert np.all(result.normalized)
+
+
+class _LoggingLU:
+    """Stand-in for a SuperLU object that logs each solve: "s" for a single
+    vector, "S" for a block."""
+
+    def __init__(self, lu, log):
+        self._lu = lu
+        self._log = log
+
+    def solve(self, rhs):
+        self._log.append("s" if np.ndim(rhs) == 1 else "S")
+        return self._lu.solve(rhs)
+
+
+def test_one_solve_per_lanczos_application_and_one_refined_block_solve(monkeypatch):
+    # log "A" per Lanczos application and "R" per refined solve: Lanczos
+    # applies the unrefined operator with one single-vector solve, and one
+    # refined block solve serves Rayleigh-Ritz and the expansion together
+    log = []
+    pencil = condense(assemble(build_structured_mesh(UNIT_SQUARE, 8), 2, GAMMA))
+    pencil._lu = _LoggingLU(pencil._lu, log)
+    matvec, refined = CondensedPencil._lanczos_matvec, eigen._refined_solve
+    monkeypatch.setattr(
+        CondensedPencil, "_lanczos_matvec", lambda self, y: log.append("A") or matvec(self, y)
+    )
+    monkeypatch.setattr(eigen, "_refined_solve", lambda *args: log.append("R") or refined(*args))
+    solve_condensed(pencil, 4)
+    assert re.fullmatch(r"(As){5,}RSS", "".join(log)), "".join(log)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("domain", [UNIT_SQUARE, L_SHAPE])
+def test_rayleigh_ritz_step_sets_the_values(monkeypatch, domain, k, n):
+    # a Lanczos operator off by a relative 1e-8 leaves its invariant
+    # subspaces as they are; the refined Rayleigh-Ritz step must still give
+    # the eigenvalues of the full-spectrum path to 1e-12
+    pencil = condense(assemble(build_structured_mesh(domain, n), k, GAMMA))
+    dense = solve_condensed(pencil, pencil.size).values[:4]
+    matvec = CondensedPencil._lanczos_matvec
+    monkeypatch.setattr(
+        CondensedPencil, "_lanczos_matvec", lambda self, y: (1 + 1e-8) * matvec(self, y)
+    )
+    assert np.allclose(solve_condensed(pencil, 4).values, dense, rtol=1e-12, atol=0.0)
+
+
+def test_backward_errors_match_per_pair_formula():
+    pair = assemble(build_structured_mesh(UNIT_SQUARE, 8), 2, GAMMA)
+    result = solve_pair(pair, 4)
+    a_norm = abs(pair.A).sum(axis=1).max()
+    b_norm = abs(pair.B).sum(axis=1).max()
+    for lam, u, res in zip(result.values, result.vectors.T, result.residuals):
+        r = np.linalg.norm(pair.A @ u - lam * (pair.B @ u))
+        assert res == pytest.approx(r / ((a_norm + lam * b_norm) * np.linalg.norm(u)), rel=1e-12)
+    with pytest.raises(NumericalError, match=r"eigenpair residual .* exceeds tolerance 1\.0e-30"):
+        solve_pair(pair, 4, rtol=1e-30)
 
 
 def test_near_degenerate_pair_comes_out_as_two_values():

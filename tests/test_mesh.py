@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import loop_edges, renumbered_mesh
+from helpers import loop_edges, loop_structured_mesh, renumbered_mesh
 from wgsteklov.mesh import (
     DOMAIN_AREA,
     L_SHAPE,
@@ -190,6 +190,15 @@ def test_json_dump_schema():
     assert len(payload["vertices"]) == mesh.n_vertices
     assert len(payload["cells"]) == mesh.n_cells
     assert len(payload["edges"]) == len(payload["boundary_edge"]) == mesh.n_edges
+
+
+@pytest.mark.parametrize(
+    "domain,n", [(UNIT_SQUARE, n) for n in (1, 2, 4, 8, 16, 64)] + [(L_SHAPE, n) for n in (2, 4, 8, 16, 64)]
+)
+def test_structured_mesh_matches_loop_oracle(domain, n):
+    mesh = build_structured_mesh(domain, n)
+    for got, want in zip((mesh.vertices, mesh.cells), loop_structured_mesh(domain, n)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
