@@ -8,13 +8,13 @@ pathway.
 
 from .assembly import (
     AlphaStabilizer,
+    DofMap,
     GammaStabilizer,
     NegInvLog,
     PowerEps,
     WgOperatorPair,
     assemble,
     assemble_stabilizer,
-    build_dof_map,
     dump_matrix_market,
     energy,
     gamma_of_h,

@@ -107,7 +107,6 @@ class DofMap:
     dim_cell, dim_edge : block sizes dim P_k and k + 1
     n_dofs : total DOF count C * dim_cell + E * dim_edge
     boundary_dofs : sorted int array of all DOFs on boundary edges
-    interior_dofs : complement of boundary_dofs
     """
 
     def __init__(self, mesh, k):
@@ -120,7 +119,6 @@ class DofMap:
         self.n_cell_dofs = mesh.n_cells * self.dim_cell
         self.n_dofs = self.n_cell_dofs + mesh.n_edges * self.dim_edge
         self.boundary_dofs = self.split(np.arange(self.n_dofs))[1][mesh.boundary_edge].ravel()
-        self.interior_dofs = np.setdiff1d(np.arange(self.n_dofs), self.boundary_dofs)
 
     def split(self, coeffs):
         """Views of a global vector as cell rows (C, dim_cell) and edge rows (E, dim_edge)."""
@@ -130,11 +128,6 @@ class DofMap:
         )
 
 
-def build_dof_map(mesh, k):
-    """Construct the global DOF numbering for degree k >= 1."""
-    return DofMap(mesh, k)
-
-
 class WgOperatorPair:
     """Assembled symmetric sparse forms A (principal) and B (boundary).
 
@@ -142,31 +135,26 @@ class WgOperatorPair:
     B is positive semidefinite with support exactly on the boundary DOF block.
     """
 
-    def __init__(self, A, B, dof_map, stabilizer, coefficient):
+    def __init__(self, A, B, dof_map):
         self.A = A
         self.B = B
         self.dof_map = dof_map
-        self.mesh = dof_map.mesh
-        self.k = dof_map.k
-        self.stabilizer = stabilizer
-        self.coefficient = coefficient
 
 
 def assemble(mesh, k, stabilizer):
     """Assemble the operator pair for a mesh, degree, and stabilizer spec."""
-    dof_map = build_dof_map(mesh, k)
+    dof_map = DofMap(mesh, k)
     kernels = LocalKernels(mesh, k)
-    coefficient = stabilizer.coefficient(mesh.h_max)
     kind = "alpha" if isinstance(stabilizer, AlphaStabilizer) else "gamma"
-    local = kernels.stacked(coefficient, kind)
+    local = kernels.stacked(stabilizer.coefficient(mesh.h_max), kind)
     A = _scatter(local, _local_dofs(dof_map), dof_map.n_dofs)
     B = _assemble_boundary(mesh, dof_map)
-    return WgOperatorPair(A, B, dof_map, stabilizer, coefficient)
+    return WgOperatorPair(A, B, dof_map)
 
 
 def assemble_stabilizer(mesh, k, kind="gamma"):
     """Assembled unit-coefficient stabilizer matrix (for linearity checks)."""
-    dof_map = build_dof_map(mesh, k)
+    dof_map = DofMap(mesh, k)
     kernels = LocalKernels(mesh, k)
     return _scatter(kernels.stacked_stabilizer(kind), _local_dofs(dof_map), dof_map.n_dofs)
 

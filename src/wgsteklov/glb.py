@@ -165,13 +165,13 @@ class ProbeDefects:
     Z: sp.csc_matrix
 
 
-def probe_defects(mesh, k, probe_degree, quad_degree=None):
+def probe_defects(mesh, k, probe_degree):
     """Assemble the :class:`ProbeDefects` of a P_{probe_degree} probe space."""
     _check_probe_degree(k, probe_degree)
     space = LagrangeProbeSpace(mesh, probe_degree)
     null_space = LagrangeProbeSpace(mesh, k)
     p = space.p
-    deg = quad_degree if quad_degree is not None else 2 * p + 2
+    deg = 2 * p + 2
 
     # numerator: boundary projection defect, on the boundary-edge probe DOFs
     erule = edge_quadrature(deg)
@@ -222,7 +222,7 @@ def probe_defects(mesh, k, probe_degree, quad_degree=None):
     return ProbeDefects(0.5 * (num + num.T), bnd, (0.5 * (den + den.T)).tocsc(), Z)
 
 
-def estimate_delta(mesh, k, probe_degree, quad_degree=None):
+def estimate_delta(mesh, k, probe_degree):
     """Numerical lower estimate of the boundary-defect constant.
 
     Maximizes || (I - Q_b) f ||^2 over the boundary against
@@ -236,7 +236,7 @@ def estimate_delta(mesh, k, probe_degree, quad_degree=None):
     estimate.  Raises NumericalError if the factorization fails or the
     normwise backward error of the solve exceeds `DEFAULT_RTOL`.
     """
-    forms = probe_defects(mesh, k, probe_degree, quad_degree)
+    forms = probe_defects(mesh, k, probe_degree)
     w, V = sla.eigh(forms.num)
     R = V[:, w > 0.0] * np.sqrt(w[w > 0.0])
     if R.shape[1] == 0:
@@ -274,8 +274,8 @@ def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):
     _check_probe_degree(k, probe_degree)
     rows = []
     for n in levels:
-        mesh = _stage("mesh", build_structured_mesh, domain, n)
-        pair = _stage("assemble", assemble, mesh, k, AlphaStabilizer(config.alpha))
+        mesh = build_structured_mesh(domain, n)
+        pair = assemble(mesh, k, AlphaStabilizer(config.alpha))
         result = _stage("solve", solve_pair, pair, config.index)
         lam_h = float(result.values[config.index - 1])
         if config.proj_bound is not None:

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import glb as glb_mod
-from .assembly import AlphaStabilizer, GammaStabilizer, NegInvLog, PowerEps, assemble
+from .assembly import AlphaStabilizer, DofMap, GammaStabilizer, NegInvLog, PowerEps, assemble
 from .eigen import NumericalError, _stage, condense, solve_condensed
 from .mesh import DOMAINS, build_structured_mesh, locate_cell, mesh_stats, mesh_to_json
-from .polyquad import dim_pk
 from .source import exponential_solution, interpolant, projection_errors, solve_source
 from .source import v_norm_error, x_norm_error
 from .wgcore import CellClasses
@@ -71,12 +70,13 @@ def observed_order(err_coarse, err_fine):
 
 
 def fitted_order(hs, errors):
-    """Least-squares slope of log(error) against log(h)."""
+    """Least-squares slope of log(error) against log(h) over the positive
+    errors; None (JSON null) when fewer than two are positive."""
     hs = np.asarray(hs, dtype=float)
     errors = np.asarray(errors, dtype=float)
     mask = errors > 0
     if mask.sum() < 2:
-        return float("nan")
+        return None
     slope = np.polyfit(np.log(hs[mask]), np.log(errors[mask]), 1)[0]
     return float(slope)
 
@@ -225,8 +225,8 @@ def _solve_level(domain, n, k, stabilizer, m):
 
     Returns (mesh, EigenResult); a NumericalError names the failed stage.
     """
-    mesh = _stage("mesh", build_structured_mesh, domain, n)
-    pair = _stage("assemble", assemble, mesh, k, stabilizer)
+    mesh = build_structured_mesh(domain, n)
+    pair = assemble(mesh, k, stabilizer)
     pencil = _stage("condense", condense, pair)
     return mesh, _stage("solve", solve_condensed, pencil, m)
 
@@ -292,7 +292,7 @@ def run_source_study(domain, k, stabilizer, levels, solution=None):
     solution = solution or exponential_solution()
     ns, hs, v_errs, x_errs, pvs, pxs = [], [], [], [], [], []
     for n in levels:
-        mesh = _stage("mesh", build_structured_mesh, domain, n)
+        mesh = build_structured_mesh(domain, n)
         u_h = _stage("solve", solve_source, mesh, k, stabilizer, solution.flux)
         q = interpolant(solution, mesh, k)
         v_errs.append(v_norm_error(u_h, q, mesh, k))
@@ -309,8 +309,10 @@ def export_eigenfunction_field(result, mesh, k, j, grid_resolution):
     """CSV sample of the j-th (1-based) eigenfunction's interior component.
 
     Samples u0 cellwise on a uniform grid over the bounding unit square,
-    omitting points outside the domain; the sign is normalized so the sample
-    of largest magnitude is positive.
+    omitting points outside the domain.  Samples within a relative 1e-9 of
+    max|u| count as tied, and the sign is normalized so the first of them in
+    grid order is positive: the extremes of an antisymmetric mode agree to
+    rounding, so the largest sample alone would leave the sign to chance.
     """
     if not 1 <= j <= result.vectors.shape[1]:
         raise ValueError(f"eigenfunction index {j} out of range")
@@ -320,7 +322,7 @@ def export_eigenfunction_field(result, mesh, k, j, grid_resolution):
     inside = cells >= 0
     xs, ys, cells = xs[inside], ys[inside], cells[inside]
     classes = CellClasses(mesh, k)
-    u0 = result.vectors[: mesh.n_cells * dim_pk(k), j - 1].reshape(mesh.n_cells, -1)
+    u0 = DofMap(mesh, k).split(result.vectors[:, j - 1])[0]
     centroids = mesh.vertices[mesh.cells].mean(axis=1)
     values = np.empty(len(cells))
     for c, cell in enumerate(classes.cells):
@@ -328,8 +330,10 @@ def export_eigenfunction_field(result, mesh, k, j, grid_resolution):
         at = classes.class_of[cells] == c
         pts = np.column_stack([xs[at], ys[at]]) + (cell.basis.centroid - centroids[cells[at]])
         values[at] = np.einsum("pi,pi->p", cell.basis.eval(pts), u0[cells[at]])
-    if len(values) and values[np.argmax(np.abs(values))] < 0:
-        values = -values
+    if len(values):
+        size = np.abs(values)
+        if values[np.argmax(size >= (1.0 - 1e-9) * size.max())] < 0:
+            values = -values
     return _csv(["x", "y", "u"], [[_fmt(x), _fmt(y), _fmt(v)] for x, y, v in zip(xs, ys, values)])
 
 

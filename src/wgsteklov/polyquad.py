@@ -28,7 +28,7 @@ def monomial_exponents(k):
 
 
 class QuadratureRule:
-    """A fixed quadrature rule with a stated polynomial exactness degree.
+    """A fixed quadrature rule: points and weights.
 
     Triangle rules store points in barycentric coordinates, shape (n, 3),
     with weights summing to one; the integral over a physical triangle T is
@@ -37,13 +37,9 @@ class QuadratureRule:
     of the edge length.
     """
 
-    def __init__(self, points, weights, degree):
+    def __init__(self, points, weights):
         self.points = np.asarray(points, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
-        self.degree = int(degree)
-
-    def __len__(self):
-        return len(self.weights)
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +64,7 @@ def triangle_quadrature(degree):
     y = np.tile(eta, m)
     w = np.outer(wxi, weta).ravel()
     bary = np.column_stack([1.0 - x - y, x, y])
-    rule = QuadratureRule(bary, 2.0 * w, degree)
+    rule = QuadratureRule(bary, 2.0 * w)
     rule.points.setflags(write=False)
     rule.weights.setflags(write=False)
     return rule
@@ -84,7 +80,7 @@ def edge_quadrature(degree):
         raise ValueError(f"quadrature degree must be nonnegative, got {degree}")
     m = max(1, (degree + 2) // 2)
     x, w = leggauss(m)
-    rule = QuadratureRule((x + 1.0) / 2.0, w / 2.0, degree)
+    rule = QuadratureRule((x + 1.0) / 2.0, w / 2.0)
     rule.points.setflags(write=False)
     rule.weights.setflags(write=False)
     return rule

@@ -9,7 +9,7 @@ path's cell elimination and edge factorization (`eigen.eliminate_cells`).
 
 import numpy as np
 
-from .assembly import assemble, build_dof_map, interpolate
+from .assembly import DofMap, assemble, interpolate
 from .eigen import NumericalError, _refined_solve, eliminate_cells
 from .wgcore import ANALYTIC_MARGIN, POLY_MARGIN, CellQuadrature, EdgeQuadrature, evaluate
 
@@ -49,15 +49,14 @@ def exponential_solution(a=1.0, b=0.0):
     return ManufacturedSolution(u, grad, label=f"exp({a}*x + {b}*y)")
 
 
-def boundary_load(mesh, k, flux, quad_degree=None):
+def boundary_load(mesh, k, flux):
     """Load vector F_j = <f, phi_j> over the boundary, zero elsewhere.
 
     `flux` is called as flux(points, normal), with `normal` the outward unit
     normal shared by all the boundary edges the points lie on.
     """
-    dof_map = build_dof_map(mesh, k)
-    deg = quad_degree if quad_degree is not None else 2 * k + ANALYTIC_MARGIN
-    bnd = EdgeQuadrature(mesh, k, deg, np.flatnonzero(mesh.boundary_edge))
+    dof_map = DofMap(mesh, k)
+    bnd = EdgeQuadrature(mesh, k, 2 * k + ANALYTIC_MARGIN, np.flatnonzero(mesh.boundary_edge))
     normals, side = np.unique(mesh.boundary_normal(bnd.edges), axis=0, return_inverse=True)
     values = np.empty(bnd.weights.shape)
     for i, normal in enumerate(normals):
@@ -68,7 +67,7 @@ def boundary_load(mesh, k, flux, quad_degree=None):
     return F
 
 
-def solve_source(mesh, k, stabilizer, flux, quad_degree=None, rtol=1e-10):
+def solve_source(mesh, k, stabilizer, flux, rtol=1e-10):
     """Solve the boundary-flux problem: find u_h with a_w(u_h, v) = <f, v_b>.
 
     The load vanishes on the cell DOFs, so one refined solve with the
@@ -78,7 +77,7 @@ def solve_source(mesh, k, stabilizer, flux, quad_degree=None, rtol=1e-10):
     exceeds `rtol`.
     """
     pair = assemble(mesh, k, stabilizer)
-    F = boundary_load(mesh, k, flux, quad_degree=quad_degree)
+    F = boundary_load(mesh, k, flux)
     nc = pair.dof_map.n_cell_dofs
     assert not F[:nc].any(), "the boundary load must vanish on the cell DOFs"
     W, E, lu = eliminate_cells(pair.A, pair.dof_map)
@@ -98,7 +97,7 @@ def discrete_v_norm(mesh, k, coeffs):
 
     ||v||_V^2 = sum_T ( ||grad v0||_T^2 + ||v0||_T^2 + h_T^{-1} ||v0 - vb||_{dT}^2 ).
     """
-    c0, cb = build_dof_map(mesh, k).split(coeffs)
+    c0, cb = DofMap(mesh, k).split(coeffs)
     cells = CellQuadrature(mesh, k, 2 * k + POLY_MARGIN)
     # interior L2 part: basis is orthonormal
     total = float(np.sum(c0**2))
@@ -119,7 +118,7 @@ def v_norm_error(u_h, q, mesh, k):
 
 def x_norm_error(u_h, exact, mesh, k):
     """Boundary L2 error ||u - u_{h,b}|| over the domain boundary."""
-    cb = build_dof_map(mesh, k).split(u_h)[1]
+    cb = DofMap(mesh, k).split(u_h)[1]
     bnd = EdgeQuadrature(mesh, k, 2 * k + ANALYTIC_MARGIN, np.flatnonzero(mesh.boundary_edge))
     diff = evaluate(exact.u, bnd.points) - cb[bnd.edges] @ bnd.basis.T
     return float(np.sqrt(np.sum(bnd.weights * diff**2)))
@@ -134,7 +133,7 @@ def projection_errors(exact, q, mesh, k):
     Reported separately from the discrete error so studies can tell which
     contribution dominates.
     """
-    c0, cb = build_dof_map(mesh, k).split(q)
+    c0, cb = DofMap(mesh, k).split(q)
     cells = CellQuadrature(mesh, k, 2 * k + ANALYTIC_MARGIN)
     ru = evaluate(exact.u, cells.points) - cells.values(c0)
     rg = evaluate(exact.grad, cells.points) - cells.gradients(c0)

@@ -328,9 +328,7 @@ class LocalKernels:
     """
 
     def __init__(self, mesh, k):
-        self.mesh = mesh
-        self.k = int(k)
-        classes = CellClasses(mesh, self.k)
+        classes = CellClasses(mesh, k)
         self._class_of = classes.class_of
         self._kernels = [self._compute(cell) for cell in classes.cells]
 
@@ -338,10 +336,6 @@ class LocalKernels:
         sg = local_stabilizer_gamma(cell, 1.0)
         sa = local_stabilizer_alpha(cell, 1.0)
         return local_aw(cell, 0.0), 0.5 * (sg + sg.T), 0.5 * (sa + sa.T)
-
-    @property
-    def n_classes(self):
-        return len(self._kernels)
 
     def stacked(self, coefficient, kind):
         """(C, n_loc, n_loc) array of local matrices with the coefficient applied."""
@@ -356,7 +350,7 @@ class LocalKernels:
         return per_class[self._class_of]
 
 
-def epsilon_h_diagnostic(u, grad_u, mesh, k, gamma_value, quad_degree=None):
+def epsilon_h_diagnostic(u, grad_u, mesh, k, gamma_value):
     """Projection-defect energy of u minus the stabilizer energy of its interpolant.
 
     Returns sum_T ||(I - Q_vec) grad u||_T^2 + ||(I - Q_0) u||_T^2
@@ -364,7 +358,7 @@ def epsilon_h_diagnostic(u, grad_u, mesh, k, gamma_value, quad_degree=None):
     lost to cancellation.  `u` maps (n, 2) points to values, `grad_u` to
     (n, 2) gradients.
     """
-    deg = quad_degree if quad_degree is not None else 2 * k + ANALYTIC_MARGIN
+    deg = 2 * k + ANALYTIC_MARGIN
     cells = CellQuadrature(mesh, k, deg)
     edges = EdgeQuadrature(mesh, k, deg, np.arange(mesh.n_edges))
     uq = evaluate(u, cells.points)

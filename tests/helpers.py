@@ -49,6 +49,13 @@ def random_poly(rng, degree):
     return Poly2(exps, rng.uniform(-1.0, 1.0, len(exps)))
 
 
+def interior_dofs(dof_map):
+    """The DOFs off the boundary edges, ascending: the complement of `boundary_dofs`."""
+    interior = np.ones(dof_map.n_dofs, dtype=bool)
+    interior[dof_map.boundary_dofs] = False
+    return np.flatnonzero(interior)
+
+
 def local_interpolant(cell, f, quad_degree=None):
     """Local DOF vector of the interpolant (Q0 f, Qb f per edge) on one cell."""
     dofs = np.zeros(cell.n_loc)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wgsteklov
 import wgsteklov.harness as harness
 from wgsteklov.assembly import AlphaStabilizer, GammaStabilizer, NegInvLog, PowerEps
 from wgsteklov.eigen import NumericalError
@@ -65,6 +70,25 @@ def test_order_computation_matches_hand_value():
     hs = [1.0, 0.5, 0.25]
     errs = [4.0, 1.0, 0.25]
     assert fitted_order(hs, errs) == pytest.approx(2.0, rel=1e-12)
+    # the slope is fitted over the positive errors; with fewer than two it is None
+    assert fitted_order([1.0, 0.5, 0.25], [-1.0, 0.5, 0.125]) == pytest.approx(2.0, rel=1e-12)
+    assert fitted_order([1.0], [0.5]) is None
+    assert fitted_order([1.0, 0.5], [0.5, 0.0]) is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_single_level_source_json_is_valid(tmp_path):
+    # one level has no fitted order: it is written as null, not as NaN,
+    # which RFC 8259 JSON does not allow
+    out = tmp_path / "source.json"
+    assert main(["source", "--domain", "square", "--k", "1", "--gamma", "pow:0.1",
+                 "--levels", "4", "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert payload["v_fitted_order"] is None and payload["x_fitted_order"] is None
+    assert payload["v_order"] == [None] and payload["v_error"][0] > 0.0
 
 
 def test_eigen_study_report_contents():
@@ -164,6 +188,36 @@ def test_field_export_matches_direct_cell_evaluation(domain, n, k, grid):
     assert np.max(np.abs(rows[:, 2] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _field_values(text):
+    return np.array([float(line.split(",")[2]) for line in text.splitlines()[1:]])
+
+
+@pytest.mark.parametrize("eig", [2, 3])
+def test_field_export_sign_survives_tied_extremes(eig):
+    # the antisymmetric modes 2 and 3 of the square have a largest positive
+    # and a largest negative sample of equal magnitude up to rounding, so a
+    # perturbation far above rounding but far below the 1e-9 tie band must
+    # leave every exported sample, and so its sign, unchanged
+    mesh = build_structured_mesh(UNIT_SQUARE, 8)
+    vectors = solve_pair(assemble(mesh, 2, GAMMA), 3).vectors
+    u = vectors[:, eig - 1]
+
+    def export(column):
+        field = np.array(vectors)
+        field[:, eig - 1] = column
+        return _field_values(export_eigenfunction_field(
+            SimpleNamespace(vectors=field), mesh, 2, eig, 17))
+
+    base = export(u)
+    assert abs(base.max() + base.min()) <= 1e-12 * base.max()
+    rng = np.random.default_rng(eig)
+    for _ in range(3):
+        # a componentwise relative perturbation of size 1e-10, both ways
+        d = 1e-10 * u * rng.uniform(-1.0, 1.0, len(u))
+        for perturbed in (u + d, u - d):
+            assert np.max(np.abs(export(perturbed) - base)) <= 1e-8 * base.max()
+
+
 def test_parse_helpers():
     assert isinstance(parse_stabilizer("pow:0.2", None).spec, PowerEps)
     assert isinstance(parse_stabilizer("neglog", None).spec, NegInvLog)
@@ -206,6 +260,32 @@ def test_cli_converge_roundtrip(tmp_path, capsys):
     first = out.read_bytes()
     assert main(argv) == 0
     assert out.read_bytes() == first
+
+
+def test_cli_source_and_glb_json_reruns_byte_identical(tmp_path):
+    out = tmp_path / "report.json"
+    for argv in (
+        ["source", "--domain", "square", "--k", "2", "--gamma", "pow:0.1", "--levels", "2,4"],
+        ["glb", "--domain", "square", "--k", "1", "--alpha", "0.01", "--stab-bound", "2.0",
+         "--proj-bound", "estimate", "--refs", "builtin:square", "--levels", "2,4"],
+    ):
+        argv += ["--format", "json", "--out", str(out)]
+        assert main(argv) == 0
+        first = out.read_bytes()
+        json.loads(first, parse_constant=_reject_constant)
+        assert main(argv) == 0
+        assert out.read_bytes() == first
+
+
+def test_python_m_wgsteklov_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(wgsteklov.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "wgsteklov", "mesh", "--domain", "square",
+                           "--n", "2"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "total_area = 1.0" in proc.stdout
 
 
 def test_cli_solve_prints_ascending_eigenvalues(capsys):

@@ -65,7 +65,7 @@ def test_edge_rule_gauss_property():
     # an m-point rule is exact through degree 2m - 1
     for degree in (1, 3, 5, 7):
         rule = edge_quadrature(degree)
-        m = len(rule)
+        m = len(rule.weights)
         assert degree <= 2 * m - 1
         p = 2 * m - 1
         assert float(rule.weights @ rule.points**p) == pytest.approx(1 / (p + 1), rel=1e-12)

@@ -5,10 +5,10 @@ import scipy.sparse.linalg as spla
 from wgsteklov import source
 from wgsteklov.assembly import (
     AlphaStabilizer,
+    DofMap,
     GammaStabilizer,
     PowerEps,
     assemble,
-    build_dof_map,
     interpolate,
 )
 from wgsteklov.eigen import NumericalError
@@ -187,7 +187,7 @@ def test_norms_of_polynomial_interpolant_closed_form(domain, k, rng):
 
 def _per_cell_v_norm(mesh, k, coeffs):
     """Reference for discrete_v_norm: one LocalCell and quadrature map per cell."""
-    c0s, cbs = build_dof_map(mesh, k).split(coeffs)
+    c0s, cbs = DofMap(mesh, k).split(coeffs)
     rule = triangle_quadrature(2 * k + 3)
     erule = edge_quadrature(2 * k + 3)
     eb = EdgeBasis(k).eval(erule.points)
@@ -212,7 +212,7 @@ def test_class_tabulated_quadrature_matches_per_cell_loops(domain, rng):
     mesh = renumbered_mesh(build_structured_mesh(domain, 4), rng)
     f = lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1])
     q = interpolate(mesh, k, f)
-    c0, cb = build_dof_map(mesh, k).split(q)
+    c0, cb = DofMap(mesh, k).split(q)
     for ci in range(mesh.n_cells):
         want = project_cell(LocalCell.from_mesh(mesh, ci, k), f, quad_degree=2 * k + 6)
         assert np.allclose(c0[ci], want, rtol=0, atol=1e-13)
