@@ -584,7 +584,3 @@ def main(argv=None):
         return 2
     except SystemExit as exc:
         return int(exc.code or 0)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
