@@ -1,14 +1,16 @@
-"""Global DOF management and assembly of the sparse operator pair (A, B).
+"""Global DOF management and assembly of the operator pair (A, B).
 
 DOFs are numbered cell blocks first (dim P_k per cell, ascending cell index)
 followed by edge blocks (k + 1 per edge, ascending edge index).  The boundary
 set consists of all DOFs of boundary edges; the boundary form B is supported
-there only.  Assembly order is deterministic, so repeated runs produce
-bit-identical matrices.
+there only.  A is kept as its local matrices, one per congruence class, and
+scattered into a sparse matrix only when read.  Assembly order is
+deterministic, so repeated runs produce bit-identical matrices.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -129,34 +131,67 @@ class DofMap:
 
 
 class WgOperatorPair:
-    """Assembled symmetric sparse forms A (principal) and B (boundary).
+    """The symmetric forms A (principal) and B (boundary) of the WG scheme.
+
+    A is held cell by cell: ``local[c]`` is the local matrix of every cell of
+    congruence class c (cell i is in class ``class_of[i]``), on the global
+    DOFs ``local_dofs[i]`` of that cell (its cell DOFs, then those of its
+    three edges).  The assembled sparse A is formed on first read only; the
+    solvers use the local matrices.  ``boundary_mass`` holds the L2 mass
+    matrix of each boundary edge, on consecutive (k + 1)-blocks of
+    ``dof_map.boundary_dofs``, and B is assembled from it.
 
     A is symmetric positive definite for any positive stabilizer coefficient;
     B is positive semidefinite with support exactly on the boundary DOF block.
     """
 
-    def __init__(self, A, B, dof_map):
-        self.A = A
-        self.B = B
+    def __init__(self, local, class_of, local_dofs, boundary_mass, dof_map):
+        self.local = local
+        self.class_of = class_of
+        self.local_dofs = local_dofs
+        self.boundary_mass = boundary_mass
         self.dof_map = dof_map
+        self.members = np.split(
+            np.argsort(class_of, kind="stable"), np.cumsum(np.bincount(class_of))[:-1]
+        )
+        blocks = dof_map.boundary_dofs.reshape(-1, dof_map.dim_edge)
+        self.B = scatter_local(boundary_mass, blocks, dof_map.n_dofs).tocsr()
+
+    @cached_property
+    def A(self):
+        """The assembled sparse principal form (CSR)."""
+        local = self.local[self.class_of]
+        return scatter_local(local, self.local_dofs, self.dof_map.n_dofs).tocsr()
+
+    def apply(self, V):
+        """A V for a vector or the columns of a matrix, cell by cell: each
+        class's local matrix acts on its cells' local DOFs, and the local
+        products are summed into the global DOFs."""
+        X = V.reshape(len(V), -1)
+        Y = np.empty(self.local_dofs.shape + X.shape[1:])
+        for K, members in zip(self.local, self.members):
+            Y[members] = K @ X[self.local_dofs[members]]
+        dofs = self.local_dofs.ravel()
+        columns = [np.bincount(dofs, Y[..., j].ravel(), len(V)) for j in range(X.shape[1])]
+        return np.column_stack(columns).reshape(V.shape)
 
 
 def assemble(mesh, k, stabilizer):
-    """Assemble the operator pair for a mesh, degree, and stabilizer spec."""
+    """The operator pair for a mesh, degree, and stabilizer spec."""
     dof_map = DofMap(mesh, k)
     kernels = LocalKernels(mesh, k)
     kind = "alpha" if isinstance(stabilizer, AlphaStabilizer) else "gamma"
-    local = kernels.stacked(stabilizer.coefficient(mesh.h_max), kind)
-    A = _scatter(local, _local_dofs(dof_map), dof_map.n_dofs)
-    B = _assemble_boundary(mesh, dof_map)
-    return WgOperatorPair(A, B, dof_map)
+    local = kernels.per_class(stabilizer.coefficient(mesh.h_max), kind)
+    boundary_mass = local_bw(mesh, np.flatnonzero(mesh.boundary_edge), k)
+    return WgOperatorPair(local, kernels.class_of, _local_dofs(dof_map), boundary_mass, dof_map)
 
 
 def assemble_stabilizer(mesh, k, kind="gamma"):
     """Assembled unit-coefficient stabilizer matrix (for linearity checks)."""
     dof_map = DofMap(mesh, k)
     kernels = LocalKernels(mesh, k)
-    return _scatter(kernels.stacked_stabilizer(kind), _local_dofs(dof_map), dof_map.n_dofs)
+    local = kernels.stacked_stabilizer(kind)
+    return scatter_local(local, _local_dofs(dof_map), dof_map.n_dofs).tocsr()
 
 
 def _local_dofs(dof_map):
@@ -166,17 +201,13 @@ def _local_dofs(dof_map):
     return np.concatenate([cell_dofs, cell_edge_dofs], axis=1)
 
 
-def _scatter(local, gdofs, n_dofs):
-    """Sum a stack of local matrices (N, m, m) into rows and columns gdofs (N, m)."""
+def scatter_local(local, gdofs, n_dofs):
+    """A stack of local matrices (N, m, m) placed at rows and columns gdofs
+    (N, m) of an n_dofs x n_dofs COO matrix; converting it sums the overlaps."""
     m = gdofs.shape[1]
     rows = np.repeat(gdofs, m, axis=1).ravel()
     cols = np.tile(gdofs, (1, m)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
-
-
-def _assemble_boundary(mesh, dof_map):
-    blocks = local_bw(mesh, np.flatnonzero(mesh.boundary_edge), dof_map.k)
-    return _scatter(blocks, dof_map.boundary_dofs.reshape(-1, dof_map.dim_edge), dof_map.n_dofs)
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n_dofs, n_dofs))
 
 
 def interpolate(mesh, k, f, quad_degree=None):

@@ -2,25 +2,28 @@
 
 The boundary form B is supported only on boundary-edge DOFs, so the finite
 eigenpairs of (A, B) live on the boundary block.  Cells couple only to their
-own edges, so the block-diagonal cell block A_cc is eliminated exactly: with
-W = A_cc^{-1} A_ce, the edge operator is E = A_ee - A_ce^T W, and it is
-factored once.  With S the Schur complement of E onto the boundary edge DOFs
-g and M the boundary block of B, the finite eigenvalues of (A, B) are those
-of (S, M), and S^{-1} = (E^{-1})_gg: applying S^{-1} is one solve with E on a
-right-hand side supported on g.  With M = L L^T, one Cholesky block per
-boundary edge, the m smallest eigenvalues are the reciprocals of the m
-largest eigenvalues of the symmetric operator T = L^T S^{-1} L.  Lanczos
-(ARPACK) only finds their invariant subspace, so each of its applications of
-T is one unrefined solve with E; a full-spectrum request, which ARPACK cannot
-serve, takes the whole boundary space.  One refined block solve
-Z = E^{-1} [L Y; 0] on the orthonormal basis Y then sets both the values, by
-a Rayleigh-Ritz step on Y^T L^T Z_g, whose error is quadratic in that of the
-subspace, and the expanded eigenvectors: with (mu, Q) the eigenpairs of that
-m x m matrix, lambda = 1 / mu, the edge part is u_e = lambda Z Q, and the
-cell part -W u_e.  No dense S is formed unless it is read.  The cell
-elimination and the factorization of E (`eliminate_cells`) also serve the
-boundary-flux source problem (`source.solve_source`), whose load vanishes on
-the cell DOFs.
+own edges, so the cell DOFs are eliminated exactly, cell by cell: with K the
+local matrix of a cell split into its cell (c) and edge (e) DOFs, the local
+map W = K_cc^{-1} K_ce and the local Schur complement K_ee - K_ce^T W are
+formed once per congruence class, the edge operator E is the sum of the
+local Schur complements over the cells, and it is factored once.  With S the
+Schur complement of E onto the boundary edge DOFs g and M the boundary
+block of B, the finite eigenvalues of (A, B) are those of (S, M), and
+S^{-1} = (E^{-1})_gg: applying S^{-1} is one solve with E on a right-hand
+side supported on g.  With M = L L^T, one Cholesky block per boundary edge,
+the m smallest eigenvalues are the reciprocals of the m largest eigenvalues
+of the symmetric operator T = L^T S^{-1} L.  Lanczos (ARPACK) only finds
+their invariant subspace, so each of its applications of T is one unrefined
+solve with E; a full-spectrum request, which ARPACK cannot serve, takes the
+whole boundary space.  One refined block solve Z = E^{-1} [L Y; 0] on the
+orthonormal basis Y then sets both the values, by a Rayleigh-Ritz step on
+Y^T L^T Z_g, whose error is quadratic in that of the subspace, and the
+expanded eigenvectors: with (mu, Q) the eigenpairs of that m x m matrix,
+lambda = 1 / mu, the edge part is u_e = lambda Z Q, and the cell part of
+each cell is -W applied to its edge values.  Neither the assembled A nor a
+dense S is formed unless it is read.  The cell elimination and the
+factorization of E (`eliminate_cells`) also serve the boundary-flux source
+problem (`source.solve_source`), whose load vanishes on the cell DOFs.
 """
 
 from functools import cached_property
@@ -29,6 +32,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from .assembly import scatter_local
 
 
 class NumericalError(RuntimeError):
@@ -54,17 +59,15 @@ _LANCZOS_TOL = 1e-10
 class CondensedPencil:
     """Boundary reduction (S, M) of an operator pair, held matrix-free.
 
-    Holds the cell-elimination map W, one sparse factorization of the edge
-    operator E and the block Cholesky factor of M; S^{-1} is applied through
+    Holds the cell elimination with the factorization of the edge operator E
+    (`cells`) and the block Cholesky factor of M; S^{-1} is applied through
     the factorization, and the dense S is formed only when it is read.
     """
 
-    def __init__(self, pair, W, E, lu, L):
-        self.pair = pair
-        self._W = W
-        self._E = E
-        self._lu = lu
-        self._g = pair.dof_map.boundary_dofs - pair.dof_map.n_cell_dofs
+    def __init__(self, cells, L):
+        self.pair = cells.pair
+        self.cells = cells
+        self._g = self.pair.dof_map.boundary_dofs - self.pair.dof_map.n_cell_dofs
         self._L = _block_diagonal(L)
 
     @property
@@ -73,13 +76,13 @@ class CondensedPencil:
 
     def _lift(self, rhs_boundary):
         """[rhs; 0] on the edge DOFs for right-hand side(s) given on the boundary DOFs."""
-        rhs = np.zeros((self._E.shape[0],) + rhs_boundary.shape[1:])
+        rhs = np.zeros((self.cells.E.shape[0],) + rhs_boundary.shape[1:])
         rhs[self._g] = rhs_boundary
         return rhs
 
     def _edge_solve(self, rhs_boundary):
         """E^{-1} [rhs; 0], refined, for right-hand side(s) given on the boundary DOFs."""
-        return _refined_solve(self._lu, self._E, self._lift(rhs_boundary))
+        return self.cells.solve(self._lift(rhs_boundary))
 
     @cached_property
     def S(self):
@@ -96,7 +99,7 @@ class CondensedPencil:
 
     def _lanczos_matvec(self, y):
         """T y = L^T S^{-1} L y by one unrefined solve with E."""
-        return self._L.T @ self._lu.solve(self._lift(self._L @ y.ravel()))[self._g]
+        return self._L.T @ self.cells.lu.solve(self._lift(self._L @ y.ravel()))[self._g]
 
     def _lanczos_basis(self, m):
         """Orthonormal basis of the invariant subspace of T for its m largest
@@ -120,7 +123,7 @@ class CondensedPencil:
         identity for the whole spectrum) takes one refined block solve
         Z = E^{-1} [L Y; 0]: the eigenpairs (mu, Q) of Y^T L^T Z_g give the
         values 1 / mu, and the same Z gives the edge part lambda Z Q of each
-        eigenvector; its cell part is -W u_e.
+        eigenvector; `cells` expands it to the cell DOFs.
         """
         Y = np.eye(self.size) if m == self.size else self._lanczos_basis(m)
         Z = self._edge_solve(self._L @ Y)
@@ -128,7 +131,7 @@ class CondensedPencil:
         mu, Q = sla.eigh(0.5 * (H + H.T))
         values = 1.0 / mu[::-1]
         u_e = (Z @ Q[:, ::-1]) * values
-        return values, np.vstack([-(self._W @ u_e), u_e])
+        return values, self.cells.expand(u_e)
 
 
 def _block_diagonal(blocks):
@@ -137,49 +140,91 @@ def _block_diagonal(blocks):
     return sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)), shape=(n * d, n * d))
 
 
-def _diagonal_blocks(matrix, d):
-    """Dense (n / d, d, d) diagonal blocks of a sparse matrix whose entries
-    all lie in them; a block without stored entries is zero, not missing."""
-    coo = matrix.tocoo()
-    if np.any(coo.row // d != coo.col // d):
-        raise NumericalError(f"matrix is not block diagonal with {d} x {d} blocks")
-    blocks = np.zeros((matrix.shape[0] // d, d, d))
-    blocks[coo.row // d, coo.row % d, coo.col % d] = coo.data
-    return blocks
+class CellElimination:
+    """The cell DOFs of an operator pair eliminated exactly, with the edge
+    operator E factored (`lu`).
+
+    ``W`` holds the local elimination map K_cc^{-1} K_ce of each congruence
+    class, and ``edge_dofs`` (C, 3 (k + 1)) the DOFs of each cell's edges,
+    counted from the first edge DOF.  `a_norm` is ||A||_inf of the assembled
+    A, for the backward-error gates.
+    """
+
+    def __init__(self, pair, edge_dofs, W, E, lu, a_norm):
+        self.pair = pair
+        self._edge_dofs = edge_dofs
+        self._W = W
+        self.E = E
+        self.lu = lu
+        self.a_norm = a_norm
+
+    def solve(self, rhs):
+        """E^{-1} rhs, refined, for right-hand side(s) on the edge DOFs."""
+        return _refined_solve(self.lu, self.E, rhs)
+
+    def expand(self, u_e):
+        """Full DOF vector(s) [u_c; u_e] that solve A u = [0; E u_e]: the cell
+        part of each cell is -W applied to the values on its edges."""
+        X = u_e.reshape(len(u_e), -1)
+        u_c = np.empty((len(self._edge_dofs), self._W.shape[1], X.shape[1]))
+        for W, members in zip(self._W, self.pair.members):
+            u_c[members] = -(W @ X[self._edge_dofs[members]])
+        return np.concatenate([u_c.reshape(-1, *u_e.shape[1:]), u_e])
 
 
-def eliminate_cells(A, dof_map):
-    """Eliminate the block-diagonal cell block of A exactly: invert the d x d
-    cell blocks, form W = A_cc^{-1} A_ce and E = A_ee - A_ce^T W, and factor E.
-    Returns (W, E, lu); u = [-W u_e; u_e] solves A u = [0; f] if E u_e = f."""
-    A = A.tocsc()
-    nc = dof_map.n_cell_dofs
+def eliminate_cells(pair):
+    """Eliminate the cell DOFs of an operator pair class by class and factor
+    the edge operator.
+
+    Per class, with the Cholesky factor K_cc = L L^T of the local matrix K
+    and Y = L^{-1} K_ce, the map W = L^{-T} Y = K_cc^{-1} K_ce and the local
+    Schur complement K_ee - Y^T Y = K_ee - K_ce^T W are formed; the Schur
+    complements summed over the cells' edge DOFs give E.  Returns a
+    `CellElimination`.
+    """
+    dof_map = pair.dof_map
+    d = dof_map.dim_cell
+    K = pair.local
+    K_cc, K_ce, K_ee = K[:, :d, :d], K[:, :d, d:], K[:, d:, d:]
     try:
-        inv_blocks = np.linalg.inv(_diagonal_blocks(A[:nc, :nc], dof_map.dim_cell))
+        L = np.linalg.cholesky(K_cc)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("cell-block elimination failed: singular cell block") from exc
-    A_ce = A[:nc, nc:].tocsc()
-    W = (_block_diagonal(inv_blocks).tocsc() @ A_ce).tocsc()
-    E = (A[nc:, nc:] - A_ce.T @ W).tocsc()
+    Y = np.linalg.solve(L, K_ce)
+    W = np.linalg.solve(L.transpose(0, 2, 1), Y)
+    S = K_ee - Y.transpose(0, 2, 1) @ Y
+    edge_dofs = pair.local_dofs[:, d:] - dof_map.n_cell_dofs
+    n_edge = dof_map.n_dofs - dof_map.n_cell_dofs
+    E = scatter_local(S[pair.class_of], edge_dofs, n_edge).tocsc()
+    # ||A||_inf of the assembled A, before the factorization so that it adds
+    # nothing to the peak: the cell rows of A are local, and an edge row is
+    # that of the edge block, summed from the K_ee, plus the edge-to-cell rows
+    # of the cells on the edge, which no other cell shares; summing |local
+    # entries| instead would bound the norm from above and loosen the gates
+    A_ee = scatter_local(K_ee[pair.class_of], edge_dofs, n_edge).tocsr()
+    edge_rows = abs(A_ee).sum(axis=1).A1
+    del A_ee
+    absK = np.abs(K)
+    edge_rows += np.bincount(
+        edge_dofs.ravel(), absK[:, d:, :d].sum(axis=2)[pair.class_of].ravel(), n_edge
+    )
+    a_norm = float(max(absK[:, :d].sum(axis=2).max(), edge_rows.max()))
     try:
         lu = spla.splu(E, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise NumericalError(f"edge factorization failed: {exc}") from exc
-    return W, E, lu
+    return CellElimination(pair, edge_dofs, W, E, lu, a_norm)
 
 
 def condense(pair):
     """Reduce an operator pair onto its boundary DOFs: `eliminate_cells`, then
     factor the boundary mass block M edge by edge.  No dense matrix is formed."""
-    dof_map = pair.dof_map
-    W, E, lu = eliminate_cells(pair.A, dof_map)
-    g = dof_map.boundary_dofs
-    M = pair.B[g][:, g].tocsr()
+    cells = eliminate_cells(pair)
     try:
-        L = np.linalg.cholesky(_diagonal_blocks(M, dof_map.dim_edge))
+        L = np.linalg.cholesky(pair.boundary_mass)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("boundary mass block is not positive definite") from exc
-    return CondensedPencil(pair, W, E, lu, L)
+    return CondensedPencil(cells, L)
 
 
 def _refined_solve(lu, A, rhs):
@@ -225,12 +270,12 @@ def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
     if not 1 <= m <= pencil.size:
         raise ValueError(f"m must lie in [1, {pencil.size}], got {m}")
     values, vectors = pencil.eigenpairs(m)
-    A, B = pencil.pair.A, pencil.pair.B
-    a_norm = float(abs(A).sum(axis=1).max())
-    b_norm = float(abs(B).sum(axis=1).max())
-    BV = B @ vectors
-    r = np.linalg.norm(A @ vectors - BV * values, axis=0)
-    residuals = r / ((a_norm + np.abs(values) * b_norm) * np.linalg.norm(vectors, axis=0))
+    pair = pencil.pair
+    b_norm = float(abs(pair.B).sum(axis=1).max())
+    BV = pair.B @ vectors
+    r = np.linalg.norm(pair.apply(vectors) - BV * values, axis=0)
+    scale = pencil.cells.a_norm + np.abs(values) * b_norm
+    residuals = r / (scale * np.linalg.norm(vectors, axis=0))
     b_norms = np.einsum("ij,ij->j", vectors, BV)
     if np.any(residuals > rtol):
         raise NumericalError(

@@ -53,9 +53,7 @@ class StudyConfig:
     def __post_init__(self):
         if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r}")
-        self.levels = tuple(int(n) for n in self.levels)
-        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
-            raise ValueError(f"levels must be strictly increasing, got {self.levels}")
+        self.levels = check_levels(self.levels)
         if self.n_eigs < 1:
             raise ValueError(f"number of eigenvalues must be >= 1, got {self.n_eigs}")
         if self.fmt not in FORMATS["converge"]:
@@ -373,8 +371,16 @@ def parse_refs(text):
     return tuple(float(v) for v in text.split(","))
 
 
+def check_levels(levels):
+    """Mesh levels as a tuple of ints; raises ValueError unless they strictly increase."""
+    levels = tuple(int(n) for n in levels)
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"levels must be strictly increasing, got {levels}")
+    return levels
+
+
 def parse_levels(text):
-    return tuple(int(v) for v in text.split(","))
+    return check_levels(text.split(","))
 
 
 def load_config_file(path):
@@ -550,8 +556,11 @@ def _cmd_glb(args):
 def _cmd_field(args):
     _require(args, "domain", "n", "k", "eig", "grid", "out")
     stab = parse_stabilizer(args.gamma, args.alpha)
+    grid = int(args.grid)
+    if grid < 2:
+        raise ValueError(f"--grid must be at least 2, got {grid}")
     mesh, result = _solve_level(args.domain, int(args.n), int(args.k), stab, int(args.eig))
-    text = export_eigenfunction_field(result, mesh, int(args.k), int(args.eig), int(args.grid))
+    text = export_eigenfunction_field(result, mesh, int(args.k), int(args.eig), grid)
     _emit(text, args.out)
     return 0
 

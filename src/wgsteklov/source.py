@@ -10,7 +10,7 @@ path's cell elimination and edge factorization (`eigen.eliminate_cells`).
 import numpy as np
 
 from .assembly import DofMap, assemble, interpolate
-from .eigen import NumericalError, _refined_solve, eliminate_cells
+from .eigen import NumericalError, eliminate_cells
 from .wgcore import ANALYTIC_MARGIN, POLY_MARGIN, CellQuadrature, EdgeQuadrature, evaluate
 
 
@@ -80,13 +80,11 @@ def solve_source(mesh, k, stabilizer, flux, rtol=1e-10):
     F = boundary_load(mesh, k, flux)
     nc = pair.dof_map.n_cell_dofs
     assert not F[:nc].any(), "the boundary load must vanish on the cell DOFs"
-    W, E, lu = eliminate_cells(pair.A, pair.dof_map)
-    u_e = _refined_solve(lu, E, F[nc:])
-    u = np.concatenate([-(W @ u_e), u_e])
+    cells = eliminate_cells(pair)
+    u = cells.expand(cells.solve(F[nc:]))
     f_norm = np.linalg.norm(F)
     if f_norm > 0.0:
-        a_norm = float(abs(pair.A).sum(axis=1).max())
-        residual = np.linalg.norm(pair.A @ u - F) / (a_norm * np.linalg.norm(u) + f_norm)
+        residual = np.linalg.norm(pair.apply(u) - F) / (cells.a_norm * np.linalg.norm(u) + f_norm)
         if residual > rtol:
             raise NumericalError(f"source solve residual {residual:.2e} exceeds {rtol:.1e}")
     return u

@@ -329,7 +329,7 @@ class LocalKernels:
 
     def __init__(self, mesh, k):
         classes = CellClasses(mesh, k)
-        self._class_of = classes.class_of
+        self.class_of = classes.class_of
         self._kernels = [self._compute(cell) for cell in classes.cells]
 
     def _compute(self, cell):
@@ -337,17 +337,16 @@ class LocalKernels:
         sa = local_stabilizer_alpha(cell, 1.0)
         return local_aw(cell, 0.0), 0.5 * (sg + sg.T), 0.5 * (sa + sa.T)
 
-    def stacked(self, coefficient, kind):
-        """(C, n_loc, n_loc) array of local matrices with the coefficient applied."""
+    def per_class(self, coefficient, kind):
+        """(n_classes, n_loc, n_loc) array of local matrices with the
+        coefficient applied; cell i has the matrix of class ``class_of[i]``."""
         which = {"gamma": 1, "alpha": 2}[kind]
-        per_class = np.array([core + coefficient * stabs[which - 1]
-                              for core, *stabs in self._kernels])
-        return per_class[self._class_of]
+        return np.array([core + coefficient * stabs[which - 1] for core, *stabs in self._kernels])
 
     def stacked_stabilizer(self, kind):
         which = {"gamma": 1, "alpha": 2}[kind]
         per_class = np.array([kern[which] for kern in self._kernels])
-        return per_class[self._class_of]
+        return per_class[self.class_of]
 
 
 def epsilon_h_diagnostic(u, grad_u, mesh, k, gamma_value):

@@ -1,6 +1,7 @@
 """Shared test utilities: random geometry and polynomial oracles."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from wgsteklov.mesh import L_SHAPE, Mesh
 from wgsteklov.polyquad import monomial_exponents
@@ -54,6 +55,24 @@ def interior_dofs(dof_map):
     interior = np.ones(dof_map.n_dofs, dtype=bool)
     interior[dof_map.boundary_dofs] = False
     return np.flatnonzero(interior)
+
+
+def global_elimination(A, dof_map):
+    """Reference for `eigen.eliminate_cells` on the assembled A: slice off the
+    cell block A_cc, invert its d x d diagonal blocks, and form
+    W = A_cc^{-1} A_ce and E = A_ee - A_ce^T W by sparse products.
+    Returns (W, E)."""
+    A = A.tocsc()
+    nc, d = dof_map.n_cell_dofs, dof_map.dim_cell
+    coo = A[:nc, :nc].tocoo()
+    assert np.all(coo.row // d == coo.col // d), "cell block is not block diagonal"
+    blocks = np.zeros((nc // d, d, d))
+    blocks[coo.row // d, coo.row % d, coo.col % d] = coo.data
+    inv = np.linalg.inv(blocks)
+    A_ce = A[:nc, nc:].tocsc()
+    inv_cc = sp.bsr_matrix((inv, np.arange(nc // d), np.arange(nc // d + 1)), shape=(nc, nc))
+    W = (inv_cc.tocsc() @ A_ce).tocsc()
+    return W, (A[nc:, nc:] - A_ce.T @ W).tocsc()
 
 
 def local_interpolant(cell, f, quad_degree=None):

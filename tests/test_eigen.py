@@ -4,33 +4,43 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from wgsteklov import eigen
-from wgsteklov.assembly import GammaStabilizer, PowerEps, assemble, interpolate
+from wgsteklov.assembly import (
+    AlphaStabilizer,
+    GammaStabilizer,
+    PowerEps,
+    WgOperatorPair,
+    assemble,
+    interpolate,
+)
 from wgsteklov.eigen import (
     CondensedPencil,
     NumericalError,
     condense,
     dense_eigenvalues,
+    eliminate_cells,
     rayleigh_quotient,
     solve_condensed,
     solve_pair,
 )
+from wgsteklov.harness import main
 from wgsteklov.mesh import L_SHAPE, UNIT_SQUARE, build_structured_mesh
-from helpers import interior_dofs
+from wgsteklov.source import exponential_solution, solve_source
+from helpers import global_elimination, interior_dofs
 
 GAMMA = GammaStabilizer(PowerEps(0.1))
 
 
 def synthetic_pair():
-    # hand-checkable 3x3 pencil: cell DOF {0}, interior edge DOF {1},
-    # boundary DOF {2}
-    A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]))
-    B = sp.csr_matrix(np.diag([0.0, 0.0, 1.0]))
-    dof_map = SimpleNamespace(n_cell_dofs=1, dim_cell=1, dim_edge=1, boundary_dofs=np.array([2]))
-    return SimpleNamespace(A=A, B=B, dof_map=dof_map)
+    # hand-checkable 3x3 pencil: one cell whose local matrix is all of A, with
+    # cell DOF {0}, interior edge DOF {1} and boundary DOF {2}
+    K = np.array([[[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]])
+    dof_map = SimpleNamespace(
+        n_dofs=3, n_cell_dofs=1, dim_cell=1, dim_edge=1, boundary_dofs=np.array([2])
+    )
+    return WgOperatorPair(K, np.array([0]), np.array([[0, 1, 2]]), np.ones((1, 1, 1)), dof_map)
 
 
 def test_synthetic_schur_complement():
@@ -51,11 +61,80 @@ def test_synthetic_schur_complement():
 def test_singular_cell_block_raises():
     pair = assemble(build_structured_mesh(UNIT_SQUARE, 2), 1, GAMMA)
     d = pair.dof_map.dim_cell
-    A = pair.A.tolil()
-    A[:d, :d] = 0.0
-    broken = SimpleNamespace(A=A.tocsr(), B=pair.B, dof_map=pair.dof_map)
+    pair.local[pair.class_of[0], :d, :d] = 0.0
     with pytest.raises(NumericalError, match="singular cell block"):
-        condense(broken)
+        condense(pair)
+
+
+LOCAL_CASES = [(UNIT_SQUARE, k, n) for k in (1, 2, 3) for n in (2, 8)] + [(L_SHAPE, 5, 8)]
+STABILIZERS = pytest.mark.parametrize(
+    "stabilizer", [GAMMA, AlphaStabilizer(0.01)], ids=["gamma", "alpha"]
+)
+
+
+@STABILIZERS
+@pytest.mark.parametrize("domain,k,n", LOCAL_CASES)
+def test_local_elimination_matches_global_elimination(domain, k, n, stabilizer):
+    # the edge operator summed from the local Schur complements, and the
+    # cell parts of the expansion, against the elimination on the assembled A
+    pair = assemble(build_structured_mesh(domain, n), k, stabilizer)
+    cells = eliminate_cells(pair)
+    W, E = global_elimination(pair.A, pair.dof_map)
+    assert abs(cells.E - E).max() <= 1e-15 * abs(E).max()
+    u_e = np.random.default_rng(0).standard_normal((E.shape[0], 2))
+    want = -(W @ u_e)
+    u = cells.expand(u_e)
+    assert np.array_equal(u[pair.dof_map.n_cell_dofs :], u_e)
+    assert np.abs(u[: pair.dof_map.n_cell_dofs] - want).max() <= 1e-14 * np.abs(want).max()
+    single = cells.expand(u_e[:, 0])[: pair.dof_map.n_cell_dofs]
+    assert np.abs(single - want[:, 0]).max() <= 1e-14 * np.abs(want).max()
+
+
+@STABILIZERS
+@pytest.mark.parametrize("domain,k,n", LOCAL_CASES)
+def test_local_apply_and_norm_match_assembled_A(domain, k, n, stabilizer):
+    pair = assemble(build_structured_mesh(domain, n), k, stabilizer)
+    V = np.random.default_rng(1).standard_normal((pair.dof_map.n_dofs, 3))
+    want = pair.A @ V
+    assert np.abs(pair.apply(V) - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(pair.apply(V[:, 1]) - want[:, 1]).max() <= 1e-14 * np.abs(want).max()
+    a_norm = abs(pair.A).sum(axis=1).max()
+    assert abs(eliminate_cells(pair).a_norm - a_norm) <= 4 * np.spacing(a_norm)
+
+
+def test_boundary_mass_is_the_boundary_block_of_B():
+    # each boundary DOF lies on one boundary edge, so the boundary block of B
+    # is block diagonal with exactly the edge mass matrices that M is factored from
+    pair = assemble(build_structured_mesh(L_SHAPE, 4), 2, GAMMA)
+    g = pair.dof_map.boundary_dofs
+    d = pair.dof_map.dim_edge
+    M = pair.B[g][:, g].toarray()
+    for i, block in enumerate(pair.boundary_mass):
+        assert np.array_equal(M[i * d : (i + 1) * d, i * d : (i + 1) * d], block)
+        M[i * d : (i + 1) * d, i * d : (i + 1) * d] = 0.0
+    assert not M.any()
+    pair.boundary_mass[3] = 0.0
+    with pytest.raises(NumericalError, match="boundary mass block is not positive definite"):
+        condense(pair)
+
+
+def test_solve_paths_never_assemble_A(monkeypatch, tmp_path):
+    # the eigen and source solves, and a converge study, work from the local
+    # matrices; the assembled A is formed only where it is read
+    mesh = build_structured_mesh(UNIT_SQUARE, 4)
+    pair = assemble(mesh, 2, GAMMA)
+    assert "A" not in vars(pair)
+    assert pair.A is pair.A
+
+    def unavailable(self):
+        raise AssertionError("the assembled A was read")
+
+    monkeypatch.setattr(WgOperatorPair, "A", property(unavailable))
+    solve_pair(assemble(mesh, 2, GAMMA), 4)
+    solve_source(mesh, 2, GAMMA, exponential_solution().flux)
+    out = tmp_path / "study.csv"
+    assert main(["converge", "--domain", "square", "--k", "2", "--gamma", "pow:0.1",
+                 "--levels", "2,4", "--out", str(out)]) == 0
 
 
 def test_condensed_size_and_symmetry():
@@ -113,7 +192,7 @@ def test_one_solve_per_lanczos_application_and_one_refined_block_solve(monkeypat
     # refined block solve serves Rayleigh-Ritz and the expansion together
     log = []
     pencil = condense(assemble(build_structured_mesh(UNIT_SQUARE, 8), 2, GAMMA))
-    pencil._lu = _LoggingLU(pencil._lu, log)
+    pencil.cells.lu = _LoggingLU(pencil.cells.lu, log)
     matvec, refined = CondensedPencil._lanczos_matvec, eigen._refined_solve
     monkeypatch.setattr(
         CondensedPencil, "_lanczos_matvec", lambda self, y: log.append("A") or matvec(self, y)

@@ -23,6 +23,7 @@ from wgsteklov.harness import (
     load_config_file,
     main,
     observed_order,
+    parse_levels,
     parse_refs,
     parse_stabilizer,
     run_eigen_study,
@@ -388,6 +389,46 @@ def test_cli_usage_errors(capsys, monkeypatch, tmp_path):
     # a given probe degree is checked also when proj_bound is configured
     assert main(glb[:-2] + ["--probe-degree", "1", "--levels", "2", "--format", "json"]) == 1
     assert "probe_degree must exceed k" in capsys.readouterr().err
+
+
+def _no_mesh(*args):
+    raise AssertionError("a mesh was built")
+
+
+def test_parse_levels_checks_the_increase():
+    assert parse_levels("8,16,32") == (8, 16, 32)
+    for text in ("2,2", "4,2", "2,8,4"):
+        with pytest.raises(ValueError, match="levels must be strictly increasing"):
+            parse_levels(text)
+
+
+@pytest.mark.parametrize("levels", ["2,2", "4,2"])
+@pytest.mark.parametrize("command", ["converge", "source", "glb"])
+def test_cli_rejects_levels_that_do_not_increase(command, levels, monkeypatch, capsys):
+    # all three studies exit 1 on repeated or decreasing levels, before any
+    # mesh is built
+    monkeypatch.setattr(harness, "build_structured_mesh", _no_mesh)
+    monkeypatch.setattr(harness.glb_mod, "build_structured_mesh", _no_mesh)
+    options = {
+        "converge": ["--gamma", "pow:0.1"],
+        "source": ["--gamma", "pow:0.1"],
+        "glb": ["--alpha", "0.01", "--stab-bound", "2.0", "--proj-bound", "0.5"],
+    }[command]
+    assert main([command, "--domain", "square", "--k", "1", *options, "--levels", levels]) == 1
+    assert "levels must be strictly increasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0", "1", "-3"])
+def test_cli_field_rejects_grid_below_two(grid, monkeypatch, tmp_path, capsys):
+    # a grid of fewer than 2 points per side samples nothing or one corner:
+    # rejected before any solve, and no file is written
+    monkeypatch.setattr(harness, "build_structured_mesh", _no_mesh)
+    out = tmp_path / "f.csv"
+    argv = ["field", "--domain", "square", "--n", "2", "--k", "1", "--gamma", "pow:0.1",
+            "--eig", "1", "--grid", grid, "--out", str(out)]
+    assert main(argv) == 1
+    assert "--grid must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_numerical_failures_exit_2(monkeypatch, tmp_path, capsys):

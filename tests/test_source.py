@@ -96,9 +96,7 @@ def test_cli_source_singular_cell_block_exits_2(monkeypatch, capsys):
     def singular_assemble(*args):
         pair = assemble(*args)
         d = pair.dof_map.dim_cell
-        A = pair.A.tolil()
-        A[:d, :d] = 0.0
-        pair.A = A.tocsr()
+        pair.local[pair.class_of[0], :d, :d] = 0.0
         return pair
 
     monkeypatch.setattr(source, "assemble", singular_assemble)
