@@ -16,7 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .polyquad import dim_pk
-from .wgcore import ANALYTIC_MARGIN, CellQuadrature, EdgeQuadrature, LocalKernels, evaluate, local_bw
+from .wgcore import ANALYTIC_MARGIN, CellClasses, CellQuadrature, EdgeQuadrature, LocalKernels
+from .wgcore import evaluate, local_bw
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,8 @@ def gamma_of_h(spec, h):
 
 
 class DofMap:
-    """Global numbering for the WG space on a mesh.
+    """The WG space of degree k on a mesh, built once per level and shared by
+    every consumer: its global numbering and its per-cell tables.
 
     Attributes
     ----------
@@ -109,6 +111,8 @@ class DofMap:
     dim_cell, dim_edge : block sizes dim P_k and k + 1
     n_dofs : total DOF count C * dim_cell + E * dim_edge
     boundary_dofs : sorted int array of all DOFs on boundary edges
+    local_dofs : (C, n_loc) global DOFs of each cell's block: cell DOFs, then its 3 edges
+    classes : the cells' congruence classes (`wgcore.CellClasses`)
     """
 
     def __init__(self, mesh, k):
@@ -120,7 +124,11 @@ class DofMap:
         self.dim_edge = self.k + 1
         self.n_cell_dofs = mesh.n_cells * self.dim_cell
         self.n_dofs = self.n_cell_dofs + mesh.n_edges * self.dim_edge
-        self.boundary_dofs = self.split(np.arange(self.n_dofs))[1][mesh.boundary_edge].ravel()
+        cell_dofs, edge_dofs = self.split(np.arange(self.n_dofs))
+        self.boundary_dofs = edge_dofs[mesh.boundary_edge].ravel()
+        cell_edge_dofs = edge_dofs[mesh.cell_edges].reshape(mesh.n_cells, -1)
+        self.local_dofs = np.concatenate([cell_dofs, cell_edge_dofs], axis=1)
+        self.classes = CellClasses(mesh, self.k)
 
     def split(self, coeffs):
         """Views of a global vector as cell rows (C, dim_cell) and edge rows (E, dim_edge)."""
@@ -134,71 +142,59 @@ class WgOperatorPair:
     """The symmetric forms A (principal) and B (boundary) of the WG scheme.
 
     A is held cell by cell: ``local[c]`` is the local matrix of every cell of
-    congruence class c (cell i is in class ``class_of[i]``), on the global
-    DOFs ``local_dofs[i]`` of that cell (its cell DOFs, then those of its
-    three edges).  The assembled sparse A is formed on first read only; the
-    solvers use the local matrices.  ``boundary_mass`` holds the L2 mass
-    matrix of each boundary edge, on consecutive (k + 1)-blocks of
-    ``dof_map.boundary_dofs``, and B is assembled from it.
+    congruence class c of ``dof_map.classes``, on the global DOFs
+    ``dof_map.local_dofs`` of each such cell.  The assembled sparse A is
+    formed on first read only; the solvers use the local matrices.
+    ``boundary_mass`` holds the L2 mass matrix of each boundary edge, on
+    consecutive (k + 1)-blocks of ``dof_map.boundary_dofs``, and B is
+    assembled from it.
 
     A is symmetric positive definite for any positive stabilizer coefficient;
     B is positive semidefinite with support exactly on the boundary DOF block.
     """
 
-    def __init__(self, local, class_of, local_dofs, boundary_mass, dof_map):
+    def __init__(self, local, boundary_mass, dof_map):
         self.local = local
-        self.class_of = class_of
-        self.local_dofs = local_dofs
         self.boundary_mass = boundary_mass
         self.dof_map = dof_map
-        self.members = np.split(
-            np.argsort(class_of, kind="stable"), np.cumsum(np.bincount(class_of))[:-1]
-        )
         blocks = dof_map.boundary_dofs.reshape(-1, dof_map.dim_edge)
         self.B = scatter_local(boundary_mass, blocks, dof_map.n_dofs).tocsr()
 
     @cached_property
     def A(self):
         """The assembled sparse principal form (CSR)."""
-        local = self.local[self.class_of]
-        return scatter_local(local, self.local_dofs, self.dof_map.n_dofs).tocsr()
+        dof_map = self.dof_map
+        local = self.local[dof_map.classes.class_of]
+        return scatter_local(local, dof_map.local_dofs, dof_map.n_dofs).tocsr()
 
     def apply(self, V):
         """A V for a vector or the columns of a matrix, cell by cell: each
         class's local matrix acts on its cells' local DOFs, and the local
         products are summed into the global DOFs."""
+        local_dofs = self.dof_map.local_dofs
         X = V.reshape(len(V), -1)
-        Y = np.empty(self.local_dofs.shape + X.shape[1:])
-        for K, members in zip(self.local, self.members):
-            Y[members] = K @ X[self.local_dofs[members]]
-        dofs = self.local_dofs.ravel()
+        Y = np.empty(local_dofs.shape + X.shape[1:])
+        for K, members in zip(self.local, self.dof_map.classes.members):
+            Y[members] = K @ X[local_dofs[members]]
+        dofs = local_dofs.ravel()
         columns = [np.bincount(dofs, Y[..., j].ravel(), len(V)) for j in range(X.shape[1])]
         return np.column_stack(columns).reshape(V.shape)
 
 
-def assemble(mesh, k, stabilizer):
-    """The operator pair for a mesh, degree, and stabilizer spec."""
-    dof_map = DofMap(mesh, k)
-    kernels = LocalKernels(mesh, k)
+def assemble(dof_map, stabilizer):
+    """The operator pair of a `DofMap` for a stabilizer spec."""
+    mesh = dof_map.mesh
+    kernels = LocalKernels(dof_map.classes)
     kind = "alpha" if isinstance(stabilizer, AlphaStabilizer) else "gamma"
     local = kernels.per_class(stabilizer.coefficient(mesh.h_max), kind)
-    boundary_mass = local_bw(mesh, np.flatnonzero(mesh.boundary_edge), k)
-    return WgOperatorPair(local, kernels.class_of, _local_dofs(dof_map), boundary_mass, dof_map)
+    boundary_mass = local_bw(mesh, np.flatnonzero(mesh.boundary_edge), dof_map.k)
+    return WgOperatorPair(local, boundary_mass, dof_map)
 
 
-def assemble_stabilizer(mesh, k, kind="gamma"):
+def assemble_stabilizer(dof_map, kind="gamma"):
     """Assembled unit-coefficient stabilizer matrix (for linearity checks)."""
-    dof_map = DofMap(mesh, k)
-    kernels = LocalKernels(mesh, k)
-    local = kernels.stacked_stabilizer(kind)
-    return scatter_local(local, _local_dofs(dof_map), dof_map.n_dofs).tocsr()
-
-
-def _local_dofs(dof_map):
-    """(C, n_loc) global indices of each cell's local block (interior, then 3 edges)."""
-    cell_dofs, edge_dofs = dof_map.split(np.arange(dof_map.n_dofs))
-    cell_edge_dofs = edge_dofs[dof_map.mesh.cell_edges].reshape(len(cell_dofs), -1)
-    return np.concatenate([cell_dofs, cell_edge_dofs], axis=1)
+    local = LocalKernels(dof_map.classes).stabilizer_per_class(kind)[dof_map.classes.class_of]
+    return scatter_local(local, dof_map.local_dofs, dof_map.n_dofs).tocsr()
 
 
 def scatter_local(local, gdofs, n_dofs):
@@ -210,14 +206,15 @@ def scatter_local(local, gdofs, n_dofs):
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n_dofs, n_dofs))
 
 
-def interpolate(mesh, k, f, quad_degree=None):
+def interpolate(dof_map, f, quad_degree=None):
     """Global interpolant coefficients: cellwise and edgewise L2 projections of f.
 
     The default quadrature is elevated (analytic-integrand margin) since the
     usual argument is a smooth non-polynomial function.
     """
+    mesh, k = dof_map.mesh, dof_map.k
     deg = quad_degree if quad_degree is not None else 2 * k + ANALYTIC_MARGIN
-    cells = CellQuadrature(mesh, k, deg)
+    cells = CellQuadrature(dof_map.classes, deg)
     edges = EdgeQuadrature(mesh, k, deg, np.arange(mesh.n_edges))
     # cell blocks first, then edge blocks: the DofMap layout
     c0 = cells.project(evaluate(f, cells.points))

@@ -167,7 +167,7 @@ class CellElimination:
         part of each cell is -W applied to the values on its edges."""
         X = u_e.reshape(len(u_e), -1)
         u_c = np.empty((len(self._edge_dofs), self._W.shape[1], X.shape[1]))
-        for W, members in zip(self._W, self.pair.members):
+        for W, members in zip(self._W, self.pair.dof_map.classes.members):
             u_c[members] = -(W @ X[self._edge_dofs[members]])
         return np.concatenate([u_c.reshape(-1, *u_e.shape[1:]), u_e])
 
@@ -183,6 +183,7 @@ def eliminate_cells(pair):
     `CellElimination`.
     """
     dof_map = pair.dof_map
+    class_of = dof_map.classes.class_of
     d = dof_map.dim_cell
     K = pair.local
     K_cc, K_ce, K_ee = K[:, :d, :d], K[:, :d, d:], K[:, d:, d:]
@@ -193,20 +194,20 @@ def eliminate_cells(pair):
     Y = np.linalg.solve(L, K_ce)
     W = np.linalg.solve(L.transpose(0, 2, 1), Y)
     S = K_ee - Y.transpose(0, 2, 1) @ Y
-    edge_dofs = pair.local_dofs[:, d:] - dof_map.n_cell_dofs
+    edge_dofs = dof_map.local_dofs[:, d:] - dof_map.n_cell_dofs
     n_edge = dof_map.n_dofs - dof_map.n_cell_dofs
-    E = scatter_local(S[pair.class_of], edge_dofs, n_edge).tocsc()
+    E = scatter_local(S[class_of], edge_dofs, n_edge).tocsc()
     # ||A||_inf of the assembled A, before the factorization so that it adds
     # nothing to the peak: the cell rows of A are local, and an edge row is
     # that of the edge block, summed from the K_ee, plus the edge-to-cell rows
     # of the cells on the edge, which no other cell shares; summing |local
     # entries| instead would bound the norm from above and loosen the gates
-    A_ee = scatter_local(K_ee[pair.class_of], edge_dofs, n_edge).tocsr()
+    A_ee = scatter_local(K_ee[class_of], edge_dofs, n_edge).tocsr()
     edge_rows = abs(A_ee).sum(axis=1).A1
     del A_ee
     absK = np.abs(K)
     edge_rows += np.bincount(
-        edge_dofs.ravel(), absK[:, d:, :d].sum(axis=2)[pair.class_of].ravel(), n_edge
+        edge_dofs.ravel(), absK[:, d:, :d].sum(axis=2)[class_of].ravel(), n_edge
     )
     a_norm = float(max(absK[:, :d].sum(axis=2).max(), edge_rows.max()))
     try:
@@ -277,7 +278,7 @@ def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
     scale = pencil.cells.a_norm + np.abs(values) * b_norm
     residuals = r / (scale * np.linalg.norm(vectors, axis=0))
     b_norms = np.einsum("ij,ij->j", vectors, BV)
-    if np.any(residuals > rtol):
+    if not np.all(residuals <= rtol):
         raise NumericalError(
             f"eigenpair residual {residuals.max():.2e} exceeds tolerance {rtol:.1e}"
         )
@@ -294,7 +295,7 @@ def rayleigh_quotient(pair, u):
     den = float(u @ (pair.B @ u))
     if den <= 0.0:
         raise ValueError("function has no boundary content (b_w(u, u) <= 0)")
-    return float(u @ (pair.A @ u)) / den
+    return float(u @ pair.apply(u)) / den
 
 
 def dense_eigenvalues(pair):

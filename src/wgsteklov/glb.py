@@ -17,7 +17,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import AlphaStabilizer, assemble, check_alpha
+from .assembly import AlphaStabilizer, DofMap, assemble, check_alpha
 from .eigen import DEFAULT_RTOL, NumericalError, _stage, solve_pair
 from .mesh import build_structured_mesh
 from .polyquad import (
@@ -30,7 +30,6 @@ from .polyquad import (
     scaled_monomials,
     triangle_quadrature,
 )
-from .wgcore import CellClasses
 
 
 @dataclass(frozen=True)
@@ -165,8 +164,9 @@ class ProbeDefects:
     Z: sp.csc_matrix
 
 
-def probe_defects(mesh, k, probe_degree):
-    """Assemble the :class:`ProbeDefects` of a P_{probe_degree} probe space."""
+def probe_defects(dof_map, probe_degree):
+    """Assemble the :class:`ProbeDefects` of a P_{probe_degree} probe space on a DofMap's mesh."""
+    mesh, k, classes = dof_map.mesh, dof_map.k, dof_map.classes
     _check_probe_degree(k, probe_degree)
     space = LagrangeProbeSpace(mesh, probe_degree)
     null_space = LagrangeProbeSpace(mesh, k)
@@ -194,7 +194,6 @@ def probe_defects(mesh, k, probe_degree):
     rule = triangle_quadrature(deg)
     exps = monomial_exponents(p)
     exps_k = monomial_exponents(k)
-    classes = CellClasses(mesh, k)
     local, prolong = [], []
     for cell in classes.cells:
         centroid, scale = cell.basis.centroid, cell.diameter
@@ -222,7 +221,7 @@ def probe_defects(mesh, k, probe_degree):
     return ProbeDefects(0.5 * (num + num.T), bnd, (0.5 * (den + den.T)).tocsc(), Z)
 
 
-def estimate_delta(mesh, k, probe_degree):
+def estimate_delta(dof_map, probe_degree):
     """Numerical lower estimate of the boundary-defect constant.
 
     Maximizes || (I - Q_b) f ||^2 over the boundary against
@@ -236,7 +235,7 @@ def estimate_delta(mesh, k, probe_degree):
     estimate.  Raises NumericalError if the factorization fails or the
     normwise backward error of the solve exceeds `DEFAULT_RTOL`.
     """
-    forms = probe_defects(mesh, k, probe_degree)
+    forms = probe_defects(dof_map, probe_degree)
     w, V = sla.eigh(forms.num)
     R = V[:, w > 0.0] * np.sqrt(w[w > 0.0])
     if R.shape[1] == 0:
@@ -274,15 +273,15 @@ def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):
     _check_probe_degree(k, probe_degree)
     rows = []
     for n in levels:
-        mesh = build_structured_mesh(domain, n)
-        pair = assemble(mesh, k, AlphaStabilizer(config.alpha))
+        dof_map = DofMap(build_structured_mesh(domain, n), k)
+        pair = assemble(dof_map, AlphaStabilizer(config.alpha))
         result = _stage("solve", solve_pair, pair, config.index)
         lam_h = float(result.values[config.index - 1])
         if config.proj_bound is not None:
             delta = config.proj_bound
             delta_source = "configured"
         else:
-            delta = _stage("estimate_delta", estimate_delta, mesh, k, probe_degree)
+            delta = _stage("estimate_delta", estimate_delta, dof_map, probe_degree)
             delta_source = "estimated"
         level_config = GlbConfig(config.alpha, config.stab_bound, delta, config.index)
         ref = None if refs is None else float(refs[config.index - 1])
@@ -290,7 +289,7 @@ def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):
         rows.append(
             {
                 "n": int(n),
-                "h": mesh.h_max,
+                "h": dof_map.mesh.h_max,
                 "alpha": config.alpha,
                 "stab_bound": config.stab_bound,
                 "proj_bound": delta,

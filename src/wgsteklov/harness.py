@@ -20,7 +20,6 @@ from .eigen import NumericalError, _stage, condense, solve_condensed
 from .mesh import DOMAINS, build_structured_mesh, locate_cell, mesh_stats, mesh_to_json
 from .source import exponential_solution, interpolant, projection_errors, solve_source
 from .source import v_norm_error, x_norm_error
-from .wgcore import CellClasses
 
 # High-accuracy reference values for the first four eigenvalues on the unit
 # square, used when a study is configured with refs="builtin:square".  They
@@ -221,21 +220,20 @@ def _csv(header, rows):
 def _solve_level(domain, n, k, stabilizer, m):
     """Mesh, assemble, condense and solve one level for m eigenpairs.
 
-    Returns (mesh, EigenResult); a NumericalError names the failed stage.
+    Returns (DofMap, EigenResult); a NumericalError names the failed stage.
     """
-    mesh = build_structured_mesh(domain, n)
-    pair = assemble(mesh, k, stabilizer)
-    pencil = _stage("condense", condense, pair)
-    return mesh, _stage("solve", solve_condensed, pencil, m)
+    dof_map = DofMap(build_structured_mesh(domain, n), k)
+    pencil = _stage("condense", condense, assemble(dof_map, stabilizer))
+    return dof_map, _stage("solve", solve_condensed, pencil, m)
 
 
 def run_eigen_study(config):
     """Run the eigenvalue convergence study described by `config`."""
     ns, hs, eigenvalues = [], [], []
     for n in config.levels:
-        mesh, result = _solve_level(config.domain, n, config.k, config.stabilizer, config.n_eigs)
+        dof_map, result = _solve_level(config.domain, n, config.k, config.stabilizer, config.n_eigs)
         ns.append(n)
-        hs.append(mesh.h_max)
+        hs.append(dof_map.mesh.h_max)
         eigenvalues.append([float(v) for v in result.values])
     return ConvergenceReport(config, ns, hs, eigenvalues)
 
@@ -290,21 +288,22 @@ def run_source_study(domain, k, stabilizer, levels, solution=None):
     solution = solution or exponential_solution()
     ns, hs, v_errs, x_errs, pvs, pxs = [], [], [], [], [], []
     for n in levels:
-        mesh = build_structured_mesh(domain, n)
-        u_h = _stage("solve", solve_source, mesh, k, stabilizer, solution.flux)
-        q = interpolant(solution, mesh, k)
-        v_errs.append(v_norm_error(u_h, q, mesh, k))
-        x_errs.append(x_norm_error(u_h, solution, mesh, k))
-        pv, px = projection_errors(solution, q, mesh, k)
+        dof_map = DofMap(build_structured_mesh(domain, n), k)
+        u_h = _stage("solve", solve_source, dof_map, stabilizer, solution.flux)
+        q = interpolant(solution, dof_map)
+        v_errs.append(v_norm_error(u_h, q, dof_map))
+        x_errs.append(x_norm_error(u_h, solution, dof_map))
+        pv, px = projection_errors(solution, q, dof_map)
         pvs.append(pv)
         pxs.append(px)
         ns.append(n)
-        hs.append(mesh.h_max)
+        hs.append(dof_map.mesh.h_max)
     return SourceReport(ns, hs, v_errs, x_errs, pvs, pxs, solution.label)
 
 
-def export_eigenfunction_field(result, mesh, k, j, grid_resolution):
-    """CSV sample of the j-th (1-based) eigenfunction's interior component.
+def export_eigenfunction_field(result, dof_map, j, grid_resolution):
+    """CSV sample of the j-th (1-based) eigenfunction's interior component,
+    for a result solved on `dof_map`.
 
     Samples u0 cellwise on a uniform grid over the bounding unit square,
     omitting points outside the domain.  Samples within a relative 1e-9 of
@@ -314,13 +313,13 @@ def export_eigenfunction_field(result, mesh, k, j, grid_resolution):
     """
     if not 1 <= j <= result.vectors.shape[1]:
         raise ValueError(f"eigenfunction index {j} out of range")
+    mesh, classes = dof_map.mesh, dof_map.classes
     coords = np.linspace(0.0, 1.0, grid_resolution)
     xs, ys = (c.ravel() for c in np.meshgrid(coords, coords))
     cells = locate_cell(mesh, xs, ys)
     inside = cells >= 0
     xs, ys, cells = xs[inside], ys[inside], cells[inside]
-    classes = CellClasses(mesh, k)
-    u0 = DofMap(mesh, k).split(result.vectors[:, j - 1])[0]
+    u0 = dof_map.split(result.vectors[:, j - 1])[0]
     centroids = mesh.vertices[mesh.cells].mean(axis=1)
     values = np.empty(len(cells))
     for c, cell in enumerate(classes.cells):
@@ -517,7 +516,10 @@ def _cmd_source(args):
     _require(args, "domain", "k", "levels")
     stab = parse_stabilizer(args.gamma, args.alpha)
     if args.direction:
-        a, b = (float(v) for v in args.direction.split(","))
+        try:
+            a, b = (float(v) for v in args.direction.split(","))
+        except ValueError:
+            raise ValueError(f"--direction must be two numbers a,b, got {args.direction!r}") from None
         solution = exponential_solution(a, b)
     else:
         solution = exponential_solution()
@@ -559,8 +561,8 @@ def _cmd_field(args):
     grid = int(args.grid)
     if grid < 2:
         raise ValueError(f"--grid must be at least 2, got {grid}")
-    mesh, result = _solve_level(args.domain, int(args.n), int(args.k), stab, int(args.eig))
-    text = export_eigenfunction_field(result, mesh, int(args.k), int(args.eig), grid)
+    dof_map, result = _solve_level(args.domain, int(args.n), int(args.k), stab, int(args.eig))
+    text = export_eigenfunction_field(result, dof_map, int(args.eig), grid)
     _emit(text, args.out)
     return 0
 

@@ -215,6 +215,7 @@ class CellClasses:
 
     def __init__(self, mesh, k):
         self.mesh = mesh
+        self.k = int(k)
         verts = mesh.vertices[mesh.cells]
         rel = np.round(verts - verts[:, :1], 12).reshape(mesh.n_cells, 6)
         # compare the bit patterns of the rounded coordinates
@@ -240,7 +241,7 @@ def evaluate(f, points):
     return values.reshape(points.shape[:-1] + values.shape[1:])
 
 
-class CellQuadrature(CellClasses):
+class CellQuadrature:
     """A triangle rule on every cell, with the cell basis tabulated per class.
 
     Per cell only the physical ``points`` (C, q, 2), ``weights`` (C, q) and
@@ -251,17 +252,18 @@ class CellQuadrature(CellClasses):
     ``c0`` uses the leading basis members, which span P_j for dim = dim P_j.
     """
 
-    def __init__(self, mesh, k, degree):
-        super().__init__(mesh, k)
+    def __init__(self, classes, degree):
+        self.classes = classes
+        mesh = classes.mesh
         rule = triangle_quadrature(degree)
         erule = edge_quadrature(degree)
         self.points = rule.points @ mesh.vertices[mesh.cells]
         self.weights = rule.weights * mesh.area[:, None]
         scaled = mesh.length[mesh.cell_edges] / mesh.diameter[:, None]
         self.edge_weights = scaled[:, :, None] * erule.weights
-        self.edge_basis = EdgeBasis(k).eval(erule.points)
+        self.edge_basis = EdgeBasis(classes.k).eval(erule.points)
         self._values, self._grads, self._traces = [], [], []
-        for cell, pts in zip(self.cells, self.points[self.representatives]):
+        for cell, pts in zip(classes.cells, self.points[classes.representatives]):
             self._values.append(cell.basis.eval(pts).T)
             self._grads.append(cell.basis.grad(pts).transpose(1, 0, 2).reshape(cell.n_interior, -1))
             edge_pts = [map_to_edge(erule, *cell.edge_canonical(l))[0] for l in range(3)]
@@ -269,7 +271,7 @@ class CellQuadrature(CellClasses):
 
     def _per_class(self, tables, c0, shape):
         out = np.empty((len(c0),) + shape)
-        for members, table in zip(self.members, tables):
+        for members, table in zip(self.classes.members, tables):
             out[members] = (c0[members] @ table[: c0.shape[1]]).reshape((-1,) + shape)
         return out
 
@@ -293,7 +295,7 @@ class CellQuadrature(CellClasses):
     def mismatch_energy(self, c0, cb):
         """sum_T h_T^{-1} ||v0 - vb||_{dT}^2 for cell rows c0 and per-edge rows cb (E, k + 1)."""
         traces = self._per_class(self._traces, c0, self.edge_weights.shape[1:])
-        jump = traces - cb[self.mesh.cell_edges] @ self.edge_basis.T
+        jump = traces - cb[self.classes.mesh.cell_edges] @ self.edge_basis.T
         return float(np.sum(self.edge_weights * jump**2))
 
 
@@ -327,9 +329,7 @@ class LocalKernels:
     computed on the representative of each :class:`CellClasses` class.
     """
 
-    def __init__(self, mesh, k):
-        classes = CellClasses(mesh, k)
-        self.class_of = classes.class_of
+    def __init__(self, classes):
         self._kernels = [self._compute(cell) for cell in classes.cells]
 
     def _compute(self, cell):
@@ -339,26 +339,27 @@ class LocalKernels:
 
     def per_class(self, coefficient, kind):
         """(n_classes, n_loc, n_loc) array of local matrices with the
-        coefficient applied; cell i has the matrix of class ``class_of[i]``."""
+        coefficient applied, one per class."""
         which = {"gamma": 1, "alpha": 2}[kind]
         return np.array([core + coefficient * stabs[which - 1] for core, *stabs in self._kernels])
 
-    def stacked_stabilizer(self, kind):
+    def stabilizer_per_class(self, kind):
+        """(n_classes, n_loc, n_loc) array of unit-coefficient stabilizers."""
         which = {"gamma": 1, "alpha": 2}[kind]
-        per_class = np.array([kern[which] for kern in self._kernels])
-        return per_class[self.class_of]
+        return np.array([kern[which] for kern in self._kernels])
 
 
-def epsilon_h_diagnostic(u, grad_u, mesh, k, gamma_value):
+def epsilon_h_diagnostic(u, grad_u, dof_map, gamma_value):
     """Projection-defect energy of u minus the stabilizer energy of its interpolant.
 
     Returns sum_T ||(I - Q_vec) grad u||_T^2 + ||(I - Q_0) u||_T^2
-    - s_gamma(Q_h u, Q_h u), evaluated residual-first so small values are not
-    lost to cancellation.  `u` maps (n, 2) points to values, `grad_u` to
-    (n, 2) gradients.
+    - s_gamma(Q_h u, Q_h u) on the space of an `assembly.DofMap`, evaluated
+    residual-first so small values are not lost to cancellation.  `u` maps
+    (n, 2) points to values, `grad_u` to (n, 2) gradients.
     """
+    mesh, k = dof_map.mesh, dof_map.k
     deg = 2 * k + ANALYTIC_MARGIN
-    cells = CellQuadrature(mesh, k, deg)
+    cells = CellQuadrature(dof_map.classes, deg)
     edges = EdgeQuadrature(mesh, k, deg, np.arange(mesh.n_edges))
     uq = evaluate(u, cells.points)
     gq = evaluate(grad_u, cells.points)

@@ -14,6 +14,7 @@ import pytest
 from helpers import local_interpolant, random_poly, random_triangle
 from wgsteklov.assembly import (
     AlphaStabilizer,
+    DofMap,
     GammaStabilizer,
     NegInvLog,
     PowerEps,
@@ -213,7 +214,7 @@ def test_criterion_06_condensation_oracle():
     ok = True
     worst = 0.0
     for n in (2, 4):
-        pair = assemble(build_structured_mesh(UNIT_SQUARE, n), 1,
+        pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, n), 1),
                         GammaStabilizer(PowerEps(0.1)))
         pencil = condense(pair)
         condensed = solve_condensed(pencil, pencil.size, rtol=1e-8).values
@@ -233,7 +234,7 @@ def test_criterion_07_operator_properties():
     gamma = GammaStabilizer(PowerEps(0.1))
     ok = True
     for n, k in ((2, 1), (4, 1), (2, 2)):
-        pair = assemble(build_structured_mesh(UNIT_SQUARE, n), k, gamma)
+        pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, n), k), gamma)
         A = pair.A.toarray()
         ok &= np.linalg.eigvalsh(A).min() > 0
         B = pair.B.toarray()
@@ -241,7 +242,7 @@ def test_criterion_07_operator_properties():
         ok &= np.linalg.eigvalsh(B).min() > -1e-12
         ok &= (pair.A != pair.A.T).nnz == 0
     for n in (8, 16):
-        pair = assemble(build_structured_mesh(UNIT_SQUARE, n), 1, gamma)
+        pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, n), 1), gamma)
         np.linalg.cholesky(pair.A.toarray())  # raises if not positive definite
         ok &= (pair.A != pair.A.T).nnz == 0
         pencil = condense(pair)
@@ -280,7 +281,7 @@ def test_criterion_09_projection_defect_diagnostic():
     for n in LEVELS:
         mesh = build_structured_mesh(UNIT_SQUARE, n)
         gamma = gamma_of_h(PowerEps(0.1), mesh.h_max)
-        eps = epsilon_h_diagnostic(solution.u, solution.grad, mesh, 1, gamma)
+        eps = epsilon_h_diagnostic(solution.u, solution.grad, DofMap(mesh, 1), gamma)
         ok &= eps > 0
         scaled.append(eps / mesh.h_max**2)
     ratio = max(scaled) / min(scaled)
@@ -293,7 +294,7 @@ def test_criterion_10_glb_pathway():
     ok = True
     # alpha-stabilized operators stay positive definite
     for alpha in (0.01, 0.1, 1.0):
-        pair = assemble(build_structured_mesh(UNIT_SQUARE, 2), 1, AlphaStabilizer(alpha))
+        pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 2), 1), AlphaStabilizer(alpha))
         ok &= np.linalg.eigvalsh(pair.A.toarray()).min() > 0
     # certificate arithmetic against hand-computed cases
     cert = glb_criterion(GlbConfig(alpha=0.1, stab_bound=2.0, proj_bound=0.5), None, 1.0)

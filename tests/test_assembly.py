@@ -76,7 +76,7 @@ def test_dof_map_rejects_k_zero():
 
 def test_assembled_pair_structure():
     mesh = build_structured_mesh(UNIT_SQUARE, 2)
-    pair = assemble(mesh, 1, GammaStabilizer(1.0))
+    pair = assemble(DofMap(mesh, 1), GammaStabilizer(1.0))
     A = pair.A.toarray()
     assert (pair.A != pair.A.T).nnz == 0  # exactly symmetric
     assert np.linalg.eigvalsh(A).min() > 0  # positive definite
@@ -99,7 +99,7 @@ def test_assembled_pair_structure():
 @pytest.mark.parametrize("alpha", [0.01, 0.1, 1.0])
 def test_alpha_assembly_positive_definite(alpha):
     mesh = build_structured_mesh(UNIT_SQUARE, 2)
-    pair = assemble(mesh, 1, AlphaStabilizer(alpha))
+    pair = assemble(DofMap(mesh, 1), AlphaStabilizer(alpha))
     assert np.linalg.eigvalsh(pair.A.toarray()).min() > 0
 
 
@@ -108,8 +108,9 @@ def test_constant_interpolant_energy(domain, total):
     # gradient and stabilizer vanish on the all-ones interpolant; only the
     # interior mass term survives and it integrates the domain area
     mesh = build_structured_mesh(domain, 2)
-    pair = assemble(mesh, 1, GammaStabilizer(PowerEps(0.1)))
-    q = interpolate(mesh, 1, lambda p: np.ones(len(p)))
+    dof_map = DofMap(mesh, 1)
+    pair = assemble(dof_map, GammaStabilizer(PowerEps(0.1)))
+    q = interpolate(dof_map, lambda p: np.ones(len(p)))
     assert energy(pair.A, q) == pytest.approx(total, rel=1e-12)
 
 
@@ -147,9 +148,10 @@ def test_gamma_of_h_validation():
 
 def test_assembly_linear_in_gamma():
     mesh = build_structured_mesh(UNIT_SQUARE, 2)
-    A1 = assemble(mesh, 1, GammaStabilizer(0.2)).A
-    A2 = assemble(mesh, 1, GammaStabilizer(0.8)).A
-    S = assemble_stabilizer(mesh, 1, kind="gamma")
+    dof_map = DofMap(mesh, 1)
+    A1 = assemble(dof_map, GammaStabilizer(0.2)).A
+    A2 = assemble(dof_map, GammaStabilizer(0.8)).A
+    S = assemble_stabilizer(dof_map, kind="gamma")
     diff = (A2 - A1 - 0.6 * S).toarray()
     assert np.abs(diff).max() < 1e-12
 
@@ -159,9 +161,10 @@ def test_global_commutativity_energy(k, rng):
     # consistent interpolants of degree-k polynomials have zero stabilizer
     # energy, and the weak-gradient energy equals the H1 energy
     mesh = build_structured_mesh(UNIT_SQUARE, 2)
-    pair = assemble(mesh, k, GammaStabilizer(PowerEps(0.1)))
+    dof_map = DofMap(mesh, k)
+    pair = assemble(dof_map, GammaStabilizer(PowerEps(0.1)))
     poly = random_poly(rng, k)
-    q = interpolate(mesh, k, poly, quad_degree=2 * k + 3)
+    q = interpolate(dof_map, poly, quad_degree=2 * k + 3)
     exact = 0.0
     rule = triangle_quadrature(2 * k + 2)
     for ci in range(mesh.n_cells):
@@ -173,8 +176,9 @@ def test_global_commutativity_energy(k, rng):
 
 def test_assembly_deterministic():
     mesh = build_structured_mesh(L_SHAPE, 4)
-    p1 = assemble(mesh, 2, GammaStabilizer(PowerEps(0.1)))
-    p2 = assemble(mesh, 2, GammaStabilizer(PowerEps(0.1)))
+    dof_map = DofMap(mesh, 2)
+    p1 = assemble(dof_map, GammaStabilizer(PowerEps(0.1)))
+    p2 = assemble(dof_map, GammaStabilizer(PowerEps(0.1)))
     assert np.array_equal(p1.A.data, p2.A.data)
     assert np.array_equal(p1.A.indices, p2.A.indices)
     assert np.array_equal(p1.B.data, p2.B.data)
@@ -182,7 +186,7 @@ def test_assembly_deterministic():
 
 def test_matrix_market_roundtrip(tmp_path):
     mesh = build_structured_mesh(UNIT_SQUARE, 2)
-    pair = assemble(mesh, 1, GammaStabilizer(0.5))
+    pair = assemble(DofMap(mesh, 1), GammaStabilizer(0.5))
     path = tmp_path / "a.mtx"
     dump_matrix_market(path, pair.A)
     back = scipy.io.mmread(path)

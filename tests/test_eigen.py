@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 from wgsteklov import eigen
 from wgsteklov.assembly import (
     AlphaStabilizer,
+    DofMap,
     GammaStabilizer,
     PowerEps,
     WgOperatorPair,
@@ -38,9 +39,11 @@ def synthetic_pair():
     # cell DOF {0}, interior edge DOF {1} and boundary DOF {2}
     K = np.array([[[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]])
     dof_map = SimpleNamespace(
-        n_dofs=3, n_cell_dofs=1, dim_cell=1, dim_edge=1, boundary_dofs=np.array([2])
+        n_dofs=3, n_cell_dofs=1, dim_cell=1, dim_edge=1, boundary_dofs=np.array([2]),
+        local_dofs=np.array([[0, 1, 2]]),
+        classes=SimpleNamespace(class_of=np.array([0]), members=[np.array([0])]),
     )
-    return WgOperatorPair(K, np.array([0]), np.array([[0, 1, 2]]), np.ones((1, 1, 1)), dof_map)
+    return WgOperatorPair(K, np.ones((1, 1, 1)), dof_map)
 
 
 def test_synthetic_schur_complement():
@@ -59,9 +62,9 @@ def test_synthetic_schur_complement():
 
 
 def test_singular_cell_block_raises():
-    pair = assemble(build_structured_mesh(UNIT_SQUARE, 2), 1, GAMMA)
+    pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 2), 1), GAMMA)
     d = pair.dof_map.dim_cell
-    pair.local[pair.class_of[0], :d, :d] = 0.0
+    pair.local[pair.dof_map.classes.class_of[0], :d, :d] = 0.0
     with pytest.raises(NumericalError, match="singular cell block"):
         condense(pair)
 
@@ -77,7 +80,7 @@ STABILIZERS = pytest.mark.parametrize(
 def test_local_elimination_matches_global_elimination(domain, k, n, stabilizer):
     # the edge operator summed from the local Schur complements, and the
     # cell parts of the expansion, against the elimination on the assembled A
-    pair = assemble(build_structured_mesh(domain, n), k, stabilizer)
+    pair = assemble(DofMap(build_structured_mesh(domain, n), k), stabilizer)
     cells = eliminate_cells(pair)
     W, E = global_elimination(pair.A, pair.dof_map)
     assert abs(cells.E - E).max() <= 1e-15 * abs(E).max()
@@ -93,7 +96,7 @@ def test_local_elimination_matches_global_elimination(domain, k, n, stabilizer):
 @STABILIZERS
 @pytest.mark.parametrize("domain,k,n", LOCAL_CASES)
 def test_local_apply_and_norm_match_assembled_A(domain, k, n, stabilizer):
-    pair = assemble(build_structured_mesh(domain, n), k, stabilizer)
+    pair = assemble(DofMap(build_structured_mesh(domain, n), k), stabilizer)
     V = np.random.default_rng(1).standard_normal((pair.dof_map.n_dofs, 3))
     want = pair.A @ V
     assert np.abs(pair.apply(V) - want).max() <= 1e-14 * np.abs(want).max()
@@ -105,7 +108,7 @@ def test_local_apply_and_norm_match_assembled_A(domain, k, n, stabilizer):
 def test_boundary_mass_is_the_boundary_block_of_B():
     # each boundary DOF lies on one boundary edge, so the boundary block of B
     # is block diagonal with exactly the edge mass matrices that M is factored from
-    pair = assemble(build_structured_mesh(L_SHAPE, 4), 2, GAMMA)
+    pair = assemble(DofMap(build_structured_mesh(L_SHAPE, 4), 2), GAMMA)
     g = pair.dof_map.boundary_dofs
     d = pair.dof_map.dim_edge
     M = pair.B[g][:, g].toarray()
@@ -119,10 +122,11 @@ def test_boundary_mass_is_the_boundary_block_of_B():
 
 
 def test_solve_paths_never_assemble_A(monkeypatch, tmp_path):
-    # the eigen and source solves, and a converge study, work from the local
-    # matrices; the assembled A is formed only where it is read
+    # the eigen and source solves, the Rayleigh quotient and a converge study
+    # work from the local matrices; the assembled A is formed only where it is read
     mesh = build_structured_mesh(UNIT_SQUARE, 4)
-    pair = assemble(mesh, 2, GAMMA)
+    dof_map = DofMap(mesh, 2)
+    pair = assemble(dof_map, GAMMA)
     assert "A" not in vars(pair)
     assert pair.A is pair.A
 
@@ -130,19 +134,26 @@ def test_solve_paths_never_assemble_A(monkeypatch, tmp_path):
         raise AssertionError("the assembled A was read")
 
     monkeypatch.setattr(WgOperatorPair, "A", property(unavailable))
-    solve_pair(assemble(mesh, 2, GAMMA), 4)
-    solve_source(mesh, 2, GAMMA, exponential_solution().flux)
+    pair = assemble(dof_map, GAMMA)
+    rayleigh_quotient(pair, solve_pair(pair, 4).vectors[:, 0])
+    solve_source(dof_map, GAMMA, exponential_solution().flux)
     out = tmp_path / "study.csv"
     assert main(["converge", "--domain", "square", "--k", "2", "--gamma", "pow:0.1",
                  "--levels", "2,4", "--out", str(out)]) == 0
 
 
+def test_eigen_backward_error_gate_rejects_nan_vectors(monkeypatch):
+    pencil = condense(assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 2), 1), GAMMA))
+    values, vectors = pencil.eigenpairs(2)
+    monkeypatch.setattr(pencil, "eigenpairs", lambda m: (values, np.full_like(vectors, np.nan)))
+    with pytest.raises(NumericalError, match="eigenpair residual nan"):
+        solve_condensed(pencil, 2)
+
+
 def test_condensed_size_and_symmetry():
-    mesh = build_structured_mesh(UNIT_SQUARE, 2)
-    pencil = condense(assemble(mesh, 1, GAMMA))
+    pencil = condense(assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 2), 1), GAMMA))
     assert pencil.S.shape == (16, 16)
-    mesh = build_structured_mesh(UNIT_SQUARE, 4)
-    pencil = condense(assemble(mesh, 1, GAMMA))
+    pencil = condense(assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 4), 1), GAMMA))
     asym = np.abs(pencil.S - pencil.S.T).max() / np.abs(pencil.S).max()
     assert asym <= 1e-12
 
@@ -152,7 +163,7 @@ def test_condensed_size_and_symmetry():
 def test_condensation_matches_dense_bruteforce(domain, k, n):
     # the condensed spectrum must equal the finite eigenvalues of the full
     # pencil, obtained by an independent dense QZ solve
-    pair = assemble(build_structured_mesh(domain, n), k, GAMMA)
+    pair = assemble(DofMap(build_structured_mesh(domain, n), k), GAMMA)
     pencil = condense(pair)
     full = solve_condensed(pencil, pencil.size, rtol=1e-8).values
     reference = dense_eigenvalues(pair)
@@ -165,7 +176,7 @@ def test_condensation_matches_dense_bruteforce(domain, k, n):
 def test_lanczos_matches_dense_spectrum(domain, k, n):
     # m below the boundary size runs Lanczos on the inverse boundary Schur
     # operator; the full spectrum comes from the dense S of the same pencil
-    pencil = condense(assemble(build_structured_mesh(domain, n), k, GAMMA))
+    pencil = condense(assemble(DofMap(build_structured_mesh(domain, n), k), GAMMA))
     dense = solve_condensed(pencil, pencil.size).values
     for m in (1, 4, pencil.size - 1):
         result = solve_condensed(pencil, m)
@@ -191,7 +202,7 @@ def test_one_solve_per_lanczos_application_and_one_refined_block_solve(monkeypat
     # applies the unrefined operator with one single-vector solve, and one
     # refined block solve serves Rayleigh-Ritz and the expansion together
     log = []
-    pencil = condense(assemble(build_structured_mesh(UNIT_SQUARE, 8), 2, GAMMA))
+    pencil = condense(assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 8), 2), GAMMA))
     pencil.cells.lu = _LoggingLU(pencil.cells.lu, log)
     matvec, refined = CondensedPencil._lanczos_matvec, eigen._refined_solve
     monkeypatch.setattr(
@@ -209,7 +220,7 @@ def test_rayleigh_ritz_step_sets_the_values(monkeypatch, domain, k, n):
     # a Lanczos operator off by a relative 1e-8 leaves its invariant
     # subspaces as they are; the refined Rayleigh-Ritz step must still give
     # the eigenvalues of the full-spectrum path to 1e-12
-    pencil = condense(assemble(build_structured_mesh(domain, n), k, GAMMA))
+    pencil = condense(assemble(DofMap(build_structured_mesh(domain, n), k), GAMMA))
     dense = solve_condensed(pencil, pencil.size).values[:4]
     matvec = CondensedPencil._lanczos_matvec
     monkeypatch.setattr(
@@ -219,7 +230,7 @@ def test_rayleigh_ritz_step_sets_the_values(monkeypatch, domain, k, n):
 
 
 def test_backward_errors_match_per_pair_formula():
-    pair = assemble(build_structured_mesh(UNIT_SQUARE, 8), 2, GAMMA)
+    pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 8), 2), GAMMA)
     result = solve_pair(pair, 4)
     a_norm = abs(pair.A).sum(axis=1).max()
     b_norm = abs(pair.B).sum(axis=1).max()
@@ -233,14 +244,14 @@ def test_backward_errors_match_per_pair_formula():
 def test_near_degenerate_pair_comes_out_as_two_values():
     # the square's second and third eigenvalues nearly coincide: at k=3,
     # n=16 they lie 3.5e-11 apart, and Lanczos must return both of them
-    pencil = condense(assemble(build_structured_mesh(UNIT_SQUARE, 16), 3, GAMMA))
+    pencil = condense(assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 16), 3), GAMMA))
     values = solve_condensed(pencil, 4).values
     assert np.allclose(values, solve_condensed(pencil, pencil.size).values[:4], rtol=1e-12, atol=0.0)
     assert 1e-11 < values[2] - values[1] < 1e-10
 
 
 def test_repeated_solves_are_bit_identical():
-    pair = assemble(build_structured_mesh(UNIT_SQUARE, 8), 2, GAMMA)
+    pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 8), 2), GAMMA)
     first, second = solve_pair(pair, 4), solve_pair(pair, 4)
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.vectors, second.vectors)
@@ -248,13 +259,13 @@ def test_repeated_solves_are_bit_identical():
 
 def test_lanczos_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", partial(spla.eigsh, maxiter=1, ncv=5))
-    pair = assemble(build_structured_mesh(UNIT_SQUARE, 8), 1, GAMMA)
+    pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 8), 1), GAMMA)
     with pytest.raises(NumericalError, match="Lanczos solve failed.*No convergence"):
         solve_pair(pair, 4)
 
 
 def test_solver_invariants():
-    pair = assemble(build_structured_mesh(UNIT_SQUARE, 8), 1, GAMMA)
+    pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 8), 1), GAMMA)
     result = solve_pair(pair, 6)
     values = result.values
     assert np.all(np.diff(values) >= 0)
@@ -267,7 +278,7 @@ def test_solver_invariants():
 def test_reference_eigenvalue_level_16():
     # frozen regression value for the first eigenvalue on the 16x16 square,
     # matching the reference minus its tabulated error to 1e-6
-    pair = assemble(build_structured_mesh(UNIT_SQUARE, 16), 1, GAMMA)
+    pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 16), 1), GAMMA)
     result = solve_pair(pair, 1)
     expected = 0.2400790854320629 - 2.1839e-4
     assert abs(result.values[0] - expected) <= 1e-6
@@ -276,7 +287,7 @@ def test_reference_eigenvalue_level_16():
 def test_monotone_under_refinement():
     values = []
     for n in (4, 8, 16):
-        pair = assemble(build_structured_mesh(UNIT_SQUARE, n), 1, GAMMA)
+        pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, n), 1), GAMMA)
         values.append(solve_pair(pair, 4).values)
     for j in range(4):
         seq = [v[j] for v in values]
@@ -285,9 +296,10 @@ def test_monotone_under_refinement():
 
 def test_rayleigh_quotient():
     mesh = build_structured_mesh(UNIT_SQUARE, 4)
-    pair = assemble(mesh, 1, GAMMA)
+    dof_map = DofMap(mesh, 1)
+    pair = assemble(dof_map, GAMMA)
     # all-ones interpolant: energy is the area, boundary norm the perimeter
-    q = interpolate(mesh, 1, lambda p: np.ones(len(p)))
+    q = interpolate(dof_map, lambda p: np.ones(len(p)))
     assert rayleigh_quotient(pair, q) == pytest.approx(0.25, rel=1e-10)
     assert rayleigh_quotient(pair, 2.0 * q) == pytest.approx(0.25, rel=1e-10)
     result = solve_pair(pair, 2)
@@ -302,7 +314,7 @@ def test_rayleigh_quotient():
 
 
 def test_solve_condensed_m_validation():
-    pair = assemble(build_structured_mesh(UNIT_SQUARE, 2), 1, GAMMA)
+    pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 2), 1), GAMMA)
     pencil = condense(pair)
     with pytest.raises(ValueError):
         solve_condensed(pencil, 0)

@@ -3,6 +3,7 @@ import pytest
 
 import wgsteklov.glb as glb
 from helpers import pinv_delta, renumbered_mesh
+from wgsteklov.assembly import DofMap
 from wgsteklov.eigen import NumericalError
 from wgsteklov.glb import (
     Certificate,
@@ -77,13 +78,14 @@ def test_criterion_monotone_predicate(rng):
 def test_estimate_delta_rejects_low_probe_degree():
     mesh = build_structured_mesh(UNIT_SQUARE, 2)
     with pytest.raises(ValueError):
-        estimate_delta(mesh, 1, 1)
+        estimate_delta(DofMap(mesh, 1), 1)
 
 
 def test_estimate_delta_positive_and_monotone_in_probe():
     mesh = build_structured_mesh(UNIT_SQUARE, 4)
-    d3 = estimate_delta(mesh, 1, 3)
-    d4 = estimate_delta(mesh, 1, 4)
+    dof_map = DofMap(mesh, 1)
+    d3 = estimate_delta(dof_map, 3)
+    d4 = estimate_delta(dof_map, 4)
     assert d3 > 0
     assert d4 >= d3  # larger probe space, larger maximum ratio
 
@@ -93,8 +95,8 @@ def test_estimate_delta_independent_of_vertex_numbering(probe_degree, rng):
     # renumbering splits the congruence classes by edge orientation and
     # permutes the probe DOFs; the estimate must not change
     mesh = build_structured_mesh(UNIT_SQUARE, 4)
-    want = estimate_delta(mesh, 1, probe_degree)
-    got = estimate_delta(renumbered_mesh(mesh, rng), 1, probe_degree)
+    want = estimate_delta(DofMap(mesh, 1), probe_degree)
+    got = estimate_delta(DofMap(renumbered_mesh(mesh, rng), 1), probe_degree)
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -103,7 +105,7 @@ def test_estimate_delta_refinement_scaling():
     # quantity, one factor of h weaker than the volume defect it is divided by;
     # n=32 has 9 409 probe DOFs, out of reach of a dense eigensolve
     for k, probe_degree, levels in ((1, 3, (4, 8, 16, 32)), (2, 4, (4, 8))):
-        deltas = [estimate_delta(build_structured_mesh(UNIT_SQUARE, n), k, probe_degree)
+        deltas = [estimate_delta(DofMap(build_structured_mesh(UNIT_SQUARE, n), k), probe_degree)
                   for n in levels]
         for coarse, fine in zip(deltas, deltas[1:]):
             assert 0.4 <= fine / coarse <= 0.6
@@ -115,7 +117,8 @@ def test_estimate_delta_refinement_scaling():
 @pytest.mark.parametrize("domain", [UNIT_SQUARE, L_SHAPE])
 def test_estimate_delta_matches_pseudo_inverse(domain, k, extra, n):
     mesh = build_structured_mesh(domain, n)
-    forms = probe_defects(mesh, k, k + extra)
+    dof_map = DofMap(mesh, k)
+    forms = probe_defects(dof_map, k + extra)
     # range(Z), the continuous P_k space, is the null space of den and lies
     # in the null space of num
     Z = forms.Z.toarray()
@@ -124,7 +127,7 @@ def test_estimate_delta_matches_pseudo_inverse(domain, k, extra, n):
             <= 1e-14 * np.abs(forms.num).max() * np.abs(Z).max())
     assert np.linalg.matrix_rank(Z) == Z.shape[1]
     assert np.linalg.matrix_rank(forms.den.toarray(), hermitian=True) == Z.shape[0] - Z.shape[1]
-    assert estimate_delta(mesh, k, k + extra) == pytest.approx(pinv_delta(forms), rel=1e-12)
+    assert estimate_delta(dof_map, k + extra) == pytest.approx(pinv_delta(forms), rel=1e-12)
 
 
 class _FailingLU:
@@ -137,19 +140,20 @@ class _FailingLU:
 
 def test_estimate_delta_numerical_failures(monkeypatch):
     mesh = build_structured_mesh(UNIT_SQUARE, 4)
+    dof_map = DofMap(mesh, 1)
 
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(glb, "splu", singular)
     with pytest.raises(NumericalError, match="bordered factorization failed"):
-        estimate_delta(mesh, 1, 3)
+        estimate_delta(dof_map, 3)
     # a solve that misses the backward-error gate
     monkeypatch.undo()
     splu = glb.splu
     monkeypatch.setattr(glb, "splu", lambda *args, **kwargs: _FailingLU(splu(*args, **kwargs)))
     with pytest.raises(NumericalError, match="backward error"):
-        estimate_delta(mesh, 1, 3)
+        estimate_delta(dof_map, 3)
 
 
 def test_run_glb_study_certified_below_reference():

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import wgsteklov
 import wgsteklov.harness as harness
-from wgsteklov.assembly import AlphaStabilizer, GammaStabilizer, NegInvLog, PowerEps
+from wgsteklov.assembly import AlphaStabilizer, DofMap, GammaStabilizer, NegInvLog, PowerEps
 from wgsteklov.eigen import NumericalError
+from wgsteklov.glb import GlbConfig, run_glb_study
 from wgsteklov.harness import (
     SQUARE_REFERENCE_EIGENVALUES,
     StudyConfig,
@@ -27,9 +28,11 @@ from wgsteklov.harness import (
     parse_refs,
     parse_stabilizer,
     run_eigen_study,
+    run_source_study,
 )
 from wgsteklov.mesh import L_SHAPE, UNIT_SQUARE, build_structured_mesh, locate_cell
 from wgsteklov.polyquad import dim_pk
+from wgsteklov import wgcore
 from wgsteklov.wgcore import LocalCell
 from wgsteklov.assembly import assemble
 from wgsteklov.eigen import solve_pair
@@ -144,24 +147,26 @@ def test_trend_flags_on_lshape():
 
 def test_field_export_first_mode_sign_definite(tmp_path):
     mesh = build_structured_mesh(UNIT_SQUARE, 8)
-    pair = assemble(mesh, 1, GAMMA)
+    dof_map = DofMap(mesh, 1)
+    pair = assemble(dof_map, GAMMA)
     result = solve_pair(pair, 2)
-    text = export_eigenfunction_field(result, mesh, 1, 1, 17)
-    again = export_eigenfunction_field(result, mesh, 1, 1, 17)
+    text = export_eigenfunction_field(result, dof_map, 1, 17)
+    again = export_eigenfunction_field(result, dof_map, 1, 17)
     assert text == again  # bit-identical re-export
     rows = [line.split(",") for line in text.strip().splitlines()[1:]]
     values = np.array([float(r[2]) for r in rows])
     assert len(values) == 17 * 17
     assert values.max() > 0 and values.min() > 0  # no sign change, positive
     with pytest.raises(ValueError):
-        export_eigenfunction_field(result, mesh, 1, 3, 9)
+        export_eigenfunction_field(result, dof_map, 3, 9)
 
 
 def test_field_export_omits_points_outside_lshape():
     mesh = build_structured_mesh(L_SHAPE, 4)
-    pair = assemble(mesh, 1, GAMMA)
+    dof_map = DofMap(mesh, 1)
+    pair = assemble(dof_map, GAMMA)
     result = solve_pair(pair, 1)
-    text = export_eigenfunction_field(result, mesh, 1, 1, 9)
+    text = export_eigenfunction_field(result, dof_map, 1, 9)
     pts = {(r.split(",")[0], r.split(",")[1]) for r in text.strip().splitlines()[1:]}
     # 9x9 grid minus the 4x4 points with both coordinates beyond the notch corner
     assert len(pts) == 81 - 16
@@ -173,9 +178,10 @@ def test_field_export_omits_points_outside_lshape():
 @pytest.mark.parametrize("domain,n,k,grid", [(UNIT_SQUARE, 4, 2, 13), (L_SHAPE, 4, 1, 11)])
 def test_field_export_matches_direct_cell_evaluation(domain, n, k, grid):
     mesh = build_structured_mesh(domain, n)
-    result = solve_pair(assemble(mesh, k, GAMMA), 1)
+    dof_map = DofMap(mesh, k)
+    result = solve_pair(assemble(dof_map, GAMMA), 1)
     rows = np.array([line.split(",") for line in
-                     export_eigenfunction_field(result, mesh, k, 1, grid).splitlines()[1:]],
+                     export_eigenfunction_field(result, dof_map, 1, grid).splitlines()[1:]],
                     dtype=float)
     u = result.vectors[:, 0]
     dim = dim_pk(k)
@@ -200,14 +206,15 @@ def test_field_export_sign_survives_tied_extremes(eig):
     # perturbation far above rounding but far below the 1e-9 tie band must
     # leave every exported sample, and so its sign, unchanged
     mesh = build_structured_mesh(UNIT_SQUARE, 8)
-    vectors = solve_pair(assemble(mesh, 2, GAMMA), 3).vectors
+    dof_map = DofMap(mesh, 2)
+    vectors = solve_pair(assemble(dof_map, GAMMA), 3).vectors
     u = vectors[:, eig - 1]
 
     def export(column):
         field = np.array(vectors)
         field[:, eig - 1] = column
         return _field_values(export_eigenfunction_field(
-            SimpleNamespace(vectors=field), mesh, 2, eig, 17))
+            SimpleNamespace(vectors=field), dof_map, eig, 17))
 
     base = export(u)
     assert abs(base.max() + base.min()) <= 1e-12 * base.max()
@@ -429,6 +436,49 @@ def test_cli_field_rejects_grid_below_two(grid, monkeypatch, tmp_path, capsys):
     assert main(argv) == 1
     assert "--grid must be at least 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("direction,message", [
+    ("nan,0", "direction must satisfy a^2 + b^2 = 1"),
+    ("0,nan", "direction must satisfy a^2 + b^2 = 1"),
+    ("1", "--direction must be two numbers a,b"),
+])
+def test_cli_source_rejects_bad_direction(direction, message, monkeypatch, tmp_path, capsys):
+    # a NaN direction would give NaN errors, which JSON cannot hold: it
+    # exits 1 before any mesh is built, and no report is written
+    monkeypatch.setattr(harness, "build_structured_mesh", _no_mesh)
+    out = tmp_path / "s.json"
+    argv = ["source", "--domain", "square", "--k", "1", "--gamma", "pow:0.1", "--levels", "2,4",
+            "--direction", direction, "--format", "json", "--out", str(out)]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_study_builds_one_cell_classes_per_level(monkeypatch):
+    # the classes are built with a level's DofMap and shared by all of its
+    # consumers; the field export reuses those of the solve
+    builds = []
+    init = wgcore.CellClasses.__init__
+
+    def counting_init(self, mesh, k):
+        builds.append(mesh.n_cells)
+        init(self, mesh, k)
+
+    monkeypatch.setattr(wgcore.CellClasses, "__init__", counting_init)
+    levels = (2, 4)
+    run_eigen_study(small_config(levels=levels))
+    assert builds == [8, 32]
+    builds.clear()
+    run_source_study(UNIT_SQUARE, 1, GAMMA, levels)
+    assert builds == [8, 32]
+    builds.clear()
+    run_glb_study(UNIT_SQUARE, levels, 1, GlbConfig(alpha=0.01, stab_bound=2.0))
+    assert builds == [8, 32]
+    dof_map, result = harness._solve_level(UNIT_SQUARE, 4, 1, GAMMA, 1)
+    builds.clear()
+    export_eigenfunction_field(result, dof_map, 1, 9)
+    assert builds == []
 
 
 def test_cli_numerical_failures_exit_2(monkeypatch, tmp_path, capsys):

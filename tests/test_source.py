@@ -48,22 +48,24 @@ def test_exponential_solution_family():
     sol2 = exponential_solution(0.6, 0.8)
     g = sol2.grad(pts)
     assert np.allclose(g[:, 0] * 0.8 - g[:, 1] * 0.6, 0.0)  # grad parallel to (a, b)
-    with pytest.raises(ValueError):
-        exponential_solution(1.0, 1.0)
+    for a, b in ((1.0, 1.0), (np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0)):
+        with pytest.raises(ValueError, match=r"a\^2 \+ b\^2 = 1"):
+            exponential_solution(a, b)
 
 
 def test_zero_flux_gives_zero_solution():
     mesh = build_structured_mesh(UNIT_SQUARE, 4)
-    u = solve_source(mesh, 1, GAMMA, lambda pts, normal: np.zeros(len(pts)))
+    u = solve_source(DofMap(mesh, 1), GAMMA, lambda pts, normal: np.zeros(len(pts)))
     assert np.linalg.norm(u) == 0.0
 
 
 def test_galerkin_orthogonality(rng):
     mesh = build_structured_mesh(UNIT_SQUARE, 4)
+    dof_map = DofMap(mesh, 1)
     sol = exponential_solution()
-    u = solve_source(mesh, 1, GAMMA, sol.flux)
-    pair = assemble(mesh, 1, GAMMA)
-    F = boundary_load(mesh, 1, sol.flux)
+    u = solve_source(dof_map, GAMMA, sol.flux)
+    pair = assemble(dof_map, GAMMA)
+    F = boundary_load(dof_map, sol.flux)
     r = pair.A @ u - F
     for _ in range(20):
         v = rng.standard_normal(len(u))
@@ -79,24 +81,33 @@ def test_condensed_solve_matches_full_solve(domain, n, k, stabilizer):
     # the cell elimination is exact, so the solution is that of the full
     # system up to roundoff
     mesh = build_structured_mesh(domain, n)
+    dof_map = DofMap(mesh, k)
     sol = exponential_solution()
-    u = solve_source(mesh, k, stabilizer, sol.flux)
-    A = assemble(mesh, k, stabilizer).A.tocsc()
-    want = spla.spsolve(A, boundary_load(mesh, k, sol.flux))
+    u = solve_source(dof_map, stabilizer, sol.flux)
+    A = assemble(dof_map, stabilizer).A.tocsc()
+    want = spla.spsolve(A, boundary_load(dof_map, sol.flux))
     assert np.linalg.norm(u - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_source_backward_error_gate_runs():
     mesh = build_structured_mesh(UNIT_SQUARE, 2)
     with pytest.raises(NumericalError, match="source solve residual"):
-        solve_source(mesh, 1, GAMMA, exponential_solution().flux, rtol=0.0)
+        solve_source(DofMap(mesh, 1), GAMMA, exponential_solution().flux, rtol=0.0)
+
+
+def test_source_backward_error_gate_rejects_nan_load():
+    # a NaN load has no positive norm; the gate runs all the same
+    mesh = build_structured_mesh(UNIT_SQUARE, 2)
+    nan_flux = lambda pts, normal: np.full(len(pts), np.nan)
+    with pytest.raises(NumericalError, match="source solve residual nan"):
+        solve_source(DofMap(mesh, 1), GAMMA, nan_flux)
 
 
 def test_cli_source_singular_cell_block_exits_2(monkeypatch, capsys):
     def singular_assemble(*args):
         pair = assemble(*args)
         d = pair.dof_map.dim_cell
-        pair.local[pair.class_of[0], :d, :d] = 0.0
+        pair.local[pair.dof_map.classes.class_of[0], :d, :d] = 0.0
         return pair
 
     monkeypatch.setattr(source, "assemble", singular_assemble)
@@ -110,10 +121,11 @@ def test_solver_is_purely_algebraic(rng):
     # data from a polynomial that does not satisfy the interior equation:
     # the solver still returns the exact algebraic solution
     mesh = build_structured_mesh(UNIT_SQUARE, 4)
+    dof_map = DofMap(mesh, 1)
     flux = lambda pts, normal: pts[:, 0] * normal[0] + 2.0 * normal[1]
-    u = solve_source(mesh, 1, GAMMA, flux)
-    pair = assemble(mesh, 1, GAMMA)
-    F = boundary_load(mesh, 1, flux)
+    u = solve_source(dof_map, GAMMA, flux)
+    pair = assemble(dof_map, GAMMA)
+    F = boundary_load(dof_map, flux)
     assert np.linalg.norm(pair.A @ u - F) <= 1e-11 * np.linalg.norm(F)
 
 
@@ -121,9 +133,10 @@ def test_solver_is_purely_algebraic(rng):
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_v_norm_error_of_interpolant_is_zero(domain, k):
     mesh = build_structured_mesh(domain, 4)
+    dof_map = DofMap(mesh, k)
     sol = exponential_solution()
-    q = interpolate(mesh, k, sol.u)
-    assert v_norm_error(q, interpolant(sol, mesh, k), mesh, k) <= 1e-12
+    q = interpolate(dof_map, sol.u)
+    assert v_norm_error(q, interpolant(sol, dof_map), dof_map) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -132,13 +145,14 @@ def test_v_norm_of_constant_interpolant(domain, k):
     # interpolating u = 1 gives zero gradient and zero trace mismatch, so the
     # V-norm reduces to the L2 norm, i.e. the square root of the domain area
     mesh = build_structured_mesh(domain, 4)
+    dof_map = DofMap(mesh, k)
     one = ManufacturedSolution(
         lambda p: np.ones(len(p)), lambda p: np.zeros((len(p), 2)), label="one"
     )
     root_area = np.sqrt(DOMAIN_AREA[domain])
-    q = interpolant(one, mesh, k)
-    assert v_norm_error(np.zeros_like(q), q, mesh, k) == pytest.approx(root_area, rel=1e-12)
-    assert discrete_v_norm(mesh, k, q) == pytest.approx(root_area, rel=1e-12)
+    q = interpolant(one, dof_map)
+    assert v_norm_error(np.zeros_like(q), q, dof_map) == pytest.approx(root_area, rel=1e-12)
+    assert discrete_v_norm(dof_map, q) == pytest.approx(root_area, rel=1e-12)
 
 
 def _exact_integral(poly_a, poly_b, domain):
@@ -174,12 +188,13 @@ def test_norms_of_polynomial_interpolant_closed_form(domain, k, rng):
     # for p of degree <= k the interpolant is exact: its V-norm is the H1
     # norm of p, integrated in closed form, and the projection defects vanish
     mesh = build_structured_mesh(domain, 4)
+    dof_map = DofMap(mesh, k)
     poly = random_poly(rng, k)
     exact = sum(_exact_integral(f, f, domain) for f in (poly, *_partials(poly)))
-    q = interpolate(mesh, k, poly)
-    assert discrete_v_norm(mesh, k, q) == pytest.approx(np.sqrt(exact), rel=1e-12)
+    q = interpolate(dof_map, poly)
+    assert discrete_v_norm(dof_map, q) == pytest.approx(np.sqrt(exact), rel=1e-12)
     sol = ManufacturedSolution(poly, poly.grad, label="poly")
-    pv, px = projection_errors(sol, interpolant(sol, mesh, k), mesh, k)
+    pv, px = projection_errors(sol, interpolant(sol, dof_map), dof_map)
     assert pv <= 1e-12 and px <= 1e-12
 
 
@@ -208,9 +223,10 @@ def test_class_tabulated_quadrature_matches_per_cell_loops(domain, rng):
     # per-cell loops are the reference, equal up to roundoff
     k = 2
     mesh = renumbered_mesh(build_structured_mesh(domain, 4), rng)
+    dof_map = DofMap(mesh, k)
     f = lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1])
-    q = interpolate(mesh, k, f)
-    c0, cb = DofMap(mesh, k).split(q)
+    q = interpolate(dof_map, f)
+    c0, cb = dof_map.split(q)
     for ci in range(mesh.n_cells):
         want = project_cell(LocalCell.from_mesh(mesh, ci, k), f, quad_degree=2 * k + 6)
         assert np.allclose(c0[ci], want, rtol=0, atol=1e-13)
@@ -218,7 +234,7 @@ def test_class_tabulated_quadrature_matches_per_cell_loops(domain, rng):
         want = project_edge(k, *mesh.edge_endpoints(ei), f, quad_degree=2 * k + 6)
         assert np.allclose(cb[ei], want, rtol=0, atol=1e-13)
     v = rng.standard_normal(len(q))
-    assert discrete_v_norm(mesh, k, v) == pytest.approx(_per_cell_v_norm(mesh, k, v), rel=1e-12)
+    assert discrete_v_norm(dof_map, v) == pytest.approx(_per_cell_v_norm(mesh, k, v), rel=1e-12)
 
 
 def test_x_norm_error_pythagoras():
@@ -227,9 +243,10 @@ def test_x_norm_error_pythagoras():
     # total boundary norm
     mesh = build_structured_mesh(UNIT_SQUARE, 4)
     k = 1
+    dof_map = DofMap(mesh, k)
     sol = exponential_solution()
-    q = interpolate(mesh, k, sol.u)
-    got = x_norm_error(q, sol, mesh, k)
+    q = interpolate(dof_map, sol.u)
+    got = x_norm_error(q, sol, dof_map)
     rule = edge_quadrature(2 * k + 12)
     eb = EdgeBasis(k).eval(rule.points)
     total = 0.0
@@ -240,16 +257,16 @@ def test_x_norm_error_pythagoras():
         total += float(w @ (sol.u(pts) - proj) ** 2)
     assert got == pytest.approx(np.sqrt(total), rel=1e-10)
     zero = np.zeros_like(q)
-    assert got <= x_norm_error(zero, sol, mesh, k)
+    assert got <= x_norm_error(zero, sol, dof_map)
 
 
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_projection_errors_positive_and_decreasing(domain, k):
     sol = exponential_solution()
-    mesh8, mesh16 = build_structured_mesh(domain, 8), build_structured_mesh(domain, 16)
-    v8, x8 = projection_errors(sol, interpolant(sol, mesh8, k), mesh8, k)
-    v16, x16 = projection_errors(sol, interpolant(sol, mesh16, k), mesh16, k)
+    dof_map8, dof_map16 = (DofMap(build_structured_mesh(domain, n), k) for n in (8, 16))
+    v8, x8 = projection_errors(sol, interpolant(sol, dof_map8), dof_map8)
+    v16, x16 = projection_errors(sol, interpolant(sol, dof_map16), dof_map16)
     assert 0 < v16 < v8
     assert 0 < x16 < x8
 

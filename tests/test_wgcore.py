@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import local_interpolant, random_poly, random_triangle, renumbered_mesh
-from wgsteklov.assembly import GammaStabilizer, PowerEps, assemble, gamma_of_h, interpolate
+from wgsteklov.assembly import DofMap, GammaStabilizer, PowerEps, assemble, gamma_of_h, interpolate
 from wgsteklov.mesh import DOMAINS, Mesh, build_structured_mesh
 from wgsteklov.polyquad import (
     edge_quadrature,
@@ -316,7 +316,7 @@ def test_epsilon_vanishes_on_polynomial_data(domain, k):
     mesh = build_structured_mesh(domain, 2)
     u = lambda p: p[:, 0]
     grad = lambda p: np.tile([1.0, 0.0], (len(p), 1))
-    assert abs(epsilon_h_diagnostic(u, grad, mesh, k, 0.5)) < 1e-12
+    assert abs(epsilon_h_diagnostic(u, grad, DofMap(mesh, k), 0.5)) < 1e-12
 
 
 def test_epsilon_matches_energy_difference():
@@ -324,14 +324,15 @@ def test_epsilon_matches_energy_difference():
     # difference, computed with the assembled operator
     mesh = build_structured_mesh("square", 4)
     k = 1
+    dof_map = DofMap(mesh, k)
     gamma = gamma_of_h(PowerEps(0.1), mesh.h_max)
     u = lambda p: np.exp(p[:, 0])
     grad = lambda p: np.stack([np.exp(p[:, 0]), np.zeros(len(p))], axis=1)
-    eps = epsilon_h_diagnostic(u, grad, mesh, k, gamma)
+    eps = epsilon_h_diagnostic(u, grad, dof_map, gamma)
     assert eps > 0
 
-    pair = assemble(mesh, k, GammaStabilizer(gamma))
-    q = interpolate(mesh, k, u)
+    pair = assemble(dof_map, GammaStabilizer(gamma))
+    q = interpolate(dof_map, u)
     a_w = float(q @ (pair.A @ q))
     a_exact = 0.0
     rule = triangle_quadrature(2 * k + 12)
@@ -344,10 +345,11 @@ def test_epsilon_matches_energy_difference():
 
 def test_epsilon_linear_in_gamma():
     mesh = build_structured_mesh("square", 2)
+    dof_map = DofMap(mesh, 1)
     u = lambda p: np.exp(p[:, 0])
     grad = lambda p: np.stack([np.exp(p[:, 0]), np.zeros(len(p))], axis=1)
-    e1 = epsilon_h_diagnostic(u, grad, mesh, 1, 0.3)
-    e2 = epsilon_h_diagnostic(u, grad, mesh, 1, 0.6)
-    e3 = epsilon_h_diagnostic(u, grad, mesh, 1, 0.9)
+    e1 = epsilon_h_diagnostic(u, grad, dof_map, 0.3)
+    e2 = epsilon_h_diagnostic(u, grad, dof_map, 0.6)
+    e3 = epsilon_h_diagnostic(u, grad, dof_map, 0.9)
     # doubling gamma subtracts exactly one more unit of stabilizer energy
     assert e2 - e1 == pytest.approx(e3 - e2, rel=1e-9)
