@@ -75,7 +75,6 @@ from .wgcore import (
     LocalKernels,
     epsilon_h_diagnostic,
     local_aw,
-    local_bw,
     local_stabilizer_alpha,
     local_stabilizer_gamma,
     n_local,

@@ -2,13 +2,13 @@
 
 DOFs are numbered cell blocks first (dim P_k per cell, ascending cell index)
 followed by edge blocks (k + 1 per edge, ascending edge index).  The boundary
-set consists of all DOFs of boundary edges; the boundary form B is supported
-there only.  A is kept as its local matrices, one per congruence class, and
-scattered into a sparse matrix only when read.  Assembly order is
-deterministic, so repeated runs produce bit-identical matrices.
+set consists of all DOFs of boundary edges; the boundary form B is diagonal
+and supported there only.  A is kept as its local matrices, one per
+congruence class, and scattered into a sparse matrix only when read.
+Assembly order is deterministic, so repeated runs produce bit-identical
+matrices.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .polyquad import dim_pk
 from .wgcore import ANALYTIC_MARGIN, CellClasses, CellQuadrature, EdgeQuadrature, LocalKernels
-from .wgcore import evaluate, local_bw
+from .wgcore import check_alpha, evaluate
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,6 @@ class AlphaStabilizer:
 
     def coefficient(self, h):
         return self.alpha
-
-
-def check_alpha(alpha):
-    """Reject a stabilizer coefficient alpha that is not finite and positive."""
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
 
 
 def _fixed_gamma(value):
@@ -145,20 +139,21 @@ class WgOperatorPair:
     congruence class c of ``dof_map.classes``, on the global DOFs
     ``dof_map.local_dofs`` of each such cell.  The assembled sparse A is
     formed on first read only; the solvers use the local matrices.
-    ``boundary_mass`` holds the L2 mass matrix of each boundary edge, on
-    consecutive (k + 1)-blocks of ``dof_map.boundary_dofs``, and B is
-    assembled from it.
+
+    B (CSR) is diagonal: the edge basis is orthonormal on the unit parameter,
+    so on a boundary edge e the L2 mass of the traces is exactly |e| times
+    the identity, and B holds |e| on every DOF of e and nothing else.
 
     A is symmetric positive definite for any positive stabilizer coefficient;
-    B is positive semidefinite with support exactly on the boundary DOF block.
+    B is positive semidefinite with support exactly on the boundary DOFs.
     """
 
-    def __init__(self, local, boundary_mass, dof_map):
+    def __init__(self, local, dof_map):
         self.local = local
-        self.boundary_mass = boundary_mass
         self.dof_map = dof_map
-        blocks = dof_map.boundary_dofs.reshape(-1, dof_map.dim_edge)
-        self.B = scatter_local(boundary_mass, blocks, dof_map.n_dofs).tocsr()
+        mesh, g = dof_map.mesh, dof_map.boundary_dofs
+        lengths = np.repeat(mesh.length[mesh.boundary_edge], dof_map.dim_edge)
+        self.B = sp.csr_matrix((lengths, (g, g)), shape=(dof_map.n_dofs, dof_map.n_dofs))
 
     @cached_property
     def A(self):
@@ -183,17 +178,15 @@ class WgOperatorPair:
 
 def assemble(dof_map, stabilizer):
     """The operator pair of a `DofMap` for a stabilizer spec."""
-    mesh = dof_map.mesh
-    kernels = LocalKernels(dof_map.classes)
     kind = "alpha" if isinstance(stabilizer, AlphaStabilizer) else "gamma"
-    local = kernels.per_class(stabilizer.coefficient(mesh.h_max), kind)
-    boundary_mass = local_bw(mesh, np.flatnonzero(mesh.boundary_edge), dof_map.k)
-    return WgOperatorPair(local, boundary_mass, dof_map)
+    kernels = LocalKernels(dof_map.classes, kind)
+    local = kernels.per_class(stabilizer.coefficient(dof_map.mesh.h_max))
+    return WgOperatorPair(local, dof_map)
 
 
 def assemble_stabilizer(dof_map, kind="gamma"):
     """Assembled unit-coefficient stabilizer matrix (for linearity checks)."""
-    local = LocalKernels(dof_map.classes).stabilizer_per_class(kind)[dof_map.classes.class_of]
+    local = LocalKernels(dof_map.classes, kind).stabilizer_per_class()[dof_map.classes.class_of]
     return scatter_local(local, dof_map.local_dofs, dof_map.n_dofs).tocsr()
 
 
@@ -206,14 +199,14 @@ def scatter_local(local, gdofs, n_dofs):
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n_dofs, n_dofs))
 
 
-def interpolate(dof_map, f, quad_degree=None):
+def interpolate(dof_map, f):
     """Global interpolant coefficients: cellwise and edgewise L2 projections of f.
 
-    The default quadrature is elevated (analytic-integrand margin) since the
-    usual argument is a smooth non-polynomial function.
+    The quadrature is elevated (analytic-integrand margin) since the usual
+    argument is a smooth non-polynomial function.
     """
     mesh, k = dof_map.mesh, dof_map.k
-    deg = quad_degree if quad_degree is not None else 2 * k + ANALYTIC_MARGIN
+    deg = 2 * k + ANALYTIC_MARGIN
     cells = CellQuadrature(dof_map.classes, deg)
     edges = EdgeQuadrature(mesh, k, deg, np.arange(mesh.n_edges))
     # cell blocks first, then edge blocks: the DofMap layout

@@ -7,30 +7,30 @@ local matrix of a cell split into its cell (c) and edge (e) DOFs, the local
 map W = K_cc^{-1} K_ce and the local Schur complement K_ee - K_ce^T W are
 formed once per congruence class, the edge operator E is the sum of the
 local Schur complements over the cells, and it is factored once.  With S the
-Schur complement of E onto the boundary edge DOFs g and M the boundary
-block of B, the finite eigenvalues of (A, B) are those of (S, M), and
-S^{-1} = (E^{-1})_gg: applying S^{-1} is one solve with E on a right-hand
-side supported on g.  With M = L L^T, one Cholesky block per boundary edge,
-the m smallest eigenvalues are the reciprocals of the m largest eigenvalues
-of the symmetric operator T = L^T S^{-1} L.  Lanczos (ARPACK) only finds
-their invariant subspace, so each of its applications of T is one unrefined
-solve with E; a full-spectrum request, which ARPACK cannot serve, takes the
-whole boundary space.  One refined block solve Z = E^{-1} [L Y; 0] on the
-orthonormal basis Y then sets both the values, by a Rayleigh-Ritz step on
-Y^T L^T Z_g, whose error is quadratic in that of the subspace, and the
-expanded eigenvectors: with (mu, Q) the eigenpairs of that m x m matrix,
-lambda = 1 / mu, the edge part is u_e = lambda Z Q, and the cell part of
-each cell is -W applied to its edge values.  Neither the assembled A nor a
-dense S is formed unless it is read.  The cell elimination and the
-factorization of E (`eliminate_cells`) also serve the boundary-flux source
-problem (`source.solve_source`), whose load vanishes on the cell DOFs.
+Schur complement of E onto the boundary edge DOFs g and D the boundary
+block of B, which is diagonal (|e| on each DOF of boundary edge e), the
+finite eigenvalues of (A, B) are those of (S, D), and S^{-1} = (E^{-1})_gg:
+applying S^{-1} is one solve with E on a right-hand side supported on g.
+The m smallest eigenvalues are the reciprocals of the m largest eigenvalues
+of the symmetric operator T = D^{1/2} S^{-1} D^{1/2}.  Lanczos (ARPACK)
+only finds their invariant subspace, so each of its applications of T is
+one unrefined solve with E; a full-spectrum request, which ARPACK cannot
+serve, takes the whole boundary space.  One refined block solve
+Z = E^{-1} [D^{1/2} Y; 0] on the orthonormal basis Y then sets both the
+values, by a Rayleigh-Ritz step on Y^T D^{1/2} Z_g, whose error is
+quadratic in that of the subspace, and the expanded eigenvectors: with
+(mu, Q) the eigenpairs of that m x m matrix, lambda = 1 / mu, the edge part
+is u_e = lambda Z Q, and the cell part of each cell is -W applied to its
+edge values.  Neither the assembled A nor a dense S is formed unless it is
+read.  The cell elimination and the factorization of E (`eliminate_cells`)
+also serve the boundary-flux source problem (`source.solve_source`), whose
+load vanishes on the cell DOFs.
 """
 
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import scatter_local
@@ -57,18 +57,20 @@ _LANCZOS_TOL = 1e-10
 
 
 class CondensedPencil:
-    """Boundary reduction (S, M) of an operator pair, held matrix-free.
+    """Boundary reduction (S, D) of an operator pair, held matrix-free.
 
     Holds the cell elimination with the factorization of the edge operator E
-    (`cells`) and the block Cholesky factor of M; S^{-1} is applied through
-    the factorization, and the dense S is formed only when it is read.
+    (`cells`) and the square root of the diagonal boundary block D of B;
+    S^{-1} is applied through the factorization, and the dense S is formed
+    only when it is read.
     """
 
-    def __init__(self, cells, L):
+    def __init__(self, cells):
         self.pair = cells.pair
         self.cells = cells
-        self._g = self.pair.dof_map.boundary_dofs - self.pair.dof_map.n_cell_dofs
-        self._L = _block_diagonal(L)
+        g = self.pair.dof_map.boundary_dofs
+        self._g = g - self.pair.dof_map.n_cell_dofs
+        self._root_d = np.sqrt(self.pair.B.diagonal()[g])
 
     @property
     def size(self):
@@ -98,8 +100,9 @@ class CondensedPencil:
         return 0.5 * (S + S.T)
 
     def _lanczos_matvec(self, y):
-        """T y = L^T S^{-1} L y by one unrefined solve with E."""
-        return self._L.T @ self.cells.lu.solve(self._lift(self._L @ y.ravel()))[self._g]
+        """T y = D^{1/2} S^{-1} D^{1/2} y by one unrefined solve with E."""
+        x = self.cells.lu.solve(self._lift(self._root_d * y.ravel()))
+        return self._root_d * x[self._g]
 
     def _lanczos_basis(self, m):
         """Orthonormal basis of the invariant subspace of T for its m largest
@@ -121,23 +124,18 @@ class CondensedPencil:
 
         A Rayleigh-Ritz step on an orthonormal basis Y (Lanczos's, or the
         identity for the whole spectrum) takes one refined block solve
-        Z = E^{-1} [L Y; 0]: the eigenpairs (mu, Q) of Y^T L^T Z_g give the
-        values 1 / mu, and the same Z gives the edge part lambda Z Q of each
-        eigenvector; `cells` expands it to the cell DOFs.
+        Z = E^{-1} [D^{1/2} Y; 0]: the eigenpairs (mu, Q) of Y^T D^{1/2} Z_g
+        give the values 1 / mu, and the same Z gives the edge part
+        lambda Z Q of each eigenvector; `cells` expands it to the cell DOFs.
         """
         Y = np.eye(self.size) if m == self.size else self._lanczos_basis(m)
-        Z = self._edge_solve(self._L @ Y)
-        H = Y.T @ (self._L.T @ Z[self._g])
+        root_d = self._root_d[:, None]
+        Z = self._edge_solve(root_d * Y)
+        H = Y.T @ (root_d * Z[self._g])
         mu, Q = sla.eigh(0.5 * (H + H.T))
         values = 1.0 / mu[::-1]
         u_e = (Z @ Q[:, ::-1]) * values
         return values, self.cells.expand(u_e)
-
-
-def _block_diagonal(blocks):
-    """Sparse block-diagonal matrix of (n, d, d) dense blocks."""
-    n, d, _ = blocks.shape
-    return sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)), shape=(n * d, n * d))
 
 
 class CellElimination:
@@ -218,14 +216,10 @@ def eliminate_cells(pair):
 
 
 def condense(pair):
-    """Reduce an operator pair onto its boundary DOFs: `eliminate_cells`, then
-    factor the boundary mass block M edge by edge.  No dense matrix is formed."""
-    cells = eliminate_cells(pair)
-    try:
-        L = np.linalg.cholesky(pair.boundary_mass)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("boundary mass block is not positive definite") from exc
-    return CondensedPencil(cells, L)
+    """Reduce an operator pair onto its boundary DOFs by `eliminate_cells`;
+    the boundary block of B is diagonal and needs no factorization.  No
+    dense matrix is formed."""
+    return CondensedPencil(eliminate_cells(pair))
 
 
 def _refined_solve(lu, A, rhs):

@@ -23,15 +23,13 @@ from .source import v_norm_error, x_norm_error
 
 # High-accuracy reference values for the first four eigenvalues on the unit
 # square, used when a study is configured with refs="builtin:square".  They
-# are themselves numerical, so lower-bound checks carry a 1e-9 slack.
+# are themselves numerical (see `glb.LOWER_BOUND_SLACK`).
 SQUARE_REFERENCE_EIGENVALUES = (
     0.2400790854320629,
     1.492303134033900,
     1.492303134115401,
     2.082647053961881,
 )
-
-LOWER_BOUND_SLACK = 1e-9
 
 # Report formats of the subcommands that write one.
 FORMATS = {"converge": ("csv", "json", "markdown"), "source": ("csv", "json"), "glb": ("csv", "json")}

@@ -4,10 +4,12 @@ A discrete unknown on a cell is the block vector (v0, vb1, vb2, vb3): the
 interior polynomial of degree <= k followed by one polynomial of degree <= k
 per edge, each expressed in the orthonormal bases of :mod:`polyquad`.  This
 module provides the L2 projections, the discrete weak gradient, the two
-trace-penalty stabilizers, and the local contributions to the global forms.
+trace-penalty stabilizers, and the local matrix of the principal form.
 Whole-mesh quadrature goes through :class:`CellQuadrature`, which tabulates
 the cell basis once per congruence class, and :class:`EdgeQuadrature`.
 """
+
+import math
 
 import numpy as np
 
@@ -172,10 +174,15 @@ def local_stabilizer_gamma(cell, gamma_value):
     return gamma_value / cell.diameter * sum(blocks)
 
 
+def check_alpha(alpha):
+    """Reject a stabilizer coefficient alpha that is not finite and positive."""
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+
+
 def local_stabilizer_alpha(cell, alpha):
     """Volume-weighted stabilizer (alpha/3) h_T^{-2} |T| sum_e |e|^{-1} <...>_e."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     blocks = _edge_mismatch_blocks(cell)
     scale = alpha / 3.0 * cell.area / cell.diameter**2
     return scale * sum(b / el for b, el in zip(blocks, cell.edge_lengths))
@@ -188,19 +195,6 @@ def local_aw(cell, stabilizer):
     A[: cell.n_interior, : cell.n_interior] += np.eye(cell.n_interior)
     A += stabilizer
     return 0.5 * (A + A.T)
-
-
-def local_bw(mesh, edge_index, k):
-    """L2(e) mass matrix of the edge basis on a boundary edge.
-
-    An index array gives the stacked matrices of those edges.
-    """
-    edge_index = np.asarray(edge_index)
-    if not np.all(mesh.boundary_edge[edge_index]):
-        raise ValueError(f"edge {edge_index} is interior; the boundary form has no support there")
-    rule = edge_quadrature(2 * k + POLY_MARGIN)
-    eb = EdgeBasis(k).eval(rule.points)
-    return mesh.length[edge_index][..., None, None] * (eb * rule.weights[:, None]).T @ eb
 
 
 class CellClasses:
@@ -323,30 +317,27 @@ class EdgeQuadrature:
 class LocalKernels:
     """Local operator matrices for every cell of a mesh, one set per congruence class.
 
-    ``core`` is the stabilizer-free part G^T G + interior mass;
-    ``stab_gamma`` and ``stab_alpha`` are the unit-coefficient stabilizers,
-    to be scaled by gamma(h) or alpha at assembly time.  Kernels are
-    computed on the representative of each :class:`CellClasses` class.
+    ``kind`` ("gamma" or "alpha") names the stabilizer.  Per class the kernels
+    are the stabilizer-free part G^T G + interior mass and the unit-coefficient
+    stabilizer, to be scaled by gamma(h) or alpha at assembly time.  Kernels
+    are computed on the representative of each :class:`CellClasses` class.
     """
 
-    def __init__(self, classes):
-        self._kernels = [self._compute(cell) for cell in classes.cells]
+    def __init__(self, classes, kind):
+        stabilizer = {"gamma": local_stabilizer_gamma, "alpha": local_stabilizer_alpha}[kind]
+        self._kernels = []
+        for cell in classes.cells:
+            stab = stabilizer(cell, 1.0)
+            self._kernels.append((local_aw(cell, 0.0), 0.5 * (stab + stab.T)))
 
-    def _compute(self, cell):
-        sg = local_stabilizer_gamma(cell, 1.0)
-        sa = local_stabilizer_alpha(cell, 1.0)
-        return local_aw(cell, 0.0), 0.5 * (sg + sg.T), 0.5 * (sa + sa.T)
-
-    def per_class(self, coefficient, kind):
+    def per_class(self, coefficient):
         """(n_classes, n_loc, n_loc) array of local matrices with the
         coefficient applied, one per class."""
-        which = {"gamma": 1, "alpha": 2}[kind]
-        return np.array([core + coefficient * stabs[which - 1] for core, *stabs in self._kernels])
+        return np.array([core + coefficient * stab for core, stab in self._kernels])
 
-    def stabilizer_per_class(self, kind):
+    def stabilizer_per_class(self):
         """(n_classes, n_loc, n_loc) array of unit-coefficient stabilizers."""
-        which = {"gamma": 1, "alpha": 2}[kind]
-        return np.array([kern[which] for kern in self._kernels])
+        return np.array([stab for _, stab in self._kernels])
 
 
 def epsilon_h_diagnostic(u, grad_u, dof_map, gamma_value):

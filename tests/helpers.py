@@ -3,9 +3,10 @@
 import numpy as np
 import scipy.sparse as sp
 
+from wgsteklov.assembly import scatter_local
 from wgsteklov.mesh import L_SHAPE, Mesh
-from wgsteklov.polyquad import monomial_exponents
-from wgsteklov.wgcore import project_cell, project_edge
+from wgsteklov.polyquad import EdgeBasis, edge_quadrature, monomial_exponents
+from wgsteklov.wgcore import POLY_MARGIN, project_cell, project_edge
 
 
 def random_triangle(rng, min_area=0.05, scale=1.0):
@@ -55,6 +56,18 @@ def interior_dofs(dof_map):
     interior = np.ones(dof_map.n_dofs, dtype=bool)
     interior[dof_map.boundary_dofs] = False
     return np.flatnonzero(interior)
+
+
+def quadrature_boundary_form(dof_map):
+    """Reference for `WgOperatorPair.B`: the L2(e) mass matrix of the edge
+    basis on each boundary edge, by quadrature, placed on the edge's boundary
+    DOFs.  Returns a sparse matrix (CSR)."""
+    mesh, k = dof_map.mesh, dof_map.k
+    rule = edge_quadrature(2 * k + POLY_MARGIN)
+    eb = EdgeBasis(k).eval(rule.points)
+    mass = mesh.length[mesh.boundary_edge][:, None, None] * (eb * rule.weights[:, None]).T @ eb
+    blocks = dof_map.boundary_dofs.reshape(-1, dof_map.dim_edge)
+    return scatter_local(mass, blocks, dof_map.n_dofs).tocsr()
 
 
 def global_elimination(A, dof_map):

@@ -29,21 +29,23 @@ from wgsteklov.eigen import (
 from wgsteklov.harness import main
 from wgsteklov.mesh import L_SHAPE, UNIT_SQUARE, build_structured_mesh
 from wgsteklov.source import exponential_solution, solve_source
-from helpers import global_elimination, interior_dofs
+from helpers import global_elimination, interior_dofs, quadrature_boundary_form
 
 GAMMA = GammaStabilizer(PowerEps(0.1))
 
 
 def synthetic_pair():
     # hand-checkable 3x3 pencil: one cell whose local matrix is all of A, with
-    # cell DOF {0}, interior edge DOF {1} and boundary DOF {2}
+    # cell DOF {0}, interior edge DOF {1} and boundary DOF {2}, on edges of
+    # unit length
     K = np.array([[[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]])
     dof_map = SimpleNamespace(
         n_dofs=3, n_cell_dofs=1, dim_cell=1, dim_edge=1, boundary_dofs=np.array([2]),
         local_dofs=np.array([[0, 1, 2]]),
         classes=SimpleNamespace(class_of=np.array([0]), members=[np.array([0])]),
+        mesh=SimpleNamespace(length=np.ones(2), boundary_edge=np.array([False, True])),
     )
-    return WgOperatorPair(K, np.ones((1, 1, 1)), dof_map)
+    return WgOperatorPair(K, dof_map)
 
 
 def test_synthetic_schur_complement():
@@ -106,19 +108,15 @@ def test_local_apply_and_norm_match_assembled_A(domain, k, n, stabilizer):
 
 
 def test_boundary_mass_is_the_boundary_block_of_B():
-    # each boundary DOF lies on one boundary edge, so the boundary block of B
-    # is block diagonal with exactly the edge mass matrices that M is factored from
-    pair = assemble(DofMap(build_structured_mesh(L_SHAPE, 4), 2), GAMMA)
-    g = pair.dof_map.boundary_dofs
-    d = pair.dof_map.dim_edge
-    M = pair.B[g][:, g].toarray()
-    for i, block in enumerate(pair.boundary_mass):
-        assert np.array_equal(M[i * d : (i + 1) * d, i * d : (i + 1) * d], block)
-        M[i * d : (i + 1) * d, i * d : (i + 1) * d] = 0.0
-    assert not M.any()
-    pair.boundary_mass[3] = 0.0
-    with pytest.raises(NumericalError, match="boundary mass block is not positive definite"):
-        condense(pair)
+    # the boundary DOFs run edge by edge, k + 1 per boundary edge, and the
+    # edge basis is orthonormal, so the boundary block of B is exactly |e| on
+    # each DOF of edge e; B has no other entry
+    dof_map = DofMap(build_structured_mesh(L_SHAPE, 4), 2)
+    pair = assemble(dof_map, GAMMA)
+    mesh, g = dof_map.mesh, dof_map.boundary_dofs
+    want = np.diag(np.repeat(mesh.length[mesh.boundary_edge], dof_map.dim_edge))
+    assert np.array_equal(pair.B[g][:, g].toarray(), want)
+    assert pair.B.nnz == len(g)
 
 
 def test_solve_paths_never_assemble_A(monkeypatch, tmp_path):
@@ -169,6 +167,18 @@ def test_condensation_matches_dense_bruteforce(domain, k, n):
     reference = dense_eigenvalues(pair)
     assert len(reference) == len(pair.dof_map.boundary_dofs)
     assert np.allclose(full, reference, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("domain,k", [(UNIT_SQUARE, 1), (UNIT_SQUARE, 2), (L_SHAPE, 1)])
+def test_spectrum_matches_quadrature_boundary_form(domain, k, n):
+    # the exact diagonal B and the edge mass by quadrature differ by roundoff
+    # only, so the condensed spectrum is that of (A, B by quadrature)
+    pair = assemble(DofMap(build_structured_mesh(domain, n), k), GAMMA)
+    pencil = condense(pair)
+    full = solve_condensed(pencil, pencil.size).values
+    quadrature = SimpleNamespace(A=pair.A, B=quadrature_boundary_form(pair.dof_map))
+    assert np.allclose(full, dense_eigenvalues(quadrature), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])

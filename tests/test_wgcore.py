@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import local_interpolant, random_poly, random_triangle, renumbered_mesh
+from helpers import (
+    local_interpolant,
+    quadrature_boundary_form,
+    random_poly,
+    random_triangle,
+    renumbered_mesh,
+)
 from wgsteklov.assembly import DofMap, GammaStabilizer, PowerEps, assemble, gamma_of_h, interpolate
 from wgsteklov.mesh import DOMAINS, Mesh, build_structured_mesh
 from wgsteklov.polyquad import (
@@ -15,7 +21,6 @@ from wgsteklov.wgcore import (
     LocalCell,
     epsilon_h_diagnostic,
     local_aw,
-    local_bw,
     local_stabilizer_alpha,
     local_stabilizer_gamma,
     n_local,
@@ -250,8 +255,9 @@ def test_stabilizer_rejects_bad_coefficients(rng):
         local_stabilizer_gamma(cell, 0.0)
     with pytest.raises(ValueError):
         local_stabilizer_gamma(cell, 1.5)
-    with pytest.raises(ValueError):
-        local_stabilizer_alpha(cell, -0.1)
+    for alpha in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            local_stabilizer_alpha(cell, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +295,14 @@ def test_local_aw_symmetric_positive_definite(rng):
             assert np.linalg.eigvalsh(A).min() > 0
 
 
-def test_local_bw():
-    mesh = build_structured_mesh("square", 2)
-    ei = int(np.where(mesh.boundary_edge)[0][0])
-    ell = float(mesh.length[ei])
-    assert np.allclose(local_bw(mesh, ei, 0), [[ell]], atol=1e-15)
-    B1 = local_bw(mesh, ei, 1)
-    # orthonormal edge basis: the L2(e) mass is |e| times the identity
-    assert np.allclose(B1, ell * np.eye(2), atol=1e-14)
-    # a constant trace with unit value carries energy |e|
-    c = np.zeros(2)
-    c[0] = 1.0
-    assert c @ B1 @ c == pytest.approx(ell, rel=1e-14)
-    interior = int(np.where(~mesh.boundary_edge)[0][0])
-    with pytest.raises(ValueError):
-        local_bw(mesh, interior, 1)
+def test_boundary_form_matches_quadrature_edge_mass():
+    # orthonormal edge basis: the L2(e) mass is |e| times the identity, which
+    # B holds exactly; quadrature reproduces it up to roundoff
+    for k in (1, 2, 6):
+        dof_map = DofMap(build_structured_mesh("lshape", 4), k)
+        B = assemble(dof_map, GammaStabilizer(0.5)).B
+        deviation = abs(B - quadrature_boundary_form(dof_map)).max(axis=1).toarray().ravel()
+        assert np.all(deviation <= 1e-14 * B.diagonal())
 
 
 # ---------------------------------------------------------------------------
