@@ -14,9 +14,6 @@ from .assembly import (
     PowerEps,
     WgOperatorPair,
     assemble,
-    assemble_stabilizer,
-    dump_matrix_market,
-    energy,
     gamma_of_h,
     interpolate,
 )
@@ -50,13 +47,11 @@ from .mesh import (
     locate_cell,
     mesh_stats,
     mesh_to_json,
-    outward_normal,
 )
 from .polyquad import (
     CellBasis,
     EdgeBasis,
     QuadratureRule,
-    VectorBasis,
     dim_pk,
     edge_quadrature,
     triangle_quadrature,
@@ -77,7 +72,6 @@ from .wgcore import (
     local_aw,
     local_stabilizer_alpha,
     local_stabilizer_gamma,
-    n_local,
     project_cell,
     project_edge,
     project_vector,

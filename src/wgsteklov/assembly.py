@@ -184,12 +184,6 @@ def assemble(dof_map, stabilizer):
     return WgOperatorPair(local, dof_map)
 
 
-def assemble_stabilizer(dof_map, kind="gamma"):
-    """Assembled unit-coefficient stabilizer matrix (for linearity checks)."""
-    local = LocalKernels(dof_map.classes, kind).stabilizer_per_class()[dof_map.classes.class_of]
-    return scatter_local(local, dof_map.local_dofs, dof_map.n_dofs).tocsr()
-
-
 def scatter_local(local, gdofs, n_dofs):
     """A stack of local matrices (N, m, m) placed at rows and columns gdofs
     (N, m) of an n_dofs x n_dofs COO matrix; converting it sums the overlaps."""
@@ -213,16 +207,3 @@ def interpolate(dof_map, f):
     c0 = cells.project(evaluate(f, cells.points))
     cb = edges.project(evaluate(f, edges.points))
     return np.concatenate([c0.ravel(), cb.ravel()])
-
-
-def energy(matrix, u, v=None):
-    """Bilinear form value u^T M v (v defaults to u)."""
-    v = u if v is None else v
-    return float(u @ (matrix @ v))
-
-
-def dump_matrix_market(path, matrix):
-    """Write a sparse matrix in MatrixMarket coordinate format."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), sp.coo_matrix(matrix))

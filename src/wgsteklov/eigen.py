@@ -247,10 +247,6 @@ class EigenResult:
         self.residuals = residuals
         self.b_norms = b_norms
 
-    @property
-    def normalized(self):
-        return np.abs(self.b_norms - 1.0) <= 1e-10
-
 
 def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
     """Solve for the m smallest eigenpairs of the condensed pencil.

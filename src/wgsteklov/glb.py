@@ -19,7 +19,7 @@ from scipy.sparse.linalg import splu
 
 from .assembly import AlphaStabilizer, DofMap, assemble
 from .eigen import DEFAULT_RTOL, NumericalError, _stage, solve_pair
-from .mesh import build_structured_mesh
+from .mesh import build_structured_mesh, check_grid
 from .polyquad import (
     EdgeBasis,
     dim_pk,
@@ -35,6 +35,14 @@ from .wgcore import check_alpha
 # Reference eigenvalues are themselves numerical, so the below-reference check
 # carries a slack.
 LOWER_BOUND_SLACK = 1e-9
+
+
+def check_refs(refs):
+    """Reference eigenvalues as a tuple of floats; raises ValueError unless all are finite."""
+    refs = tuple(float(r) for r in refs)
+    if not all(map(math.isfinite, refs)):
+        raise ValueError(f"reference values must be finite, got {refs}")
+    return refs
 
 
 @dataclass(frozen=True)
@@ -206,7 +214,7 @@ def probe_defects(dof_map, probe_degree):
         vinv = np.linalg.inv(scaled_monomials(nodes, centroid, scale, exps))
         pts, w = map_to_triangle(rule, cell.vertices)
         gx, gy = (g @ vinv for g in scaled_monomial_grads(pts, centroid, scale, exps))
-        phiv = cell.vector_basis.scalar.eval(pts)
+        phiv = cell.grad_basis.eval(pts)
         wproj = phiv @ (phiv * w[:, None]).T
         rx = gx - wproj @ gx
         ry = gy - wproj @ gy
@@ -272,8 +280,11 @@ def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):
     estimated when absent), and evaluate the certificate against the
     discrete eigenvalue (case 2) or the reference (case 1) when available.
     """
-    if refs is not None and config.index > len(refs):
-        raise ValueError(f"index {config.index} exceeds the {len(refs)} reference values")
+    levels = [check_grid(domain, n) for n in levels]
+    if refs is not None:
+        refs = check_refs(refs)
+        if config.index > len(refs):
+            raise ValueError(f"index {config.index} exceeds the {len(refs)} reference values")
     probe_degree = k + 2 if probe_degree is None else probe_degree
     _check_probe_degree(k, probe_degree)
     rows = []

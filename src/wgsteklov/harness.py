@@ -17,7 +17,7 @@ import numpy as np
 from . import glb as glb_mod
 from .assembly import AlphaStabilizer, DofMap, GammaStabilizer, NegInvLog, PowerEps, assemble
 from .eigen import NumericalError, _stage, condense, solve_condensed
-from .mesh import DOMAINS, build_structured_mesh, locate_cell, mesh_stats, mesh_to_json
+from .mesh import DOMAINS, build_structured_mesh, check_grid, locate_cell, mesh_stats, mesh_to_json
 from .source import exponential_solution, interpolant, projection_errors, solve_source
 from .source import v_norm_error, x_norm_error
 
@@ -45,18 +45,15 @@ class StudyConfig:
     levels: tuple
     n_eigs: int = 4
     refs: tuple = None
-    fmt: str = "csv"
 
     def __post_init__(self):
         if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r}")
-        self.levels = check_levels(self.levels)
+        self.levels = tuple(check_grid(self.domain, n) for n in check_levels(self.levels))
         if self.n_eigs < 1:
             raise ValueError(f"number of eigenvalues must be >= 1, got {self.n_eigs}")
-        if self.fmt not in FORMATS["converge"]:
-            raise ValueError(f"unknown output format {self.fmt!r}")
         if self.refs is not None:
-            self.refs = tuple(float(r) for r in self.refs)
+            self.refs = glb_mod.check_refs(self.refs)
 
 
 def observed_order(err_coarse, err_fine):
@@ -115,8 +112,7 @@ class ConvergenceReport:
         """True when the j-th eigenvalue never decreases across the levels."""
         return all(flag for flag in self.trend[j][1:])
 
-    def render(self, fmt=None):
-        fmt = fmt or self.config.fmt
+    def render(self, fmt="csv"):
         if fmt == "csv":
             return self._render_csv()
         if fmt == "json":
@@ -220,6 +216,8 @@ def _solve_level(domain, n, k, stabilizer, m):
 
     Returns (DofMap, EigenResult); a NumericalError names the failed stage.
     """
+    if m < 1:
+        raise ValueError(f"number of eigenpairs must be >= 1, got {m}")
     dof_map = DofMap(build_structured_mesh(domain, n), k)
     pencil = _stage("condense", condense, assemble(dof_map, stabilizer))
     return dof_map, _stage("solve", solve_condensed, pencil, m)
@@ -284,6 +282,7 @@ class SourceReport:
 def run_source_study(domain, k, stabilizer, levels, solution=None):
     """Solve the boundary-flux problem across levels and report error orders."""
     solution = solution or exponential_solution()
+    levels = [check_grid(domain, n) for n in levels]
     ns, hs, v_errs, x_errs, pvs, pxs = [], [], [], [], [], []
     for n in levels:
         dof_map = DofMap(build_structured_mesh(domain, n), k)
@@ -365,7 +364,10 @@ def parse_refs(text):
         return None
     if text == "builtin:square":
         return SQUARE_REFERENCE_EIGENVALUES
-    return tuple(float(v) for v in text.split(","))
+    try:
+        return glb_mod.check_refs(text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"--refs: {exc}") from None
 
 
 def check_levels(levels):
@@ -503,10 +505,9 @@ def _cmd_converge(args):
         levels=parse_levels(args.levels),
         n_eigs=int(args.eigs or 4),
         refs=parse_refs(args.refs),
-        fmt=args.format or "csv",
     )
     report = run_eigen_study(config)
-    _emit(report.render(), args.out)
+    _emit(report.render(args.format or "csv"), args.out)
     return 0
 
 

@@ -114,11 +114,6 @@ class Mesh:
     def h_max(self):
         return float(self.diameter.max())
 
-    def edge_endpoints(self, ei):
-        """Canonical endpoints (p_lo, p_hi) of an edge."""
-        lo, hi = self.edges[ei]
-        return self.vertices[lo], self.vertices[hi]
-
     def boundary_normal(self, ei):
         """Outward normal of a boundary edge, or the stacked normals of an index array."""
         ei = np.asarray(ei)
@@ -127,6 +122,19 @@ class Mesh:
         ci = self.edge_cells[ei, 0]
         l = np.argmax(self.cell_edges[ci] == ei[..., None], axis=-1)
         return self.normals[ci, l]
+
+
+def check_grid(domain, n):
+    """The grid size n as an int; raises ValueError unless the domain is
+    supported and n is >= 1, and even for the L-shaped domain."""
+    n = int(n)
+    if domain not in DOMAINS:
+        raise ValueError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if domain == L_SHAPE and n % 2 != 0:
+        raise ValueError(f"L-shaped domain requires even n, got {n}")
+    return n
 
 
 def build_structured_mesh(domain, n):
@@ -140,13 +148,7 @@ def build_structured_mesh(domain, n):
         Number of grid cells per unit side; must be >= 1, and even for the
         L-shaped domain.
     """
-    n = int(n)
-    if domain not in DOMAINS:
-        raise ValueError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if domain == L_SHAPE and n % 2 != 0:
-        raise ValueError(f"L-shaped domain requires even n, got {n}")
+    n = check_grid(domain, n)
 
     # grid points and squares in row-major order (j, then i); the L-shape
     # drops the squares with i, j >= n / 2 and the points strictly inside them
@@ -178,15 +180,6 @@ def mesh_stats(mesh):
         "n_boundary_edges": int(mesh.boundary_edge.sum()),
         "total_area": float(mesh.area.sum()),
     }
-
-
-def outward_normal(mesh, cell, local_edge):
-    """Unit outward normal of a cell's local edge."""
-    if not 0 <= cell < mesh.n_cells:
-        raise IndexError(f"cell index {cell} out of range")
-    if not 0 <= local_edge < 3:
-        raise IndexError(f"local edge index {local_edge} out of range")
-    return mesh.normals[cell, local_edge].copy()
 
 
 def locate_cell(mesh, x, y):

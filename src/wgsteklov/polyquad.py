@@ -189,38 +189,3 @@ class EdgeBasis:
         """Basis values at parameters t in [0, 1], shape (n_points, k + 1)."""
         t = np.asarray(t, dtype=float)
         return legval(2.0 * t - 1.0, self._coef).T
-
-
-class VectorBasis:
-    """Vector polynomial basis for [P_{k-1}(T)]^2, built componentwise.
-
-    The first `scalar.dim` members are (phi_j, 0), the rest (0, phi_j), with
-    phi_j the orthonormal scalar basis of degree k - 1; the vector mass
-    matrix is the identity.
-    """
-
-    def __init__(self, vertices, k):
-        if k < 1:
-            raise ValueError("vector basis requires k >= 1")
-        self.scalar = CellBasis(vertices, k - 1)
-        self.degree = k - 1
-        self.dim = 2 * self.scalar.dim
-
-    def eval(self, points):
-        """Vector values at physical points, shape (n_points, dim, 2)."""
-        phi = self.scalar.eval(points)
-        n, m = phi.shape
-        out = np.zeros((n, 2 * m, 2))
-        out[:, :m, 0] = phi
-        out[:, m:, 1] = phi
-        return out
-
-    def divergence(self, points):
-        """Divergence of each vector member, shape (n_points, dim)."""
-        g = self.scalar.grad(points)
-        return np.concatenate([g[:, :, 0], g[:, :, 1]], axis=1)
-
-    def normal_trace(self, points, normal):
-        """w . n for each member at physical points, shape (n_points, dim)."""
-        phi = self.scalar.eval(points)
-        return np.concatenate([phi * normal[0], phi * normal[1]], axis=1)

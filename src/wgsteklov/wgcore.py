@@ -16,7 +16,6 @@ import numpy as np
 from .polyquad import (
     CellBasis,
     EdgeBasis,
-    VectorBasis,
     dim_pk,
     edge_quadrature,
     map_to_edge,
@@ -30,18 +29,15 @@ POLY_MARGIN = 3
 ANALYTIC_MARGIN = 6
 
 
-def n_local(k):
-    """Length of the local DOF block: dim P_k(T) + 3 (k + 1)."""
-    return dim_pk(k) + 3 * (k + 1)
-
-
 class LocalCell:
     """Geometry and bases of one triangle, ready for local WG operators.
 
     Local edge l runs counter-clockwise from vertex l to vertex (l + 1) % 3.
     ``flips[l]`` is True when the canonical edge parameterization (used for
     the shared edge DOFs) runs opposite to that traversal; the canonical
-    start/end points are exposed via :meth:`edge_canonical`.
+    start/end points are exposed via :meth:`edge_canonical`.  ``grad_basis``
+    is the orthonormal P_{k-1}(T) basis psi_i: the weak gradient is expanded
+    in (psi_i, 0) for every i, then (0, psi_i).
     """
 
     def __init__(self, vertices, k, flips=(False, False, False)):
@@ -51,24 +47,17 @@ class LocalCell:
             raise ValueError(f"polynomial degree k must be >= 1, got {k}")
         self.flips = tuple(bool(f) for f in flips)
         self.basis = CellBasis(self.vertices, self.k)
-        self._vector_basis = None
+        self.grad_basis = CellBasis(self.vertices, self.k - 1)
         self.edge_basis = EdgeBasis(self.k)
         self.area = self.basis.area
         self.diameter = self.basis.diameter
         tangents = self.vertices[[1, 2, 0]] - self.vertices
         self.edge_lengths = np.linalg.norm(tangents, axis=1)
-        self.perimeter = float(self.edge_lengths.sum())
         normals = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
         self.normals = normals / self.edge_lengths[:, None]
         self.n_interior = self.basis.dim
         self.n_edge = self.k + 1
         self.n_loc = self.n_interior + 3 * self.n_edge
-
-    @property
-    def vector_basis(self):
-        if self._vector_basis is None:
-            self._vector_basis = VectorBasis(self.vertices, self.k)
-        return self._vector_basis
 
     @classmethod
     def from_mesh(cls, mesh, ci, k):
@@ -120,7 +109,7 @@ def project_vector(cell, f, quad_degree=None):
     deg = quad_degree if quad_degree is not None else 2 * cell.k + POLY_MARGIN
     pts, w = map_to_triangle(triangle_quadrature(deg), cell.vertices)
     values = np.asarray(f(pts), dtype=float)
-    phi = cell.vector_basis.scalar.eval(pts)
+    phi = cell.grad_basis.eval(pts)
     cx = (phi * w[:, None]).T @ values[:, 0]
     cy = (phi * w[:, None]).T @ values[:, 1]
     return np.concatenate([cx, cy])
@@ -129,16 +118,17 @@ def project_vector(cell, f, quad_degree=None):
 def weak_gradient_map(cell):
     """Matrix mapping local DOFs to weak-gradient coefficients.
 
-    Row i, column j holds (grad_w of local basis DOF j, w_i)_T for the i-th
-    orthonormal vector basis member w_i, i.e. the weak gradient of a local
-    DOF vector v is G @ v in vector-basis coefficients.
+    Row i, column j holds (grad_w of local basis DOF j, w_i)_T, where the
+    w_i are (psi_i, 0) for every member psi_i of ``cell.grad_basis``, then
+    (0, psi_i); the weak gradient of a local DOF vector v is G @ v.
     """
     k = cell.k
     deg = 2 * k + POLY_MARGIN
     pts, w = map_to_triangle(triangle_quadrature(deg), cell.vertices)
     phi = cell.basis.eval(pts)
-    div = cell.vector_basis.divergence(pts)
-    G = np.zeros((cell.vector_basis.dim, cell.n_loc))
+    grad = cell.grad_basis.grad(pts)
+    div = np.concatenate([grad[..., 0], grad[..., 1]], axis=1)
+    G = np.zeros((div.shape[1], cell.n_loc))
     G[:, : cell.n_interior] = -(div * w[:, None]).T @ phi
 
     rule = edge_quadrature(deg)
@@ -146,7 +136,8 @@ def weak_gradient_map(cell):
     for l in range(3):
         lo, hi = cell.edge_canonical(l)
         epts, ew = map_to_edge(rule, lo, hi)
-        wn = cell.vector_basis.normal_trace(epts, cell.normals[l])
+        psi = cell.grad_basis.eval(epts)
+        wn = np.concatenate([psi * n for n in cell.normals[l]], axis=1)
         G[:, cell.edge_slice(l)] += (wn * ew[:, None]).T @ eb
     return G
 
@@ -334,10 +325,6 @@ class LocalKernels:
         """(n_classes, n_loc, n_loc) array of local matrices with the
         coefficient applied, one per class."""
         return np.array([core + coefficient * stab for core, stab in self._kernels])
-
-    def stabilizer_per_class(self):
-        """(n_classes, n_loc, n_loc) array of unit-coefficient stabilizers."""
-        return np.array([stab for _, stab in self._kernels])
 
 
 def epsilon_h_diagnostic(u, grad_u, dof_map, gamma_value):

@@ -63,8 +63,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(domain="disk")
     with pytest.raises(ValueError):
-        small_config(fmt="xml")
-    with pytest.raises(ValueError):
         small_config(stabilizer=GammaStabilizer(PowerEps(1.5)))
 
 
@@ -400,6 +398,82 @@ def test_cli_usage_errors(capsys, monkeypatch, tmp_path):
 
 def _no_mesh(*args):
     raise AssertionError("a mesh was built")
+
+
+@pytest.mark.parametrize("command,refs", [
+    ("converge", "nan,inf"),
+    ("converge", "0.24,-inf"),
+    ("glb", "nan"),
+])
+def test_cli_rejects_non_finite_refs(command, refs, monkeypatch, tmp_path, capsys):
+    # a JSON report cannot hold NaN or Infinity: a non-finite reference exits
+    # 1 naming --refs before any mesh is built, and no report is written
+    monkeypatch.setattr(harness, "build_structured_mesh", _no_mesh)
+    monkeypatch.setattr(harness.glb_mod, "build_structured_mesh", _no_mesh)
+    options = {
+        "converge": ["--gamma", "pow:0.1"],
+        "glb": ["--alpha", "0.01", "--stab-bound", "2.0", "--proj-bound", "0.5"],
+    }[command]
+    out = tmp_path / "r.json"
+    argv = [command, "--domain", "square", "--k", "1", *options, "--levels", "2,4",
+            "--refs", refs, "--format", "json", "--out", str(out)]
+    assert main(argv) == 1
+    assert "--refs: reference values must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_studies_reject_non_finite_refs(bad, monkeypatch):
+    monkeypatch.setattr(harness.glb_mod, "build_structured_mesh", _no_mesh)
+    with pytest.raises(ValueError, match="reference values must be finite"):
+        small_config(refs=(0.24, bad))
+    with pytest.raises(ValueError, match="reference values must be finite"):
+        run_glb_study(UNIT_SQUARE, (2,), 1, GlbConfig(0.01, 2.0, 0.5), refs=(bad,))
+
+
+@pytest.mark.parametrize("levels,message", [
+    ("8,16,33", "L-shaped domain requires even n, got 33"),
+    ("0,2", "n must be >= 1, got 0"),
+])
+@pytest.mark.parametrize("command", ["converge", "source", "glb"])
+def test_cli_checks_every_level_before_the_first_mesh(command, levels, message, monkeypatch,
+                                                      capsys):
+    # a level the domain cannot mesh is rejected before the valid levels
+    # ahead of it are solved
+    monkeypatch.setattr(harness, "build_structured_mesh", _no_mesh)
+    monkeypatch.setattr(harness.glb_mod, "build_structured_mesh", _no_mesh)
+    options = {
+        "converge": ["--gamma", "pow:0.1"],
+        "source": ["--gamma", "pow:0.1"],
+        "glb": ["--alpha", "0.01", "--stab-bound", "2.0", "--proj-bound", "0.5"],
+    }[command]
+    assert main([command, "--domain", "lshape", "--k", "1", *options, "--levels", levels]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_studies_check_every_level_before_the_first_mesh(monkeypatch):
+    monkeypatch.setattr(harness, "build_structured_mesh", _no_mesh)
+    monkeypatch.setattr(harness.glb_mod, "build_structured_mesh", _no_mesh)
+    with pytest.raises(ValueError, match="even n"):
+        small_config(domain=L_SHAPE, levels=(2, 4, 5))
+    with pytest.raises(ValueError, match="even n"):
+        run_source_study(L_SHAPE, 1, GAMMA, (2, 4, 5))
+    with pytest.raises(ValueError, match="even n"):
+        run_glb_study(L_SHAPE, (2, 4, 5), 1, GlbConfig(0.01, 2.0, 0.5))
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+@pytest.mark.parametrize("command", ["solve", "field"])
+def test_cli_rejects_eigenpair_count_below_one(command, count, monkeypatch, tmp_path, capsys):
+    # no mesh is built or condensed for a request of no eigenpairs
+    monkeypatch.setattr(harness, "build_structured_mesh", _no_mesh)
+    argv = [command, "--domain", "square", "--n", "2", "--k", "1", "--gamma", "pow:0.1"]
+    if command == "solve":
+        argv += ["--eigs", count]
+    else:
+        argv += ["--eig", count, "--grid", "5", "--out", str(tmp_path / "f.csv")]
+    assert main(argv) == 1
+    assert "number of eigenpairs must be >= 1" in capsys.readouterr().err
 
 
 def test_parse_levels_checks_the_increase():

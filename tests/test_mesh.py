@@ -15,7 +15,6 @@ from wgsteklov.mesh import (
     locate_cell,
     mesh_stats,
     mesh_to_json,
-    outward_normal,
 )
 
 
@@ -89,14 +88,8 @@ def test_stats_and_refinement():
 
 def test_outward_normal_reference_cell():
     mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
-    assert outward_normal(mesh, 0, 0) == pytest.approx([0.0, -1.0])
     s = 1 / np.sqrt(2)
-    assert outward_normal(mesh, 0, 1) == pytest.approx([s, s])
-    assert outward_normal(mesh, 0, 2) == pytest.approx([-1.0, 0.0])
-    with pytest.raises(IndexError):
-        outward_normal(mesh, 1, 0)
-    with pytest.raises(IndexError):
-        outward_normal(mesh, 0, 3)
+    assert mesh.normals[0] == pytest.approx(np.array([[0.0, -1.0], [s, s], [-1.0, 0.0]]))
 
 
 def test_build_rejects_bad_parameters():

@@ -7,7 +7,6 @@ from helpers import random_triangle
 from wgsteklov.polyquad import (
     CellBasis,
     EdgeBasis,
-    VectorBasis,
     dim_pk,
     edge_quadrature,
     map_to_triangle,
@@ -77,7 +76,7 @@ def test_edge_rule_integral_spots():
     assert float(rule.weights @ rule.points**2) == pytest.approx(1 / 3, rel=1e-14)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
 def test_cell_basis_orthonormal(k, rng):
     # random shapes can be thin slivers; evaluation roundoff grows with the
     # raw monomial conditioning there, hence the slightly relaxed tolerance
@@ -105,7 +104,7 @@ def test_cell_basis_conditioning_under_scaling():
         assert np.allclose(mass, np.eye(basis.dim), atol=1e-10)
 
 
-@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("k", [0, 1, 2, 4])
 def test_cell_basis_gradient_matches_finite_differences(k, rng):
     verts = random_triangle(rng)
     basis = CellBasis(verts, k)
@@ -141,34 +140,6 @@ def test_edge_basis_orthonormal():
         phi = basis.eval(rule.points)
         mass = (phi * rule.weights[:, None]).T @ phi
         assert np.allclose(mass, np.eye(k + 1), atol=1e-13)
-
-
-def test_vector_basis_structure(rng):
-    verts = random_triangle(rng)
-    k = 3
-    vb = VectorBasis(verts, k)
-    assert vb.degree == k - 1
-    assert vb.dim == 2 * dim_pk(k - 1) == k * (k + 1)
-    rule = triangle_quadrature(2 * k)
-    pts, w = map_to_triangle(rule, verts)
-    vals = vb.eval(pts)
-    # componentwise construction: first half lives in the x slot only
-    m = vb.dim // 2
-    assert np.allclose(vals[:, :m, 1], 0.0)
-    assert np.allclose(vals[:, m:, 0], 0.0)
-    # vector mass matrix is the identity
-    mass = np.einsum("qid,q,qjd->ij", vals, w, vals)
-    assert np.allclose(mass, np.eye(vb.dim), atol=1e-12)
-    # divergence matches the scalar gradients
-    div = vb.divergence(pts)
-    g = vb.scalar.grad(pts)
-    assert np.allclose(div[:, :m], g[:, :, 0], atol=1e-13)
-    assert np.allclose(div[:, m:], g[:, :, 1], atol=1e-13)
-
-
-def test_vector_basis_requires_k_at_least_one(rng):
-    with pytest.raises(ValueError):
-        VectorBasis(random_triangle(rng), 0)
 
 
 def test_degenerate_cell_rejected():

@@ -231,7 +231,7 @@ def test_class_tabulated_quadrature_matches_per_cell_loops(domain, rng):
         want = project_cell(LocalCell.from_mesh(mesh, ci, k), f, quad_degree=2 * k + 6)
         assert np.allclose(c0[ci], want, rtol=0, atol=1e-13)
     for ei in range(mesh.n_edges):
-        want = project_edge(k, *mesh.edge_endpoints(ei), f, quad_degree=2 * k + 6)
+        want = project_edge(k, *mesh.vertices[mesh.edges[ei]], f, quad_degree=2 * k + 6)
         assert np.allclose(cb[ei], want, rtol=0, atol=1e-13)
     v = rng.standard_normal(len(q))
     assert discrete_v_norm(dof_map, v) == pytest.approx(_per_cell_v_norm(mesh, k, v), rel=1e-12)
@@ -251,7 +251,7 @@ def test_x_norm_error_pythagoras():
     eb = EdgeBasis(k).eval(rule.points)
     total = 0.0
     for ei in np.where(mesh.boundary_edge)[0]:
-        lo, hi = mesh.edge_endpoints(ei)
+        lo, hi = mesh.vertices[mesh.edges[ei]]
         pts, w = map_to_edge(rule, lo, hi)
         proj = eb @ ((eb * rule.weights[:, None]).T @ sol.u(pts))
         total += float(w @ (sol.u(pts) - proj) ** 2)

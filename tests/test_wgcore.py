@@ -23,7 +23,6 @@ from wgsteklov.wgcore import (
     local_aw,
     local_stabilizer_alpha,
     local_stabilizer_gamma,
-    n_local,
     project_cell,
     project_edge,
     project_vector,
@@ -34,12 +33,14 @@ REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def test_local_layout():
-    assert n_local(1) == 3 + 6
-    assert n_local(2) == 6 + 9
+    assert LocalCell(REF, 1).n_loc == 3 + 6
     cell = LocalCell(REF, 2)
-    assert cell.n_loc == n_local(2)
+    assert cell.n_loc == 6 + 9
     assert cell.edge_slice(0) == slice(6, 9)
     assert cell.edge_slice(2) == slice(12, 15)
+    # the weak gradient lives in P_{k-1}, so k = 0 has no space for it
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        LocalCell(REF, 0)
 
 
 def _jittered(mesh, rng):
@@ -123,24 +124,20 @@ def test_project_vector_exact_and_orthogonal(rng):
     cell = LocalCell(random_triangle(rng), 2)
     c = project_vector(cell, lambda p: np.tile([1.5, -2.0], (len(p), 1)))
     pts, w = map_to_triangle(triangle_quadrature(8), cell.vertices)
-    vals = np.stack(
-        [cell.vector_basis.scalar.eval(pts) @ c[: cell.vector_basis.dim // 2],
-         cell.vector_basis.scalar.eval(pts) @ c[cell.vector_basis.dim // 2 :]],
-        axis=1,
-    )
+    m = cell.grad_basis.dim
+    phi = cell.grad_basis.eval(pts)
+    vals = np.stack([phi @ c[:m], phi @ c[m:]], axis=1)
     assert np.allclose(vals, np.tile([1.5, -2.0], (len(pts), 1)), atol=1e-12)
     # gradients of P_k polynomials live in the vector space and are reproduced
     poly = random_poly(rng, 2)
     c = project_vector(cell, poly.grad)
-    m = cell.vector_basis.dim // 2
-    phi = cell.vector_basis.scalar.eval(pts)
     got = np.stack([phi @ c[:m], phi @ c[m:]], axis=1)
     assert np.allclose(got, poly.grad(pts), atol=1e-12)
     # analytic field: componentwise orthogonality of the residual
     F = lambda p: np.stack([np.exp(p[:, 0]), np.zeros(len(p))], axis=1)
     c = project_vector(cell, F, quad_degree=20)
     pts, w = map_to_triangle(triangle_quadrature(28), cell.vertices)
-    phi = cell.vector_basis.scalar.eval(pts)
+    phi = cell.grad_basis.eval(pts)
     resid = F(pts) - np.stack([phi @ c[:m], phi @ c[m:]], axis=1)
     defect = np.einsum("qi,q,qd->id", phi, w, resid)
     assert np.all(np.abs(defect) < 1e-12)
@@ -157,26 +154,30 @@ def test_weak_gradient_shape():
 
 
 def test_weak_gradient_defining_identity(rng):
-    # (grad_w v, w_i)_T = -(v0, div w_i)_T + <vb, w_i . n>_dT, checked by
-    # independent high-order quadrature for random local data
+    # per component, with psi_i the P_{k-1} basis: rows [:m] are
+    # (grad_w v, (psi_i, 0))_T = -(dx psi_i, v0)_T + <psi_i n_x, vb>_dT and
+    # rows [m:] the y analogue, checked by independent high-order quadrature
+    # for random local data
     for k in (1, 2, 3):
         cell = LocalCell(random_triangle(rng), k, flips=(True, False, True))
         G = weak_gradient_map(cell)
+        m = cell.grad_basis.dim
         v = rng.standard_normal(cell.n_loc)
         lhs = G @ v
         pts, w = map_to_triangle(triangle_quadrature(2 * k + 9), cell.vertices)
-        div = cell.vector_basis.divergence(pts)
+        grad = cell.grad_basis.grad(pts)
         v0 = cell.basis.eval(pts) @ v[: cell.n_interior]
-        rhs = -(div * w[:, None]).T @ v0
         erule = edge_quadrature(2 * k + 9)
         eb = cell.edge_basis.eval(erule.points)
-        for l in range(3):
-            lo, hi = cell.edge_canonical(l)
-            epts, ew = map_to_edge(erule, lo, hi)
-            vb = eb @ v[cell.edge_slice(l)]
-            wn = cell.vector_basis.normal_trace(epts, cell.normals[l])
-            rhs += (wn * ew[:, None]).T @ vb
-        assert np.allclose(lhs, rhs, atol=1e-12)
+        for comp, rows in ((0, slice(None, m)), (1, slice(m, None))):
+            rhs = -(grad[:, :, comp] * w[:, None]).T @ v0
+            for l in range(3):
+                lo, hi = cell.edge_canonical(l)
+                epts, ew = map_to_edge(erule, lo, hi)
+                vb = eb @ v[cell.edge_slice(l)]
+                psi_n = cell.grad_basis.eval(epts) * cell.normals[l, comp]
+                rhs += (psi_n * ew[:, None]).T @ vb
+            assert np.allclose(lhs[rows], rhs, atol=1e-12)
 
 
 def test_weak_gradient_of_constants_vanishes(rng):
@@ -228,7 +229,7 @@ def test_stabilizer_closed_forms(rng):
     dofs[: cell.n_interior] = project_cell(cell, lambda p: np.ones(len(p)))
     gamma = 0.37
     energy = dofs @ local_stabilizer_gamma(cell, gamma) @ dofs
-    assert energy == pytest.approx(gamma / cell.diameter * cell.perimeter, rel=1e-12)
+    assert energy == pytest.approx(gamma / cell.diameter * cell.edge_lengths.sum(), rel=1e-12)
     alpha = 1.8
     energy = dofs @ local_stabilizer_alpha(cell, alpha) @ dofs
     assert energy == pytest.approx(alpha * cell.area / cell.diameter**2, rel=1e-12)
