@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .polyquad import dim_pk
 from .wgcore import ANALYTIC_MARGIN, CellClasses, CellQuadrature, EdgeQuadrature, LocalKernels
-from .wgcore import check_alpha, evaluate
+from .wgcore import check_alpha, check_degree, evaluate
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,8 @@ class DofMap:
     """
 
     def __init__(self, mesh, k):
-        if k < 1:
-            raise ValueError(f"polynomial degree k must be >= 1, got {k}")
         self.mesh = mesh
-        self.k = int(k)
+        self.k = check_degree(k)
         self.dim_cell = dim_pk(self.k)
         self.dim_edge = self.k + 1
         self.n_cell_dofs = mesh.n_cells * self.dim_cell

@@ -6,7 +6,12 @@ own edges, so the cell DOFs are eliminated exactly, cell by cell: with K the
 local matrix of a cell split into its cell (c) and edge (e) DOFs, the local
 map W = K_cc^{-1} K_ce and the local Schur complement K_ee - K_ce^T W are
 formed once per congruence class, the edge operator E is the sum of the
-local Schur complements over the cells, and it is factored once.  With S the
+local Schur complements over the cells, and it is factored once, in
+nested-dissection order (`mesh.nested_dissection`) and without pivoting: E
+is symmetric positive definite, so its diagonal pivots need no search, and
+the backward-error gates of every solve catch a bad factor.  The ordering
+cuts the LU fill below that of a minimum-degree ordering (square k=2 n=64:
+2.94M nonzeros against 4.28M).  With S the
 Schur complement of E onto the boundary edge DOFs g and D the boundary
 block of B, which is diagonal (|e| on each DOF of boundary edge e), the
 finite eigenvalues of (A, B) are those of (S, D), and S^{-1} = (E^{-1})_gg:
@@ -34,6 +39,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .assembly import scatter_local
+from .mesh import nested_dissection
 
 
 class NumericalError(RuntimeError):
@@ -101,7 +107,7 @@ class CondensedPencil:
 
     def _lanczos_matvec(self, y):
         """T y = D^{1/2} S^{-1} D^{1/2} y by one unrefined solve with E."""
-        x = self.cells.lu.solve(self._lift(self._root_d * y.ravel()))
+        x = self.cells.solve_unrefined(self._lift(self._root_d * y.ravel()))
         return self._root_d * x[self._g]
 
     def _lanczos_basis(self, m):
@@ -144,21 +150,29 @@ class CellElimination:
 
     ``W`` holds the local elimination map K_cc^{-1} K_ce of each congruence
     class, and ``edge_dofs`` (C, 3 (k + 1)) the DOFs of each cell's edges,
-    counted from the first edge DOF.  `a_norm` is ||A||_inf of the assembled
-    A, for the backward-error gates.
+    counted from the first edge DOF.  E and its factor are held in
+    elimination order: row i of E is edge DOF ``order[i]``.  The solves take
+    and return vectors in the edge DOF numbering.  `a_norm` is ||A||_inf of
+    the assembled A, for the backward-error gates.
     """
 
-    def __init__(self, pair, edge_dofs, W, E, lu, a_norm):
+    def __init__(self, pair, edge_dofs, W, E, lu, order, a_norm):
         self.pair = pair
         self._edge_dofs = edge_dofs
         self._W = W
         self.E = E
         self.lu = lu
+        self.order = order
+        self._rank = np.argsort(order)
         self.a_norm = a_norm
 
     def solve(self, rhs):
         """E^{-1} rhs, refined, for right-hand side(s) on the edge DOFs."""
-        return _refined_solve(self.lu, self.E, rhs)
+        return _refined_solve(self.lu, self.E, rhs[self.order])[self._rank]
+
+    def solve_unrefined(self, rhs):
+        """E^{-1} rhs by one solve with the factor, without refinement."""
+        return self.lu.solve(rhs[self.order])[self._rank]
 
     def expand(self, u_e):
         """Full DOF vector(s) [u_c; u_e] that solve A u = [0; E u_e]: the cell
@@ -177,7 +191,9 @@ def eliminate_cells(pair):
     Per class, with the Cholesky factor K_cc = L L^T of the local matrix K
     and Y = L^{-1} K_ce, the map W = L^{-T} Y = K_cc^{-1} K_ce and the local
     Schur complement K_ee - Y^T Y = K_ee - K_ce^T W are formed; the Schur
-    complements summed over the cells' edge DOFs give E.  Returns a
+    complements summed over the cells' edge DOFs, each edge expanded to its
+    k + 1 DOFs in the nested-dissection order of the mesh, give E already
+    permuted, and E is factored in that order without pivoting.  Returns a
     `CellElimination`.
     """
     dof_map = pair.dof_map
@@ -194,7 +210,9 @@ def eliminate_cells(pair):
     S = K_ee - Y.transpose(0, 2, 1) @ Y
     edge_dofs = dof_map.local_dofs[:, d:] - dof_map.n_cell_dofs
     n_edge = dof_map.n_dofs - dof_map.n_cell_dofs
-    E = scatter_local(S[class_of], edge_dofs, n_edge).tocsc()
+    m = dof_map.dim_edge
+    order = (nested_dissection(dof_map.mesh)[:, None] * m + np.arange(m)).ravel()
+    E = scatter_local(S[class_of], np.argsort(order)[edge_dofs], n_edge).tocsc()
     # ||A||_inf of the assembled A, before the factorization so that it adds
     # nothing to the peak: the cell rows of A are local, and an edge row is
     # that of the edge block, summed from the K_ee, plus the edge-to-cell rows
@@ -209,10 +227,12 @@ def eliminate_cells(pair):
     )
     a_norm = float(max(absK[:, :d].sum(axis=2).max(), edge_rows.max()))
     try:
-        lu = spla.splu(E, permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(
+            E, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+        )
     except RuntimeError as exc:
         raise NumericalError(f"edge factorization failed: {exc}") from exc
-    return CellElimination(pair, edge_dofs, W, E, lu, a_norm)
+    return CellElimination(pair, edge_dofs, W, E, lu, order, a_norm)
 
 
 def condense(pair):

@@ -30,7 +30,7 @@ from .polyquad import (
     scaled_monomials,
     triangle_quadrature,
 )
-from .wgcore import check_alpha
+from .wgcore import check_alpha, check_degree
 
 # Reference eigenvalues are themselves numerical, so the below-reference check
 # carries a slack.
@@ -280,6 +280,7 @@ def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):
     estimated when absent), and evaluate the certificate against the
     discrete eigenvalue (case 2) or the reference (case 1) when available.
     """
+    k = check_degree(k)
     levels = [check_grid(domain, n) for n in levels]
     if refs is not None:
         refs = check_refs(refs)

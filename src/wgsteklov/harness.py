@@ -20,6 +20,7 @@ from .eigen import NumericalError, _stage, condense, solve_condensed
 from .mesh import DOMAINS, build_structured_mesh, check_grid, locate_cell, mesh_stats, mesh_to_json
 from .source import exponential_solution, interpolant, projection_errors, solve_source
 from .source import v_norm_error, x_norm_error
+from .wgcore import check_degree
 
 # High-accuracy reference values for the first four eigenvalues on the unit
 # square, used when a study is configured with refs="builtin:square".  They
@@ -49,6 +50,7 @@ class StudyConfig:
     def __post_init__(self):
         if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r}")
+        self.k = check_degree(self.k)
         self.levels = tuple(check_grid(self.domain, n) for n in check_levels(self.levels))
         if self.n_eigs < 1:
             raise ValueError(f"number of eigenvalues must be >= 1, got {self.n_eigs}")
@@ -282,6 +284,7 @@ class SourceReport:
 def run_source_study(domain, k, stabilizer, levels, solution=None):
     """Solve the boundary-flux problem across levels and report error orders."""
     solution = solution or exponential_solution()
+    k = check_degree(k)
     levels = [check_grid(domain, n) for n in levels]
     ns, hs, v_errs, x_errs, pvs, pxs = [], [], [], [], [], []
     for n in levels:

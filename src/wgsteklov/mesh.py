@@ -170,6 +170,35 @@ def build_structured_mesh(domain, n):
     return Mesh(vertices, cells, domain=domain, n=n)
 
 
+def nested_dissection(mesh):
+    """The edges of a conforming mesh in nested-dissection elimination order.
+
+    The cells are halved level by level, ceil(log2(C)) times, at the median
+    of each group's lowest vertex coordinate, along x on even levels and y on
+    odd ones; a cell goes to the upper half when its key reaches the median.
+    No cell of a structured mesh straddles a grid line, so there every cut
+    lies on one.  An edge belongs to the tree node where its two cells part,
+    found as the highest differing bit of their group codes, and a boundary
+    edge to the leaf of its cell.  Edges of different halves never share a
+    cell, so numbering each node after both of its halves (post-order)
+    leaves the separators last.  Reads `vertices`, `cells` and `edge_cells`.
+    """
+    low = mesh.vertices[mesh.cells].min(axis=1)
+    group = np.zeros(len(mesh.cells), dtype=np.int64)
+    for level in range((len(mesh.cells) - 1).bit_length()):
+        key = low[:, level % 2]
+        order = np.lexsort((key, group))
+        counts = np.bincount(group)
+        median = np.cumsum(counts) - (counts + 1) // 2
+        group = 2 * group + (key >= key[order[median[group]]])
+    first, second = mesh.edge_cells.T
+    a = group[first]
+    b = np.where(second < 0, a, group[second])
+    levels_up = np.frexp(a ^ b)[1].astype(np.int64)
+    last_leaf = a | ((1 << levels_up) - 1)
+    return np.lexsort((levels_up, last_leaf))
+
+
 def mesh_stats(mesh):
     """Summary counts and geometry totals for a mesh."""
     return {

@@ -42,9 +42,7 @@ class LocalCell:
 
     def __init__(self, vertices, k, flips=(False, False, False)):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.k = int(k)
-        if self.k < 1:
-            raise ValueError(f"polynomial degree k must be >= 1, got {k}")
+        self.k = check_degree(k)
         self.flips = tuple(bool(f) for f in flips)
         self.basis = CellBasis(self.vertices, self.k)
         self.grad_basis = CellBasis(self.vertices, self.k - 1)
@@ -163,6 +161,15 @@ def local_stabilizer_gamma(cell, gamma_value):
         raise ValueError(f"gamma must lie in (0, 1], got {gamma_value}")
     blocks = _edge_mismatch_blocks(cell)
     return gamma_value / cell.diameter * sum(blocks)
+
+
+def check_degree(k):
+    """The polynomial degree k as an int; raises ValueError unless k >= 1,
+    since the weak gradient lives in P_{k-1}."""
+    k = int(k)
+    if k < 1:
+        raise ValueError(f"polynomial degree k must be >= 1, got {k}")
+    return k
 
 
 def check_alpha(alpha):

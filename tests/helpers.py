@@ -105,6 +105,13 @@ def renumbered_mesh(mesh, rng):
     return Mesh(mesh.vertices[np.argsort(perm)], perm[mesh.cells])
 
 
+def jittered_mesh(mesh, rng):
+    """The same connectivity with every vertex shifted at random by up to 8 %
+    of the shortest edge, so no two cells are congruent."""
+    shift = 0.08 * mesh.length.min()
+    return Mesh(mesh.vertices + rng.uniform(-shift, shift, mesh.vertices.shape), mesh.cells)
+
+
 def pinv_delta(forms):
     """Dense reference for `glb.estimate_delta` from its :class:`glb.ProbeDefects`:
     lambda_max(num^{1/2} pinv(den) num^{1/2}) on the whole probe space, with

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from wgsteklov import eigen
+from wgsteklov import eigen, harness
 from wgsteklov.assembly import (
     AlphaStabilizer,
     DofMap,
@@ -29,7 +29,7 @@ from wgsteklov.eigen import (
 from wgsteklov.harness import main
 from wgsteklov.mesh import L_SHAPE, UNIT_SQUARE, build_structured_mesh
 from wgsteklov.source import exponential_solution, solve_source
-from helpers import global_elimination, interior_dofs, quadrature_boundary_form
+from helpers import global_elimination, interior_dofs, jittered_mesh, quadrature_boundary_form
 
 GAMMA = GammaStabilizer(PowerEps(0.1))
 
@@ -43,7 +43,11 @@ def synthetic_pair():
         n_dofs=3, n_cell_dofs=1, dim_cell=1, dim_edge=1, boundary_dofs=np.array([2]),
         local_dofs=np.array([[0, 1, 2]]),
         classes=SimpleNamespace(class_of=np.array([0]), members=[np.array([0])]),
-        mesh=SimpleNamespace(length=np.ones(2), boundary_edge=np.array([False, True])),
+        mesh=SimpleNamespace(
+            length=np.ones(2), boundary_edge=np.array([False, True]),
+            vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), cells=np.array([[0, 1, 2]]),
+            edge_cells=np.array([[0, -1], [0, -1]]),
+        ),
     )
     return WgOperatorPair(K, dof_map)
 
@@ -61,6 +65,27 @@ def test_synthetic_schur_complement():
     u = result.vectors[:, 0]
     assert u[1] == pytest.approx(-2.0 / 3.0 * u[2], rel=1e-14)
     assert u[0] == pytest.approx(1.0 / 3.0 * u[2], rel=1e-14)
+
+
+def singular_edge_pair():
+    # the synthetic pair with a zero edge block: eliminating the cell leaves
+    # E = [[-1/2, 0], [0, 0]], which is exactly singular
+    pair = synthetic_pair()
+    pair.local[0, 1:, 1:] = 0.0
+    return pair
+
+
+def test_singular_edge_operator_raises():
+    with pytest.raises(NumericalError, match="edge factorization failed"):
+        condense(singular_edge_pair())
+
+
+def test_cli_singular_edge_operator_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "assemble", lambda *args: singular_edge_pair())
+    argv = ["solve", "--domain", "square", "--n", "2", "--k", "1", "--gamma", "pow:0.1", "--eigs", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "stage 'condense'" in err and "edge factorization failed" in err
 
 
 def test_singular_cell_block_raises():
@@ -85,6 +110,7 @@ def test_local_elimination_matches_global_elimination(domain, k, n, stabilizer):
     pair = assemble(DofMap(build_structured_mesh(domain, n), k), stabilizer)
     cells = eliminate_cells(pair)
     W, E = global_elimination(pair.A, pair.dof_map)
+    E = E[cells.order][:, cells.order]
     assert abs(cells.E - E).max() <= 1e-15 * abs(E).max()
     u_e = np.random.default_rng(0).standard_normal((E.shape[0], 2))
     want = -(W @ u_e)
@@ -105,6 +131,41 @@ def test_local_apply_and_norm_match_assembled_A(domain, k, n, stabilizer):
     assert np.abs(pair.apply(V[:, 1]) - want[:, 1]).max() <= 1e-14 * np.abs(want).max()
     a_norm = abs(pair.A).sum(axis=1).max()
     assert abs(eliminate_cells(pair).a_norm - a_norm) <= 4 * np.spacing(a_norm)
+
+
+def test_edge_operator_does_not_couple_the_halves_of_the_top_cut():
+    # the first cut of the square runs along x = 1/2: the edges left of it
+    # come first, then those right of it, then the edges on it, and E couples
+    # no left edge to a right one
+    k = 2
+    mesh = build_structured_mesh(UNIT_SQUARE, 8)
+    cells = eliminate_cells(assemble(DofMap(mesh, k), GAMMA))
+    x = mesh.vertices[mesh.edges, 0].mean(axis=1)
+    side = np.select([x < 0.5, x > 0.5], [0, 1], 2)[cells.order // (k + 1)]
+    assert np.all(np.diff(side) >= 0)
+    assert np.count_nonzero(side == 2) == 8 * (k + 1)
+    assert cells.E[side == 0][:, side == 1].nnz == 0
+
+
+def test_nested_dissection_factor_has_less_fill_than_minimum_degree():
+    # square k=2 n=32: 0.60M nonzeros in L + U against 0.77M for SuperLU's
+    # minimum degree on A^T + A of the edge operator in edge DOF order
+    cells = eliminate_cells(assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 32), 2), GAMMA))
+    rank = np.argsort(cells.order)
+    mmd = spla.splu(cells.E[rank][:, rank].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    assert cells.lu.L.nnz + cells.lu.U.nnz < mmd.L.nnz + mmd.U.nnz
+    # and the diagonal pivots were taken as they came
+    assert np.array_equal(cells.lu.perm_r, cells.lu.perm_c)
+
+
+@pytest.mark.parametrize("domain", [UNIT_SQUARE, L_SHAPE])
+def test_jittered_mesh_lanczos_matches_full_spectrum(domain, rng):
+    # on a mesh with no congruent cells and no grid lines the cuts are not
+    # separators of a grid, but the ordering stays valid
+    mesh = jittered_mesh(build_structured_mesh(domain, 8), rng)
+    pencil = condense(assemble(DofMap(mesh, 2), GAMMA))
+    dense = solve_condensed(pencil, pencil.size).values[:4]
+    assert np.allclose(solve_condensed(pencil, 4).values, dense, rtol=1e-12, atol=0.0)
 
 
 def test_boundary_mass_is_the_boundary_block_of_B():

@@ -499,6 +499,30 @@ def test_cli_rejects_levels_that_do_not_increase(command, levels, monkeypatch, c
     assert "levels must be strictly increasing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["converge", "source", "glb"])
+def test_cli_rejects_k_below_one_before_the_first_mesh(command, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "build_structured_mesh", _no_mesh)
+    monkeypatch.setattr(harness.glb_mod, "build_structured_mesh", _no_mesh)
+    options = {
+        "converge": ["--gamma", "pow:0.1"],
+        "source": ["--gamma", "pow:0.1"],
+        "glb": ["--alpha", "0.01", "--stab-bound", "2.0", "--proj-bound", "0.5"],
+    }[command]
+    assert main([command, "--domain", "square", "--k", "0", *options, "--levels", "8,16"]) == 1
+    assert "polynomial degree k must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_studies_reject_k_below_one_before_the_first_mesh(monkeypatch):
+    monkeypatch.setattr(harness, "build_structured_mesh", _no_mesh)
+    monkeypatch.setattr(harness.glb_mod, "build_structured_mesh", _no_mesh)
+    with pytest.raises(ValueError, match="polynomial degree k must be >= 1"):
+        small_config(k=0)
+    with pytest.raises(ValueError, match="polynomial degree k must be >= 1"):
+        run_source_study(UNIT_SQUARE, 0, GAMMA, (2, 4))
+    with pytest.raises(ValueError, match="polynomial degree k must be >= 1"):
+        run_glb_study(UNIT_SQUARE, (2, 4), 0, GlbConfig(0.01, 2.0, 0.5))
+
+
 @pytest.mark.parametrize("grid", ["0", "1", "-3"])
 def test_cli_field_rejects_grid_below_two(grid, monkeypatch, tmp_path, capsys):
     # a grid of fewer than 2 points per side samples nothing or one corner:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import loop_edges, loop_structured_mesh, renumbered_mesh
+from helpers import jittered_mesh, loop_edges, loop_structured_mesh, renumbered_mesh
 from wgsteklov.mesh import (
     DOMAIN_AREA,
     L_SHAPE,
@@ -15,6 +15,7 @@ from wgsteklov.mesh import (
     locate_cell,
     mesh_stats,
     mesh_to_json,
+    nested_dissection,
 )
 
 
@@ -204,6 +205,16 @@ def test_edge_tables_match_loop_oracle(domain, n, rng):
         for name, want in zip(names, loop_edges(m.cells)):
             got = getattr(m, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize(
+    "domain,n", [(UNIT_SQUARE, n) for n in (1, 2, 3, 8, 64)] + [(L_SHAPE, n) for n in (2, 8, 64)]
+)
+def test_nested_dissection_is_a_permutation_of_the_edges(domain, n, rng):
+    mesh = build_structured_mesh(domain, n)
+    for m in (mesh, renumbered_mesh(mesh, rng), jittered_mesh(mesh, rng)):
+        order = nested_dissection(m)
+        assert np.array_equal(np.sort(order), np.arange(m.n_edges))
 
 
 def test_edge_with_three_cells_rejected():

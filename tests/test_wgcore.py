@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    jittered_mesh,
     local_interpolant,
     quadrature_boundary_form,
     random_poly,
@@ -9,7 +10,7 @@ from helpers import (
     renumbered_mesh,
 )
 from wgsteklov.assembly import DofMap, GammaStabilizer, PowerEps, assemble, gamma_of_h, interpolate
-from wgsteklov.mesh import DOMAINS, Mesh, build_structured_mesh
+from wgsteklov.mesh import DOMAINS, build_structured_mesh
 from wgsteklov.polyquad import (
     edge_quadrature,
     map_to_edge,
@@ -43,18 +44,13 @@ def test_local_layout():
         LocalCell(REF, 0)
 
 
-def _jittered(mesh, rng):
-    """The same connectivity with every vertex shifted at random, so no two cells are congruent."""
-    return Mesh(mesh.vertices + rng.uniform(-0.02, 0.02, mesh.vertices.shape), mesh.cells)
-
-
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_cell_classes_match_translation_invariant_keys(domain, rng):
     # two cells share a class exactly when their rounded relative vertex
     # coordinates and edge orientations agree; the first member represents
     structured = build_structured_mesh(domain, 4)
     renumbered = renumbered_mesh(structured, rng)
-    for mesh in (structured, renumbered, _jittered(structured, rng)):
+    for mesh in (structured, renumbered, jittered_mesh(structured, rng)):
         classes = CellClasses(mesh, 2)
         keys = []
         for ci in range(mesh.n_cells):
