@@ -122,6 +122,13 @@ class DofMap:
         self.local_dofs = np.concatenate([cell_dofs, cell_edge_dofs], axis=1)
         self.classes = CellClasses(mesh, self.k)
 
+    @cached_property
+    def cell_quadrature(self):
+        """The `CellQuadrature` of degree 2k + ANALYTIC_MARGIN, for smooth
+        non-polynomial integrands, built on first use and shared by every
+        consumer of the level."""
+        return CellQuadrature(self.classes, 2 * self.k + ANALYTIC_MARGIN)
+
     def split(self, coeffs):
         """Views of a global vector as cell rows (C, dim_cell) and edge rows (E, dim_edge)."""
         return (
@@ -198,9 +205,8 @@ def interpolate(dof_map, f):
     argument is a smooth non-polynomial function.
     """
     mesh, k = dof_map.mesh, dof_map.k
-    deg = 2 * k + ANALYTIC_MARGIN
-    cells = CellQuadrature(dof_map.classes, deg)
-    edges = EdgeQuadrature(mesh, k, deg, np.arange(mesh.n_edges))
+    cells = dof_map.cell_quadrature
+    edges = EdgeQuadrature(mesh, k, 2 * k + ANALYTIC_MARGIN, np.arange(mesh.n_edges))
     # cell blocks first, then edge blocks: the DofMap layout
     c0 = cells.project(evaluate(f, cells.points))
     cb = edges.project(evaluate(f, edges.points))

@@ -62,6 +62,21 @@ DEFAULT_RTOL = 1e-9
 _LANCZOS_TOL = 1e-10
 
 
+def lanczos(matvec, size, m, tol):
+    """The m largest eigenpairs (values, vectors) of the symmetric operator
+    y -> matvec(y) on R^size, found by Lanczos (ARPACK) to relative residual
+    `tol`.  Raises NumericalError if ARPACK fails or does not converge."""
+    operator = spla.LinearOperator((size, size), matvec=matvec, dtype=float)
+    # a fixed start vector keeps repeated solves bit-identical; a random
+    # one has components along every eigenvector, where a symmetric one
+    # would miss the antisymmetric modes
+    v0 = np.random.default_rng(0).standard_normal(size)
+    try:
+        return spla.eigsh(operator, k=m, which="LA", tol=tol, v0=v0)
+    except spla.ArpackError as exc:
+        raise NumericalError(f"Lanczos solve failed: {exc}") from exc
+
+
 class CondensedPencil:
     """Boundary reduction (S, D) of an operator pair, held matrix-free.
 
@@ -113,16 +128,7 @@ class CondensedPencil:
     def _lanczos_basis(self, m):
         """Orthonormal basis of the invariant subspace of T for its m largest
         eigenvalues, found by Lanczos (ARPACK)."""
-        T = spla.LinearOperator((self.size, self.size), matvec=self._lanczos_matvec, dtype=float)
-        # a fixed start vector keeps repeated solves bit-identical; a random
-        # one has components along every eigenvector, where a symmetric one
-        # would miss the antisymmetric modes
-        v0 = np.random.default_rng(0).standard_normal(self.size)
-        try:
-            _, Y = spla.eigsh(T, k=m, which="LA", tol=_LANCZOS_TOL, v0=v0)
-        except spla.ArpackError as exc:
-            raise NumericalError(f"Lanczos solve failed: {exc}") from exc
-        return Y
+        return lanczos(self._lanczos_matvec, self.size, m, _LANCZOS_TOL)[1]
 
     def eigenpairs(self, m):
         """The m smallest eigenvalues of (A, B), ascending, with full DOF

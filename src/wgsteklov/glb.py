@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .assembly import AlphaStabilizer, DofMap, assemble
-from .eigen import DEFAULT_RTOL, NumericalError, _stage, solve_pair
+from .eigen import DEFAULT_RTOL, NumericalError, _stage, lanczos, solve_pair
 from .mesh import build_structured_mesh, check_grid
 from .polyquad import (
     EdgeBasis,
@@ -35,6 +35,10 @@ from .wgcore import check_alpha, check_degree
 # Reference eigenvalues are themselves numerical, so the below-reference check
 # carries a slack.
 LOWER_BOUND_SLACK = 1e-9
+
+# relative residual asked of the Lanczos Ritz pair of H in `estimate_delta`;
+# the Rayleigh quotient's error is quadratic in that of the Ritz vector
+_DELTA_TOL = 1e-12
 
 
 def check_refs(refs):
@@ -242,11 +246,16 @@ def estimate_delta(dof_map, probe_degree):
     piecewise P_{probe_degree} probe space.  Both defects vanish on the
     continuous P_k space range(Z), which is exactly the null space of the
     denominator `den`, so with num = R R^T the maximum is
-    lambda_max(R^T den^+ R).  One sparse LU of the nonsingular bordered
-    matrix K = [[den, Z], [Z^T, 0]] gives den^+ R as the first block of
-    K^{-1} [R; 0].  The true constant can only be larger, so this is a lower
-    estimate.  Raises NumericalError if the factorization fails or the
-    normwise backward error of the solve exceeds `DEFAULT_RTOL`.
+    lambda_max(H), H = R^T den^+ R.  One sparse LU of the nonsingular
+    bordered matrix K = [[den, Z], [Z^T, 0]] gives den^+ R y as the first
+    block of K^{-1} [R y; 0], so each application of H is one unrefined
+    solve of one vector, and Lanczos (`eigen.lanczos`) finds the largest
+    eigenvector y of H without forming it.  One more solve with the Ritz
+    vector y gives the value as the Rayleigh quotient y^T H y / y^T y,
+    which never exceeds lambda_max(H); the true constant can only be
+    larger still, so this is a lower estimate.  Raises NumericalError if
+    the factorization fails, Lanczos does not converge, or the normwise
+    backward error of the last solve exceeds `DEFAULT_RTOL`.
     """
     forms = probe_defects(dof_map, probe_degree)
     w, V = sla.eigh(forms.num)
@@ -254,22 +263,28 @@ def estimate_delta(dof_map, probe_degree):
     if R.shape[1] == 0:
         raise ValueError("probe space lies entirely in the defect null space")
     K = sp.bmat([[forms.den, forms.Z], [forms.Z.T, None]], format="csc")
-    rhs = np.zeros((K.shape[0], R.shape[1]))
-    rhs[forms.boundary] = R
     try:
         lu = splu(K, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise NumericalError(f"bordered factorization failed: {exc}") from exc
-    x = lu.solve(rhs)
+
+    def solve(y):
+        """[R y; 0] and K^{-1} [R y; 0], unrefined."""
+        rhs = np.zeros(K.shape[0])
+        rhs[forms.boundary] = R @ y
+        return rhs, lu.solve(rhs)
+
+    def apply_h(y):
+        return R.T @ solve(y.ravel())[1][forms.boundary]
+
+    y = lanczos(apply_h, R.shape[1], 1, _DELTA_TOL)[1][:, 0]
+    rhs, x = solve(y)
     k_norm = float(abs(K).sum(axis=1).max())
-    error = np.linalg.norm(K @ x - rhs, axis=0) / (
-        k_norm * np.linalg.norm(x, axis=0) + np.linalg.norm(rhs, axis=0)
-    )
-    if not error.max() <= DEFAULT_RTOL:
-        raise NumericalError(f"bordered solve backward error {error.max():.2e} "
+    error = np.linalg.norm(K @ x - rhs) / (k_norm * np.linalg.norm(x) + np.linalg.norm(rhs))
+    if not error <= DEFAULT_RTOL:
+        raise NumericalError(f"bordered solve backward error {error:.2e} "
                              f"exceeds tolerance {DEFAULT_RTOL:.1e}")
-    H = R.T @ x[forms.boundary]
-    return float(sla.eigh(0.5 * (H + H.T), eigvals_only=True)[-1])
+    return float(y @ (R.T @ x[forms.boundary]) / (y @ y))
 
 
 def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):

@@ -220,6 +220,7 @@ def _solve_level(domain, n, k, stabilizer, m):
     """
     if m < 1:
         raise ValueError(f"number of eigenpairs must be >= 1, got {m}")
+    k = check_degree(k)
     dof_map = DofMap(build_structured_mesh(domain, n), k)
     pencil = _stage("condense", condense, assemble(dof_map, stabilizer))
     return dof_map, _stage("solve", solve_condensed, pencil, m)

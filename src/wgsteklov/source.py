@@ -133,7 +133,7 @@ def projection_errors(exact, q, dof_map):
     contribution dominates.
     """
     c0, cb = dof_map.split(q)
-    cells = CellQuadrature(dof_map.classes, 2 * dof_map.k + ANALYTIC_MARGIN)
+    cells = dof_map.cell_quadrature
     ru = evaluate(exact.u, cells.points) - cells.values(c0)
     rg = evaluate(exact.grad, cells.points) - cells.gradients(c0)
     v_total = float(np.sum(cells.weights * (ru**2 + np.sum(rg**2, axis=-1))))

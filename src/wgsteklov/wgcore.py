@@ -343,9 +343,8 @@ def epsilon_h_diagnostic(u, grad_u, dof_map, gamma_value):
     (n, 2) points to values, `grad_u` to (n, 2) gradients.
     """
     mesh, k = dof_map.mesh, dof_map.k
-    deg = 2 * k + ANALYTIC_MARGIN
-    cells = CellQuadrature(dof_map.classes, deg)
-    edges = EdgeQuadrature(mesh, k, deg, np.arange(mesh.n_edges))
+    cells = dof_map.cell_quadrature
+    edges = EdgeQuadrature(mesh, k, 2 * k + ANALYTIC_MARGIN, np.arange(mesh.n_edges))
     uq = evaluate(u, cells.points)
     gq = evaluate(grad_u, cells.points)
     c0 = cells.project(uq)

@@ -156,6 +156,47 @@ def test_estimate_delta_numerical_failures(monkeypatch):
         estimate_delta(dof_map, 3)
 
 
+@pytest.mark.parametrize("domain,k,extra,n", [
+    *((domain, k, extra, n) for domain in (UNIT_SQUARE, L_SHAPE) for k in (1, 2)
+      for extra in (1, 2) for n in (2, 4)),
+    (UNIT_SQUARE, 1, 2, 1),
+])
+def test_estimate_delta_is_a_lower_estimate(domain, k, extra, n):
+    # a Ritz value of H never exceeds its largest eigenvalue
+    dof_map = DofMap(build_structured_mesh(domain, n), k)
+    forms = probe_defects(dof_map, k + extra)
+    assert estimate_delta(dof_map, k + extra) <= pinv_delta(forms) * (1.0 + 1e-12)
+
+
+class _LoggingLU:
+    def __init__(self, lu):
+        self.lu = lu
+        self.shapes = []
+
+    def solve(self, rhs):
+        self.shapes.append(rhs.shape)
+        return self.lu.solve(rhs)
+
+
+def test_estimate_delta_solves_one_vector_at_a_time(monkeypatch):
+    # every solve with the bordered factor takes a single right-hand side,
+    # so no dense block with one column per rank of num is formed
+    dof_map = DofMap(build_structured_mesh(UNIT_SQUARE, 8), 1)
+    want = estimate_delta(dof_map, 3)
+    splu, lus = glb.splu, []
+
+    def logging_splu(*args, **kwargs):
+        lus.append(_LoggingLU(splu(*args, **kwargs)))
+        return lus[-1]
+
+    monkeypatch.setattr(glb, "splu", logging_splu)
+    assert estimate_delta(dof_map, 3) == want
+    [lu] = lus
+    size = lu.lu.shape[0]
+    assert len(lu.shapes) > 1
+    assert set(lu.shapes) == {(size,)}
+
+
 def test_run_glb_study_certified_below_reference():
     config = GlbConfig(alpha=0.01, stab_bound=2.0, proj_bound=0.5, index=1)
     rows = run_glb_study(

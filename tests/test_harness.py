@@ -512,6 +512,27 @@ def test_cli_rejects_k_below_one_before_the_first_mesh(command, monkeypatch, cap
     assert "polynomial degree k must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "field"])
+def test_cli_single_level_rejects_k_below_one_before_the_mesh(command, monkeypatch, tmp_path,
+                                                              capsys):
+    meshes = []
+    build = harness.build_structured_mesh
+
+    def recording(*args):
+        meshes.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(harness, "build_structured_mesh", recording)
+    argv = [command, "--domain", "square", "--n", "8", "--k", "0", "--gamma", "pow:0.1"]
+    if command == "solve":
+        argv += ["--eigs", "2"]
+    else:
+        argv += ["--eig", "1", "--grid", "5", "--out", str(tmp_path / "f.csv")]
+    assert main(argv) == 1
+    assert "polynomial degree k must be >= 1, got 0" in capsys.readouterr().err
+    assert meshes == []
+
+
 def test_studies_reject_k_below_one_before_the_first_mesh(monkeypatch):
     monkeypatch.setattr(harness, "build_structured_mesh", _no_mesh)
     monkeypatch.setattr(harness.glb_mod, "build_structured_mesh", _no_mesh)
@@ -579,6 +600,22 @@ def test_each_study_builds_one_cell_classes_per_level(monkeypatch):
     assert builds == []
 
 
+def test_source_study_builds_one_analytic_cell_quadrature_per_level(monkeypatch):
+    # the interpolant and the projection errors of a level share one
+    # quadrature of degree 2k + ANALYTIC_MARGIN, held by its DofMap
+    builds = []
+    init = wgcore.CellQuadrature.__init__
+
+    def counting_init(self, classes, degree):
+        builds.append((classes.mesh.n_cells, degree))
+        init(self, classes, degree)
+
+    monkeypatch.setattr(wgcore.CellQuadrature, "__init__", counting_init)
+    run_source_study(UNIT_SQUARE, 1, GAMMA, (2, 4))
+    degree = 2 + wgcore.ANALYTIC_MARGIN
+    assert [b for b in builds if b[1] == degree] == [(8, degree), (32, degree)]
+
+
 def test_cli_numerical_failures_exit_2(monkeypatch, tmp_path, capsys):
     def boom(*args):
         raise NumericalError("synthetic failure")
@@ -621,6 +658,13 @@ def test_cli_numerical_failures_exit_2(monkeypatch, tmp_path, capsys):
     assert main(["solve", "--domain", "square", "--n", "8", "--k", "1", "--gamma", "pow:0.1"]) == 2
     err = capsys.readouterr().err
     assert "stage 'solve'" in err and "No convergence" in err
+    # on one cell the eigen solve's Lanczos run still converges under the same
+    # cut, and that of the delta estimate does not
+    capsys.readouterr()
+    assert main(["glb", "--domain", "square", "--k", "1", "--alpha", "0.01", "--stab-bound",
+                 "2.0", "--proj-bound", "estimate", "--levels", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'estimate_delta'" in err and "No convergence" in err
 
 
 def test_cli_config_file(tmp_path, capsys):
