@@ -282,24 +282,31 @@ class SourceReport:
         raise ValueError(f"unknown output format {fmt!r}")
 
 
+def _source_level(domain, n, k, stabilizer, solution):
+    """Solve one level of the source study and measure its errors.
+
+    Returns (h, v_error, x_error, proj_v, proj_x); nothing else of the level
+    outlives the call, so none of it is held while the next level is built.
+    """
+    dof_map = DofMap(build_structured_mesh(domain, n), k)
+    u_h = _stage("solve", solve_source, dof_map, stabilizer, solution.flux)
+    q = interpolant(solution, dof_map)
+    return (
+        dof_map.mesh.h_max,
+        v_norm_error(u_h, q, dof_map),
+        x_norm_error(u_h, solution, dof_map),
+        *projection_errors(solution, q, dof_map),
+    )
+
+
 def run_source_study(domain, k, stabilizer, levels, solution=None):
     """Solve the boundary-flux problem across levels and report error orders."""
     solution = solution or exponential_solution()
     k = check_degree(k)
     levels = [check_grid(domain, n) for n in levels]
-    ns, hs, v_errs, x_errs, pvs, pxs = [], [], [], [], [], []
-    for n in levels:
-        dof_map = DofMap(build_structured_mesh(domain, n), k)
-        u_h = _stage("solve", solve_source, dof_map, stabilizer, solution.flux)
-        q = interpolant(solution, dof_map)
-        v_errs.append(v_norm_error(u_h, q, dof_map))
-        x_errs.append(x_norm_error(u_h, solution, dof_map))
-        pv, px = projection_errors(solution, q, dof_map)
-        pvs.append(pv)
-        pxs.append(px)
-        ns.append(n)
-        hs.append(dof_map.mesh.h_max)
-    return SourceReport(ns, hs, v_errs, x_errs, pvs, pxs, solution.label)
+    rows = [_source_level(domain, n, k, stabilizer, solution) for n in levels]
+    hs, v_errs, x_errs, pvs, pxs = (list(column) for column in zip(*rows))
+    return SourceReport(levels, hs, v_errs, x_errs, pvs, pxs, solution.label)
 
 
 def export_eigenfunction_field(result, dof_map, j, grid_resolution):
