@@ -5,40 +5,39 @@ eigenpairs of (A, B) live on the boundary block.  Cells couple only to their
 own edges, so the cell DOFs are eliminated exactly, cell by cell: with K the
 local matrix of a cell split into its cell (c) and edge (e) DOFs, the local
 map W = K_cc^{-1} K_ce and the local Schur complement K_ee - K_ce^T W are
-formed once per congruence class, the edge operator E is the sum of the
-local Schur complements over the cells, and it is factored once, in
-nested-dissection order (`mesh.nested_dissection`) and without pivoting: E
-is symmetric positive definite, so its diagonal pivots need no search, and
-the backward-error gates of every solve catch a bad factor.  The ordering
-cuts the LU fill below that of a minimum-degree ordering (square k=2 n=64:
-2.94M nonzeros against 4.28M).  With S the
-Schur complement of E onto the boundary edge DOFs g and D the boundary
-block of B, which is diagonal (|e| on each DOF of boundary edge e), the
-finite eigenvalues of (A, B) are those of (S, D), and S^{-1} = (E^{-1})_gg:
-applying S^{-1} is one solve with E on a right-hand side supported on g.
-The m smallest eigenvalues are the reciprocals of the m largest eigenvalues
-of the symmetric operator T = D^{1/2} S^{-1} D^{1/2}.  Lanczos (ARPACK)
-only finds their invariant subspace, so each of its applications of T is
-one unrefined solve with E; a full-spectrum request, which ARPACK cannot
-serve, takes the whole boundary space.  One refined block solve
-Z = E^{-1} [D^{1/2} Y; 0] on the orthonormal basis Y then sets both the
-values, by a Rayleigh-Ritz step on Y^T D^{1/2} Z_g, whose error is
-quadratic in that of the subspace, and the expanded eigenvectors: with
-(mu, Q) the eigenpairs of that m x m matrix, lambda = 1 / mu, the edge part
-is u_e = lambda Z Q, and the cell part of each cell is -W applied to its
-edge values.  Neither the assembled A nor a dense S is formed unless it is
-read.  The cell elimination and the factorization of E (`eliminate_cells`)
-also serve the boundary-flux source problem (`source.solve_source`), whose
-load vanishes on the cell DOFs.
+formed once per congruence class.  The edge operator E, the sum of the local
+Schur complements over the cells, is never assembled: a Schur tree condenses
+it onto the boundary edge DOFs g.  The tree is that of
+`mesh.nested_dissection`; its leaves are the cells with their local Schur
+complements, and each node adds the matrices of its two children and
+eliminates, by a dense Cholesky factor, the edges where their cells part.
+On a structured mesh the nodes of one size are mostly translates of each
+other, and one elimination serves each congruence class of nodes.  The
+root gives the dense Schur complement S of E onto g, which is factored by
+Cholesky.  With D the boundary block of B, which is diagonal (|e| on each
+DOF of boundary edge e), the finite eigenvalues of (A, B) are those of
+(S, D).  The m smallest eigenvalues are the reciprocals of the m largest
+eigenvalues of the symmetric operator T = D^{1/2} S^{-1} D^{1/2}.  Lanczos
+(ARPACK) finds their invariant subspace, each application of T one solve
+with the factor of S; a full-spectrum request, which ARPACK cannot serve,
+takes the whole boundary space.  One block solve Z = S^{-1} D^{1/2} Y on the
+orthonormal basis Y then sets both the values, by a Rayleigh-Ritz step on
+Y^T D^{1/2} Z, whose error is quadratic in that of the subspace, and the
+eigenvectors: with (mu, Q) the eigenpairs of that m x m matrix,
+lambda = 1 / mu and the boundary part is u_g = lambda Z Q.  The tree
+extends it inward, top-down, each node setting the edges it eliminated
+from those it kept, and the cell part of each cell is -W applied to its
+edge values.  No solve path assembles A.  The cell elimination and
+the tree (`eliminate_cells`) also serve the boundary-flux source problem
+(`source.solve_source`), whose load is supported on g as well.
 """
 
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .assembly import scatter_local
 from .mesh import nested_dissection
 
 
@@ -56,9 +55,9 @@ def _stage(name, fn, *args, **kwargs):
 
 DEFAULT_RTOL = 1e-9
 
-# relative residual asked of the Lanczos Ritz pairs of the unrefined
-# operator: Lanczos only locates the invariant subspace, and the error of
-# that subspace enters the Rayleigh-Ritz values squared
+# relative residual asked of the Lanczos Ritz pairs: Lanczos only locates
+# the invariant subspace, and the error of that subspace enters the
+# Rayleigh-Ritz values squared
 _LANCZOS_TOL = 1e-10
 
 
@@ -78,52 +77,26 @@ def lanczos(matvec, size, m, tol):
 
 
 class CondensedPencil:
-    """Boundary reduction (S, D) of an operator pair, held matrix-free.
+    """Boundary reduction (S, D) of an operator pair.
 
-    Holds the cell elimination with the factorization of the edge operator E
-    (`cells`) and the square root of the diagonal boundary block D of B;
-    S^{-1} is applied through the factorization, and the dense S is formed
-    only when it is read.
+    Holds the cell elimination (`cells`), with the dense boundary Schur
+    complement S of the edge operator and its Cholesky factor, and the
+    square root of the diagonal boundary block D of B.
     """
 
     def __init__(self, cells):
         self.pair = cells.pair
         self.cells = cells
-        g = self.pair.dof_map.boundary_dofs
-        self._g = g - self.pair.dof_map.n_cell_dofs
-        self._root_d = np.sqrt(self.pair.B.diagonal()[g])
+        self.S = cells.S
+        self._root_d = np.sqrt(self.pair.B.diagonal()[self.pair.dof_map.boundary_dofs])
 
     @property
     def size(self):
-        return len(self._g)
-
-    def _lift(self, rhs_boundary):
-        """[rhs; 0] on the edge DOFs for right-hand side(s) given on the boundary DOFs."""
-        rhs = np.zeros((self.cells.E.shape[0],) + rhs_boundary.shape[1:])
-        rhs[self._g] = rhs_boundary
-        return rhs
-
-    def _edge_solve(self, rhs_boundary):
-        """E^{-1} [rhs; 0], refined, for right-hand side(s) given on the boundary DOFs."""
-        return self.cells.solve(self._lift(rhs_boundary))
-
-    @cached_property
-    def S(self):
-        """Dense boundary Schur complement inv((E^{-1})_gg), formed on first read."""
-        try:
-            S = np.linalg.inv(self._edge_solve(np.eye(self.size))[self._g])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("boundary block of the inverse edge operator is singular") from exc
-        asym = np.abs(S - S.T).max()
-        scale = np.abs(S).max()
-        if asym > 1e-12 * scale:
-            raise NumericalError(f"condensed matrix asymmetry {asym / scale:.2e} exceeds 1e-12")
-        return 0.5 * (S + S.T)
+        return len(self.S)
 
     def _lanczos_matvec(self, y):
-        """T y = D^{1/2} S^{-1} D^{1/2} y by one unrefined solve with E."""
-        x = self.cells.solve_unrefined(self._lift(self._root_d * y.ravel()))
-        return self._root_d * x[self._g]
+        """T y = D^{1/2} S^{-1} D^{1/2} y by one solve with the factor of S."""
+        return self._root_d * self.cells.boundary_solve(self._root_d * y.ravel())
 
     def _lanczos_basis(self, m):
         """Orthonormal basis of the invariant subspace of T for its m largest
@@ -135,50 +108,77 @@ class CondensedPencil:
         eigenvectors of unit boundary norm as columns.
 
         A Rayleigh-Ritz step on an orthonormal basis Y (Lanczos's, or the
-        identity for the whole spectrum) takes one refined block solve
-        Z = E^{-1} [D^{1/2} Y; 0]: the eigenpairs (mu, Q) of Y^T D^{1/2} Z_g
-        give the values 1 / mu, and the same Z gives the edge part
-        lambda Z Q of each eigenvector; `cells` expands it to the cell DOFs.
+        identity for the whole spectrum) takes one block solve
+        Z = S^{-1} D^{1/2} Y: the eigenpairs (mu, Q) of Y^T D^{1/2} Z give
+        the values 1 / mu, and the same Z gives the boundary part
+        lambda Z Q of each eigenvector, which `cells` extends to the
+        interior edges and then to the cells.
         """
         Y = np.eye(self.size) if m == self.size else self._lanczos_basis(m)
         root_d = self._root_d[:, None]
-        Z = self._edge_solve(root_d * Y)
-        H = Y.T @ (root_d * Z[self._g])
+        Z = self.cells.boundary_solve(root_d * Y)
+        H = Y.T @ (root_d * Z)
         mu, Q = sla.eigh(0.5 * (H + H.T))
         values = 1.0 / mu[::-1]
-        u_e = (Z @ Q[:, ::-1]) * values
-        return values, self.cells.expand(u_e)
+        u_g = (Z @ Q[:, ::-1]) * values
+        return values, self.cells.expand(self.cells.extend(u_g))
+
+
+@dataclass(frozen=True)
+class SchurStep:
+    """One dense elimination of the Schur tree, shared by the tree nodes of
+    one congruence class.
+
+    Row i of ``kept`` and of ``sep`` holds the edge DOFs (counted from the
+    first edge DOF) that node i of the class keeps and eliminates; with M
+    the node's matrix on [kept; sep], ``X`` = M_ss^{-1} M_sk gives the
+    eliminated values as -X u_kept.
+    """
+
+    X: np.ndarray
+    kept: np.ndarray
+    sep: np.ndarray
 
 
 class CellElimination:
-    """The cell DOFs of an operator pair eliminated exactly, with the edge
-    operator E factored (`lu`).
+    """The cell DOFs of an operator pair eliminated exactly, and the edge
+    operator E condensed onto the boundary by the Schur tree.
 
     ``W`` holds the local elimination map K_cc^{-1} K_ce of each congruence
     class, and ``edge_dofs`` (C, 3 (k + 1)) the DOFs of each cell's edges,
-    counted from the first edge DOF.  E and its factor are held in
-    elimination order: row i of E is edge DOF ``order[i]``.  The solves take
-    and return vectors in the edge DOF numbering.  `a_norm` is ||A||_inf of
-    the assembled A, for the backward-error gates.
+    counted from the first edge DOF.  ``steps`` lists the `SchurStep`s of
+    the tree bottom-up.  ``S`` is the boundary Schur complement of E, in the
+    order of ``dof_map.boundary_dofs``; it is factored by Cholesky here.
+    `a_norm` is ||A||_inf of the assembled A, for the backward-error gates.
     """
 
-    def __init__(self, pair, edge_dofs, W, E, lu, order, a_norm):
+    def __init__(self, pair, edge_dofs, W, steps, S, a_norm):
         self.pair = pair
         self._edge_dofs = edge_dofs
         self._W = W
-        self.E = E
-        self.lu = lu
-        self.order = order
-        self._rank = np.argsort(order)
+        self.steps = steps
+        self.S = S
         self.a_norm = a_norm
+        try:
+            self._factor = sla.cho_factor(S, lower=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"edge factorization failed: {exc}") from exc
 
-    def solve(self, rhs):
-        """E^{-1} rhs, refined, for right-hand side(s) on the edge DOFs."""
-        return _refined_solve(self.lu, self.E, rhs[self.order])[self._rank]
+    def boundary_solve(self, f_g):
+        """S^{-1} f_g for right-hand side(s) given on the boundary DOFs."""
+        return sla.cho_solve(self._factor, f_g, check_finite=False)
 
-    def solve_unrefined(self, rhs):
-        """E^{-1} rhs by one solve with the factor, without refinement."""
-        return self.lu.solve(rhs[self.order])[self._rank]
+    def extend(self, u_g):
+        """The edge DOF vector(s) u_e with E u_e zero off the boundary and
+        boundary values u_g: top-down through the tree, each step sets the
+        DOFs it eliminated to -X applied to those it kept."""
+        dof_map = self.pair.dof_map
+        u_e = np.zeros((dof_map.n_dofs - dof_map.n_cell_dofs,) + u_g.shape[1:])
+        u_e[dof_map.boundary_dofs - dof_map.n_cell_dofs] = u_g
+        U = u_e.reshape(len(u_e), -1)
+        for step in reversed(self.steps):
+            U[step.sep] = -(step.X @ U[step.kept])
+        return u_e
 
     def expand(self, u_e):
         """Full DOF vector(s) [u_c; u_e] that solve A u = [0; E u_e]: the cell
@@ -191,20 +191,19 @@ class CellElimination:
 
 
 def eliminate_cells(pair):
-    """Eliminate the cell DOFs of an operator pair class by class and factor
-    the edge operator.
+    """Eliminate the cell DOFs of an operator pair class by class, and
+    condense the edge operator onto the boundary by the Schur tree.
 
     Per class, with the Cholesky factor K_cc = L L^T of the local matrix K
     and Y = L^{-1} K_ce, the map W = L^{-T} Y = K_cc^{-1} K_ce and the local
-    Schur complement K_ee - Y^T Y = K_ee - K_ce^T W are formed; the Schur
-    complements summed over the cells' edge DOFs, each edge expanded to its
-    k + 1 DOFs in the nested-dissection order of the mesh, give E already
-    permuted, and E is factored in that order without pivoting.  Returns a
-    `CellElimination`.
+    Schur complement K_ee - Y^T Y = K_ee - K_ce^T W are formed.  These are
+    the leaves of `_schur_tree` on the cells' nested-dissection codes; its
+    root, the dense boundary Schur complement S, is checked for symmetry to
+    1e-12 and symmetrized.  Returns a `CellElimination`.
     """
     dof_map = pair.dof_map
     class_of = dof_map.classes.class_of
-    d = dof_map.dim_cell
+    d, m = dof_map.dim_cell, dof_map.dim_edge
     K = pair.local
     K_cc, K_ce, K_ee = K[:, :d, :d], K[:, :d, d:], K[:, d:, d:]
     try:
@@ -213,48 +212,171 @@ def eliminate_cells(pair):
         raise NumericalError("cell-block elimination failed: singular cell block") from exc
     Y = np.linalg.solve(L, K_ce)
     W = np.linalg.solve(L.transpose(0, 2, 1), Y)
-    S = K_ee - Y.transpose(0, 2, 1) @ Y
     edge_dofs = dof_map.local_dofs[:, d:] - dof_map.n_cell_dofs
-    n_edge = dof_map.n_dofs - dof_map.n_cell_dofs
-    m = dof_map.dim_edge
-    order = (nested_dissection(dof_map.mesh)[:, None] * m + np.arange(m)).ravel()
-    E = scatter_local(S[class_of], np.argsort(order)[edge_dofs], n_edge).tocsc()
-    # ||A||_inf of the assembled A, before the factorization so that it adds
-    # nothing to the peak: the cell rows of A are local, and an edge row is
-    # that of the edge block, summed from the K_ee, plus the edge-to-cell rows
-    # of the cells on the edge, which no other cell shares; summing |local
-    # entries| instead would bound the norm from above and loosen the gates
-    A_ee = scatter_local(K_ee[class_of], edge_dofs, n_edge).tocsr()
-    edge_rows = abs(A_ee).sum(axis=1).A1
-    del A_ee
+    cell_edges = edge_dofs[:, ::m] // m
+    boundary = np.zeros((dof_map.n_dofs - dof_map.n_cell_dofs) // m, dtype=bool)
+    boundary[(dof_map.boundary_dofs - dof_map.n_cell_dofs) // m] = True
+    a_norm = _a_norm(K, class_of, cell_edges, len(boundary), d, m)
+    local_S = K_ee - Y.transpose(0, 2, 1) @ Y
+    codes = nested_dissection(dof_map.mesh)
+    steps, S = _schur_tree(local_S, class_of, cell_edges, codes, boundary, m)
+    work = S - S.T
+    asym = np.abs(work, out=work).max()
+    scale = max(S.max(), -S.min())
+    if asym > 1e-12 * scale:
+        raise NumericalError(f"condensed matrix asymmetry {asym / scale:.2e} exceeds 1e-12")
+    S = np.add(S, S.T, out=work)
+    S *= 0.5
+    return CellElimination(pair, edge_dofs, W, steps, S, a_norm)
+
+
+def _a_norm(K, class_of, cell_edges, n_edges, d, m):
+    """||A||_inf of the assembled A, from the local matrices K of the classes.
+
+    The cell rows of A are local.  Two cells share at most one edge, so an
+    edge row of A is the sum, over the cells on the edge, of their local
+    rows off the edge's own block, plus the row of the summed edge blocks;
+    summing |local entries| over every block instead would bound the norm
+    from above and loosen the gates.
+    """
     absK = np.abs(K)
-    edge_rows += np.bincount(
-        edge_dofs.ravel(), absK[:, d:, :d].sum(axis=2)[class_of].ravel(), n_edge
-    )
-    a_norm = float(max(absK[:, :d].sum(axis=2).max(), edge_rows.max()))
+    n_local = cell_edges.shape[1]
+    rows = absK[:, d:].reshape(len(K), n_local, m, -1)
+    blocks = np.empty((len(K), n_local, m, m))
+    off = np.empty((len(K), n_local, m))
+    for l in range(n_local):
+        cols = slice(d + l * m, d + (l + 1) * m)
+        blocks[:, l] = K[:, cols, cols]
+        off[:, l] = rows[:, l, :, : cols.start].sum(axis=2) + rows[:, l, :, cols.stop :].sum(axis=2)
+    edge_rows = np.zeros((n_edges, m))
+    same = np.zeros((n_edges, m, m))
+    np.add.at(edge_rows, cell_edges, off[class_of])
+    np.add.at(same, cell_edges, blocks[class_of])
+    edge_rows += np.abs(same).sum(axis=2)
+    return float(max(absK[:, :d].sum(axis=2).max(), edge_rows.max()))
+
+
+def _eliminate(M, n_keep):
+    """The Schur complement of M onto its first n_keep rows and columns, and
+    X = M_ss^{-1} M_sk for the rest (s), by a Cholesky factor of M_ss."""
     try:
-        lu = spla.splu(
-            E, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
-        )
-    except RuntimeError as exc:
+        L = np.linalg.cholesky(M[n_keep:, n_keep:])
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"edge factorization failed: {exc}") from exc
-    return CellElimination(pair, edge_dofs, W, E, lu, order, a_norm)
+    Y = sla.solve_triangular(L, M[n_keep:, :n_keep], lower=True, check_finite=False)
+    X = sla.solve_triangular(L, Y, lower=True, trans="T", check_finite=False)
+    S = Y.T @ Y
+    return np.subtract(M[:n_keep, :n_keep], S, out=S), X
+
+
+def _dofs(edges, m):
+    """The m DOFs of each edge of an (..., w) edge table, as (..., w m)."""
+    return (edges[..., None] * m + np.arange(m)).reshape(*edges.shape[:-1], -1)
+
+
+def _schur_tree(local_S, class_of, cell_edges, codes, boundary, m):
+    """Condense the edge operator, the sum of the local Schur complements
+    ``local_S`` of the cell classes, onto the ``boundary`` edges, bottom-up
+    through the tree of the cell ``codes`` (`mesh.nested_dissection`).
+
+    A node keeps the edges of its cells that no cell outside it shares, in
+    an order fixed by its class, and its class holds its matrix on them.  A
+    node with two children adds their matrices and eliminates the edges
+    both of them keep.  Its class is keyed by the classes of its children
+    and by which positions of theirs are shared, and how they pair up;
+    equal keys give equal matrices, so one elimination serves the class.
+    A node with one child is that child.  The root also eliminates every
+    edge that is not a boundary edge, and orders the rest ascending, the
+    order of the boundary DOFs.  Returns (steps, S): the `SchurStep`s
+    bottom-up, and the dense S.
+    """
+    order = np.argsort(codes)
+    codes, node_class, kept = codes[order], class_of[order], cell_edges[order]
+    mats = list(local_S)
+    width = [cell_edges.shape[1]] * len(mats)
+    steps = []
+    for _ in range(int(codes.max()).bit_length()):
+        # the nodes are sorted by code, so siblings are adjacent
+        parent = codes >> 1
+        new = np.r_[True, parent[1:] != parent[:-1]]
+        pid = np.cumsum(new) - 1
+        child = np.full((int(new.sum()), 2), -1)
+        child[pid, codes & 1] = np.arange(len(codes))
+        # an edge kept by both children of a parent is shared; the stable
+        # sort puts the entry of child 0 first
+        w = kept.shape[1]
+        flat = kept.ravel()
+        at = np.flatnonzero(flat >= 0)
+        at = at[np.argsort(flat[at], kind="stable")]
+        twice = np.flatnonzero(flat[at[1:]] == flat[at[:-1]])
+        a, b = at[twice], at[twice + 1]
+        siblings = pid[a // w] == pid[b // w]
+        match = np.full(kept.shape, -1)
+        np.put(match, a[siblings], b[siblings] % w)
+        has = child >= 0
+        key = np.column_stack([
+            np.where(has, node_class[child], -1),
+            np.where(has[:, :1], match[child[:, 0]], -1),
+        ])
+        _, reps, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        inverse = inverse.ravel()
+        members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+        new_kept = np.full((len(child), 2 * w), -1)
+        mats_up, width_up = [], []
+        for rep, nodes in zip(reps, members):
+            c0, c1 = child[rep]
+            if c0 < 0 or c1 < 0:
+                mats_up.append(mats[node_class[max(c0, c1)]])
+                width_up.append(width[node_class[max(c0, c1)]])
+                new_kept[nodes, :w] = kept[child[nodes].max(axis=1)]
+                continue
+            w0, w1 = width[node_class[c0]], width[node_class[c1]]
+            pos1 = match[c0, :w0]
+            s0 = np.flatnonzero(pos1 >= 0)
+            u0 = np.flatnonzero(pos1 < 0)
+            free1 = np.ones(w1, dtype=bool)
+            free1[pos1[s0]] = False
+            u1 = np.flatnonzero(free1)
+            n_keep = len(u0) + len(u1)
+            # each child's positions in [kept of child 0, kept of child 1, shared]
+            place0 = np.empty(w0, dtype=np.int64)
+            place0[u0] = np.arange(len(u0))
+            place0[s0] = n_keep + np.arange(len(s0))
+            place1 = np.empty(w1, dtype=np.int64)
+            place1[u1] = len(u0) + np.arange(len(u1))
+            place1[pos1[s0]] = place0[s0]
+            # the children overlap only on the shared block, which comes last
+            d0, d1 = _dofs(place0, m), _dofs(place1, m)
+            M = np.zeros(((n_keep + len(s0)) * m,) * 2)
+            M[np.ix_(d0, d0)] = mats[node_class[c0]]
+            shared = M[n_keep * m :, n_keep * m :].copy()
+            M[np.ix_(d1, d1)] = mats[node_class[c1]]
+            M[n_keep * m :, n_keep * m :] += shared
+            mat, X = _eliminate(M, n_keep * m)
+            k0, k1 = kept[child[nodes, 0]], kept[child[nodes, 1]]
+            keep = np.concatenate([k0[:, u0], k1[:, u1]], axis=1)
+            steps.append(SchurStep(X, _dofs(keep, m), _dofs(k0[:, s0], m)))
+            mats_up.append(mat)
+            width_up.append(n_keep)
+            new_kept[nodes, :n_keep] = keep
+        codes, node_class, mats, width = parent[new], inverse, mats_up, width_up
+        kept = new_kept[:, : max(width)]
+    edges = kept[0, : width[node_class[0]]]
+    place = np.lexsort((edges, ~boundary[edges]))
+    n_keep = int(boundary[edges].sum())
+    d = _dofs(place, m)
+    S = mats.pop(node_class[0])[np.ix_(d, d)]
+    if n_keep < len(edges):
+        S, X = _eliminate(S, n_keep * m)
+        ordered = edges[place][None]
+        steps.append(SchurStep(X, _dofs(ordered[:, :n_keep], m), _dofs(ordered[:, n_keep:], m)))
+    return steps, S
 
 
 def condense(pair):
     """Reduce an operator pair onto its boundary DOFs by `eliminate_cells`;
-    the boundary block of B is diagonal and needs no factorization.  No
-    dense matrix is formed."""
+    the boundary block of B is diagonal and needs no factorization."""
     return CondensedPencil(eliminate_cells(pair))
-
-
-def _refined_solve(lu, A, rhs):
-    # one refinement step keeps the factorization error out of the
-    # Rayleigh-Ritz values, the eigenvectors, the condensed matrix and the
-    # source solution
-    x = lu.solve(rhs)
-    x += lu.solve(rhs - A @ x)
-    return x
 
 
 class EigenResult:
@@ -274,6 +396,13 @@ class EigenResult:
         self.b_norms = b_norms
 
 
+def check_eigenpair_count(m, size):
+    """Raises ValueError unless 1 <= m <= size, the number of boundary DOFs
+    and so of finite eigenvalues."""
+    if not 1 <= m <= size:
+        raise ValueError(f"m must lie in [1, {size}], the number of boundary DOFs, got {m}")
+
+
 def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
     """Solve for the m smallest eigenpairs of the condensed pencil.
 
@@ -284,8 +413,7 @@ def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
     as full DOF vectors.  Raises NumericalError if Lanczos fails to converge or any
     backward-error residual (see EigenResult) exceeds `rtol`.
     """
-    if not 1 <= m <= pencil.size:
-        raise ValueError(f"m must lie in [1, {pencil.size}], got {m}")
+    check_eigenpair_count(m, pencil.size)
     values, vectors = pencil.eigenpairs(m)
     pair = pencil.pair
     b_norm = float(abs(pair.B).sum(axis=1).max())

@@ -18,8 +18,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .assembly import AlphaStabilizer, DofMap, assemble
-from .eigen import DEFAULT_RTOL, NumericalError, _stage, lanczos, solve_pair
-from .mesh import build_structured_mesh, check_grid
+from .eigen import DEFAULT_RTOL, NumericalError, _stage, check_eigenpair_count, lanczos, solve_pair
+from .mesh import boundary_dof_count, build_structured_mesh, check_grid
 from .polyquad import (
     EdgeBasis,
     dim_pk,
@@ -35,6 +35,10 @@ from .wgcore import check_alpha, check_degree
 # Reference eigenvalues are themselves numerical, so the below-reference check
 # carries a slack.
 LOWER_BOUND_SLACK = 1e-9
+
+# eigenvalues of the boundary numerator `num` at or below this fraction of
+# its largest are rounding errors of zero and get no column of R
+_NUM_CUTOFF = 1e-12
 
 # relative residual asked of the Lanczos Ritz pair of H in `estimate_delta`;
 # the Rayleigh quotient's error is quadratic in that of the Ritz vector
@@ -259,7 +263,8 @@ def estimate_delta(dof_map, probe_degree):
     """
     forms = probe_defects(dof_map, probe_degree)
     w, V = sla.eigh(forms.num)
-    R = V[:, w > 0.0] * np.sqrt(w[w > 0.0])
+    nonzero = w > _NUM_CUTOFF * w[-1]
+    R = V[:, nonzero] * np.sqrt(w[nonzero])
     if R.shape[1] == 0:
         raise ValueError("probe space lies entirely in the defect null space")
     K = sp.bmat([[forms.den, forms.Z], [forms.Z.T, None]], format="csc")
@@ -297,6 +302,8 @@ def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):
     """
     k = check_degree(k)
     levels = [check_grid(domain, n) for n in levels]
+    if levels:
+        check_eigenpair_count(config.index, boundary_dof_count(domain, levels[0], k))
     if refs is not None:
         refs = check_refs(refs)
         if config.index > len(refs):

@@ -16,8 +16,9 @@ import numpy as np
 
 from . import glb as glb_mod
 from .assembly import AlphaStabilizer, DofMap, GammaStabilizer, NegInvLog, PowerEps, assemble
-from .eigen import NumericalError, _stage, condense, solve_condensed
-from .mesh import DOMAINS, build_structured_mesh, check_grid, locate_cell, mesh_stats, mesh_to_json
+from .eigen import NumericalError, _stage, check_eigenpair_count, condense, solve_condensed
+from .mesh import DOMAINS, boundary_dof_count, build_structured_mesh, check_grid, locate_cell
+from .mesh import mesh_stats, mesh_to_json
 from .source import exponential_solution, interpolant, projection_errors, solve_source
 from .source import v_norm_error, x_norm_error
 from .wgcore import check_degree
@@ -54,6 +55,8 @@ class StudyConfig:
         self.levels = tuple(check_grid(self.domain, n) for n in check_levels(self.levels))
         if self.n_eigs < 1:
             raise ValueError(f"number of eigenvalues must be >= 1, got {self.n_eigs}")
+        if self.levels:
+            check_eigenpair_count(self.n_eigs, boundary_dof_count(self.domain, self.levels[0], self.k))
         if self.refs is not None:
             self.refs = glb_mod.check_refs(self.refs)
 
@@ -221,6 +224,7 @@ def _solve_level(domain, n, k, stabilizer, m):
     if m < 1:
         raise ValueError(f"number of eigenpairs must be >= 1, got {m}")
     k = check_degree(k)
+    check_eigenpair_count(m, boundary_dof_count(domain, n, k))
     dof_map = DofMap(build_structured_mesh(domain, n), k)
     pencil = _stage("condense", condense, assemble(dof_map, stabilizer))
     return dof_map, _stage("solve", solve_condensed, pencil, m)

@@ -171,17 +171,17 @@ def build_structured_mesh(domain, n):
 
 
 def nested_dissection(mesh):
-    """The edges of a conforming mesh in nested-dissection elimination order.
+    """Each cell's code in the nested-dissection tree of a conforming mesh.
 
     The cells are halved level by level, ceil(log2(C)) times, at the median
     of each group's lowest vertex coordinate, along x on even levels and y on
     odd ones; a cell goes to the upper half when its key reaches the median.
     No cell of a structured mesh straddles a grid line, so there every cut
-    lies on one.  An edge belongs to the tree node where its two cells part,
-    found as the highest differing bit of their group codes, and a boundary
-    edge to the leaf of its cell.  Edges of different halves never share a
-    cell, so numbering each node after both of its halves (post-order)
-    leaves the separators last.  Reads `vertices`, `cells` and `edge_cells`.
+    lies on one.  Cells left sharing a group (the two triangles of a grid
+    square share their lowest vertex) get extra low bits, their rank within
+    the group in cell order.  The codes are distinct, and the tree node j
+    levels above the leaves holds the cells whose codes agree once their j
+    lowest bits are dropped.  Reads `vertices` and `cells`.
     """
     low = mesh.vertices[mesh.cells].min(axis=1)
     group = np.zeros(len(mesh.cells), dtype=np.int64)
@@ -191,12 +191,18 @@ def nested_dissection(mesh):
         counts = np.bincount(group)
         median = np.cumsum(counts) - (counts + 1) // 2
         group = 2 * group + (key >= key[order[median[group]]])
-    first, second = mesh.edge_cells.T
-    a = group[first]
-    b = np.where(second < 0, a, group[second])
-    levels_up = np.frexp(a ^ b)[1].astype(np.int64)
-    last_leaf = a | ((1 << levels_up) - 1)
-    return np.lexsort((levels_up, last_leaf))
+    counts = np.bincount(group)
+    order = np.argsort(group, kind="stable")
+    rank = np.empty_like(group)
+    rank[order] = np.arange(len(group)) - (np.cumsum(counts) - counts)[group[order]]
+    return (group << int(counts.max() - 1).bit_length()) | rank
+
+
+def boundary_dof_count(domain, n, k):
+    """The number of boundary DOFs of the degree-k space on the structured
+    mesh of a domain, without building it: both domains have 4n boundary
+    edges of k + 1 DOFs each.  Raises ValueError as `check_grid` does."""
+    return 4 * check_grid(domain, n) * (k + 1)
 
 
 def mesh_stats(mesh):

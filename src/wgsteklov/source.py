@@ -4,7 +4,7 @@ The companion problem to the eigenproblem keeps the same principal form but
 replaces the eigenvalue coupling by a prescribed normal flux on the domain
 boundary; solving it across a refinement sequence gives an independent
 convergence check of the assembled operators.  Its solve shares the eigen
-path's cell elimination and edge factorization (`eigen.eliminate_cells`).
+path's cell elimination and Schur tree (`eigen.eliminate_cells`).
 """
 
 import numpy as np
@@ -70,18 +70,20 @@ def boundary_load(dof_map, flux):
 def solve_source(dof_map, stabilizer, flux, rtol=1e-10):
     """Solve the boundary-flux problem: find u_h with a_w(u_h, v) = <f, v_b>.
 
-    The load vanishes on the cell DOFs, so one refined solve with the
-    cell-eliminated edge operator gives the coefficient vector of u_h.
-    Raises NumericalError when the elimination fails or the normwise
-    backward error ||A u - F|| / (||A|| ||u|| + ||F||) on the full operator
-    exceeds `rtol`; the gate is skipped only for a load that is exactly zero.
+    The load is supported on the boundary DOFs, so one solve with the
+    factor of the boundary Schur complement S gives the boundary values of
+    u_h, which the Schur tree extends to the interior edges and the cells
+    (`eigen.eliminate_cells`).  Raises NumericalError when the elimination
+    fails or the normwise backward error ||A u - F|| / (||A|| ||u|| + ||F||)
+    on the full operator exceeds `rtol`; the gate is skipped only for a load
+    that is exactly zero.
     """
     pair = assemble(dof_map, stabilizer)
     F = boundary_load(dof_map, flux)
-    nc = pair.dof_map.n_cell_dofs
-    assert not F[:nc].any(), "the boundary load must vanish on the cell DOFs"
+    g = dof_map.boundary_dofs
+    assert not np.delete(F, g).any(), "the boundary load must vanish off the boundary DOFs"
     cells = eliminate_cells(pair)
-    u = cells.expand(cells.solve(F[nc:]))
+    u = cells.expand(cells.extend(cells.boundary_solve(F[g])))
     f_norm = np.linalg.norm(F)
     if f_norm != 0.0:
         residual = np.linalg.norm(pair.apply(u) - F) / (cells.a_norm * np.linalg.norm(u) + f_norm)

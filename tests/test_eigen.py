@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from wgsteklov import eigen, harness
+from wgsteklov import harness
 from wgsteklov.assembly import (
     AlphaStabilizer,
     DofMap,
@@ -17,6 +17,7 @@ from wgsteklov.assembly import (
     interpolate,
 )
 from wgsteklov.eigen import (
+    CellElimination,
     CondensedPencil,
     NumericalError,
     condense,
@@ -30,6 +31,7 @@ from wgsteklov.harness import main
 from wgsteklov.mesh import L_SHAPE, UNIT_SQUARE, build_structured_mesh
 from wgsteklov.source import exponential_solution, solve_source
 from helpers import global_elimination, interior_dofs, jittered_mesh, quadrature_boundary_form
+from helpers import renumbered_mesh
 
 GAMMA = GammaStabilizer(PowerEps(0.1))
 
@@ -102,16 +104,31 @@ STABILIZERS = pytest.mark.parametrize(
 )
 
 
+def check_against_global_elimination(pair):
+    """The boundary Schur complement from the tree and the extension inward
+    against a dense Schur complement of the edge operator E of the global
+    elimination; returns the elimination and the oracle's (W, E)."""
+    cells = eliminate_cells(pair)
+    W, E = global_elimination(pair.A, pair.dof_map)
+    E = E.toarray()
+    g = pair.dof_map.boundary_dofs - pair.dof_map.n_cell_dofs
+    i = np.setdiff1d(np.arange(len(E)), g)
+    want_S = E[np.ix_(g, g)] - E[np.ix_(g, i)] @ np.linalg.solve(E[np.ix_(i, i)], E[np.ix_(i, g)])
+    assert np.abs(cells.S - want_S).max() <= 1e-13 * np.abs(want_S).max()
+    u_g = np.random.default_rng(2).standard_normal((len(g), 2))
+    u_e = cells.extend(u_g)
+    assert np.array_equal(u_e[g], u_g)
+    assert np.abs((E @ u_e)[i]).max() <= 1e-13 * np.abs(E).max() * np.abs(u_e).max()
+    return cells, W, E
+
+
 @STABILIZERS
 @pytest.mark.parametrize("domain,k,n", LOCAL_CASES)
 def test_local_elimination_matches_global_elimination(domain, k, n, stabilizer):
-    # the edge operator summed from the local Schur complements, and the
-    # cell parts of the expansion, against the elimination on the assembled A
+    # the Schur tree, and the cell parts of the expansion, against the
+    # elimination on the assembled A
     pair = assemble(DofMap(build_structured_mesh(domain, n), k), stabilizer)
-    cells = eliminate_cells(pair)
-    W, E = global_elimination(pair.A, pair.dof_map)
-    E = E[cells.order][:, cells.order]
-    assert abs(cells.E - E).max() <= 1e-15 * abs(E).max()
+    cells, W, E = check_against_global_elimination(pair)
     u_e = np.random.default_rng(0).standard_normal((E.shape[0], 2))
     want = -(W @ u_e)
     u = cells.expand(u_e)
@@ -119,6 +136,17 @@ def test_local_elimination_matches_global_elimination(domain, k, n, stabilizer):
     assert np.abs(u[: pair.dof_map.n_cell_dofs] - want).max() <= 1e-14 * np.abs(want).max()
     single = cells.expand(u_e[:, 0])[: pair.dof_map.n_cell_dofs]
     assert np.abs(single - want[:, 0]).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("domain,k,remesh", [
+    (UNIT_SQUARE, 2, jittered_mesh), (L_SHAPE, 2, jittered_mesh), (L_SHAPE, 3, renumbered_mesh),
+])
+def test_schur_tree_on_meshes_with_other_classes(domain, k, remesh, rng):
+    # with no two cells congruent every tree node is a class of its own, and
+    # with the vertices renumbered the translates of a cell differ in their
+    # edge orientations; the tree stays exact on both
+    mesh = remesh(build_structured_mesh(domain, 8), rng)
+    check_against_global_elimination(assemble(DofMap(mesh, k), GAMMA))
 
 
 @STABILIZERS
@@ -134,28 +162,33 @@ def test_local_apply_and_norm_match_assembled_A(domain, k, n, stabilizer):
 
 
 def test_edge_operator_does_not_couple_the_halves_of_the_top_cut():
-    # the first cut of the square runs along x = 1/2: the edges left of it
-    # come first, then those right of it, then the edges on it, and E couples
-    # no left edge to a right one
+    # the first cut of the square runs along x = 1/2: the two halves share
+    # only the edges on it, so the root eliminates exactly their DOFs and
+    # keeps the boundary DOFs
     k = 2
     mesh = build_structured_mesh(UNIT_SQUARE, 8)
-    cells = eliminate_cells(assemble(DofMap(mesh, k), GAMMA))
-    x = mesh.vertices[mesh.edges, 0].mean(axis=1)
-    side = np.select([x < 0.5, x > 0.5], [0, 1], 2)[cells.order // (k + 1)]
-    assert np.all(np.diff(side) >= 0)
-    assert np.count_nonzero(side == 2) == 8 * (k + 1)
-    assert cells.E[side == 0][:, side == 1].nnz == 0
+    dof_map = DofMap(mesh, k)
+    root = eliminate_cells(assemble(dof_map, GAMMA)).steps[-1]
+    x = mesh.vertices[mesh.edges, 0]
+    on_cut = np.flatnonzero((x == 0.5).all(axis=1))
+    assert len(on_cut) == 8
+    assert root.sep.shape == (1, 8 * (k + 1))
+    assert np.array_equal(np.unique(root.sep // (k + 1)), on_cut)
+    assert np.array_equal(np.sort(root.kept[0]), dof_map.boundary_dofs - dof_map.n_cell_dofs)
 
 
-def test_nested_dissection_factor_has_less_fill_than_minimum_degree():
-    # square k=2 n=32: 0.60M nonzeros in L + U against 0.77M for SuperLU's
-    # minimum degree on A^T + A of the edge operator in edge DOF order
-    cells = eliminate_cells(assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 32), 2), GAMMA))
-    rank = np.argsort(cells.order)
-    mmd = spla.splu(cells.E[rank][:, rank].tocsc(), permc_spec="MMD_AT_PLUS_A")
-    assert cells.lu.L.nnz + cells.lu.U.nnz < mmd.L.nnz + mmd.U.nnz
-    # and the diagonal pivots were taken as they came
-    assert np.array_equal(cells.lu.perm_r, cells.lu.perm_c)
+def test_one_elimination_per_class_and_every_edge_eliminated_once():
+    # square k=2 n=16: every node of a tree level is a translate of the
+    # others, so each level that merges (the 256 grid squares, then their
+    # 128 pairs, and so on up to the root) takes one dense elimination for
+    # all its nodes; the DOFs eliminated by the steps and the boundary DOFs
+    # cover the edge DOFs once each
+    dof_map = DofMap(build_structured_mesh(UNIT_SQUARE, 16), 2)
+    steps = eliminate_cells(assemble(dof_map, GAMMA)).steps
+    assert [len(step.sep) for step in steps] == [2 ** j for j in range(8, -1, -1)]
+    covered = [step.sep.ravel() for step in steps] + [dof_map.boundary_dofs - dof_map.n_cell_dofs]
+    covered = np.concatenate(covered)
+    assert np.array_equal(np.sort(covered), np.arange(dof_map.n_dofs - dof_map.n_cell_dofs))
 
 
 @pytest.mark.parametrize("domain", [UNIT_SQUARE, L_SHAPE])
@@ -255,33 +288,28 @@ def test_lanczos_matches_dense_spectrum(domain, k, n):
         assert np.all(np.abs(result.b_norms - 1.0) <= 1e-10)
 
 
-class _LoggingLU:
-    """Stand-in for a SuperLU object that logs each solve: "s" for a single
-    vector, "S" for a block."""
+def test_one_solve_per_lanczos_application_and_one_block_solve(monkeypatch):
+    # log "A" per Lanczos application, "s" per boundary solve of one vector
+    # and "S" per block solve: each application is one solve with the
+    # factor of S, and one block solve serves Rayleigh-Ritz and the
+    # expansion together; no sparse LU is taken on the eigen or source path
+    def no_splu(*args, **kwargs):
+        raise AssertionError("splu was called")
 
-    def __init__(self, lu, log):
-        self._lu = lu
-        self._log = log
-
-    def solve(self, rhs):
-        self._log.append("s" if np.ndim(rhs) == 1 else "S")
-        return self._lu.solve(rhs)
-
-
-def test_one_solve_per_lanczos_application_and_one_refined_block_solve(monkeypatch):
-    # log "A" per Lanczos application and "R" per refined solve: Lanczos
-    # applies the unrefined operator with one single-vector solve, and one
-    # refined block solve serves Rayleigh-Ritz and the expansion together
+    monkeypatch.setattr(spla, "splu", no_splu)
     log = []
     pencil = condense(assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 8), 2), GAMMA))
-    pencil.cells.lu = _LoggingLU(pencil.cells.lu, log)
-    matvec, refined = CondensedPencil._lanczos_matvec, eigen._refined_solve
+    matvec, solve = CondensedPencil._lanczos_matvec, CellElimination.boundary_solve
     monkeypatch.setattr(
         CondensedPencil, "_lanczos_matvec", lambda self, y: log.append("A") or matvec(self, y)
     )
-    monkeypatch.setattr(eigen, "_refined_solve", lambda *args: log.append("R") or refined(*args))
+    monkeypatch.setattr(
+        CellElimination, "boundary_solve",
+        lambda self, f: log.append("s" if np.ndim(f) == 1 else "S") or solve(self, f),
+    )
     solve_condensed(pencil, 4)
-    assert re.fullmatch(r"(As){5,}RSS", "".join(log)), "".join(log)
+    assert re.fullmatch(r"(As){5,}S", "".join(log)), "".join(log)
+    solve_source(DofMap(build_structured_mesh(L_SHAPE, 4), 2), GAMMA, exponential_solution().flux)
 
 
 @pytest.mark.parametrize("n", [2, 4])

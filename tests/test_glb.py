@@ -130,6 +130,19 @@ def test_estimate_delta_matches_pseudo_inverse(domain, k, extra, n):
     assert estimate_delta(dof_map, k + extra) == pytest.approx(pinv_delta(forms), rel=1e-12)
 
 
+def test_estimate_delta_keeps_the_columns_of_the_nonzero_numerator(monkeypatch):
+    # square k=1, probe degree 3: the boundary numerator has rank 8n, the
+    # 12n boundary probe DOFs less the 4n of the continuous P_1 traces; the
+    # rest of its eigenvalues are rounding errors and get no column of R
+    sizes = []
+    lanczos = glb.lanczos
+    monkeypatch.setattr(
+        glb, "lanczos", lambda f, size, *args: sizes.append(size) or lanczos(f, size, *args)
+    )
+    estimate_delta(DofMap(build_structured_mesh(UNIT_SQUARE, 16), 1), 3)
+    assert sizes == [8 * 16]
+
+
 class _FailingLU:
     def __init__(self, lu):
         self.lu = lu

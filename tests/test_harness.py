@@ -533,6 +533,30 @@ def test_cli_single_level_rejects_k_below_one_before_the_mesh(command, monkeypat
     assert meshes == []
 
 
+@pytest.mark.parametrize("command", ["converge", "solve", "field", "glb"])
+def test_cli_rejects_more_eigenpairs_than_boundary_dofs_before_the_first_mesh(
+    command, monkeypatch, tmp_path, capsys
+):
+    # square k=1 n=8 has 4 * 8 * 2 = 64 boundary DOFs, so at most 64
+    # eigenpairs; the count is checked before any mesh is built or condensed
+    calls = []
+    monkeypatch.setattr(harness, "build_structured_mesh", lambda *args: calls.append(args))
+    monkeypatch.setattr(harness.glb_mod, "build_structured_mesh", lambda *args: calls.append(args))
+    monkeypatch.setattr(harness, "condense", lambda *args: calls.append(args))
+    argv = [command, "--domain", "square", "--k", "1"]
+    argv += {
+        "converge": ["--gamma", "pow:0.1", "--levels", "8,16", "--eigs", "65"],
+        "solve": ["--gamma", "pow:0.1", "--n", "8", "--eigs", "65"],
+        "field": ["--gamma", "pow:0.1", "--n", "8", "--eig", "65", "--grid", "5",
+                  "--out", str(tmp_path / "f.csv")],
+        "glb": ["--alpha", "0.01", "--stab-bound", "2.0", "--proj-bound", "0.5",
+                "--levels", "8,16", "--index", "65"],
+    }[command]
+    assert main(argv) == 1
+    assert "m must lie in [1, 64], the number of boundary DOFs, got 65" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_studies_reject_k_below_one_before_the_first_mesh(monkeypatch):
     monkeypatch.setattr(harness, "build_structured_mesh", _no_mesh)
     monkeypatch.setattr(harness.glb_mod, "build_structured_mesh", _no_mesh)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import jittered_mesh, loop_edges, loop_structured_mesh, renumbered_mesh
 from wgsteklov.mesh import (
+    boundary_dof_count,
     DOMAIN_AREA,
     L_SHAPE,
     UNIT_SQUARE,
@@ -211,10 +212,34 @@ def test_edge_tables_match_loop_oracle(domain, n, rng):
     "domain,n", [(UNIT_SQUARE, n) for n in (1, 2, 3, 8, 64)] + [(L_SHAPE, n) for n in (2, 8, 64)]
 )
 def test_nested_dissection_is_a_permutation_of_the_edges(domain, n, rng):
+    # the cell codes are distinct, so every cell is a leaf of its own, and
+    # numbering each edge at the tree node where its two cells part (a
+    # boundary edge at its cell's leaf) after both halves of that node
+    # numbers every edge once
     mesh = build_structured_mesh(domain, n)
     for m in (mesh, renumbered_mesh(mesh, rng), jittered_mesh(mesh, rng)):
-        order = nested_dissection(m)
+        codes = nested_dissection(m)
+        assert codes.dtype == np.int64 and codes.min() >= 0
+        assert len(np.unique(codes)) == m.n_cells
+        first, second = m.edge_cells.T
+        a = codes[first]
+        levels_up = np.frexp(a ^ np.where(second < 0, a, codes[second]))[1]
+        order = np.lexsort((levels_up, a | ((1 << levels_up) - 1)))
         assert np.array_equal(np.sort(order), np.arange(m.n_edges))
+    # on the grid, the two triangles of a square differ in the lowest bit only
+    codes = nested_dissection(mesh)
+    assert np.all(codes[0::2] >> 1 == codes[1::2] >> 1)
+
+
+@pytest.mark.parametrize(
+    "domain,n", [(UNIT_SQUARE, n) for n in (1, 3, 8)] + [(L_SHAPE, n) for n in (2, 8)]
+)
+def test_boundary_dof_count_matches_the_mesh(domain, n):
+    boundary_edges = int(build_structured_mesh(domain, n).boundary_edge.sum())
+    for k in (1, 2, 5):
+        assert boundary_dof_count(domain, n, k) == boundary_edges * (k + 1)
+    with pytest.raises(ValueError, match="even n"):
+        boundary_dof_count(L_SHAPE, 3, 1)
 
 
 def test_edge_with_three_cells_rejected():
