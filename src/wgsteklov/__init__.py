@@ -22,8 +22,6 @@ from .eigen import (
     EigenResult,
     NumericalError,
     condense,
-    dense_eigenvalues,
-    rayleigh_quotient,
     solve_condensed,
     solve_pair,
 )
@@ -72,9 +70,6 @@ from .wgcore import (
     local_aw,
     local_stabilizer_alpha,
     local_stabilizer_gamma,
-    project_cell,
-    project_edge,
-    project_vector,
     weak_gradient_map,
 )
 

@@ -4,9 +4,9 @@ DOFs are numbered cell blocks first (dim P_k per cell, ascending cell index)
 followed by edge blocks (k + 1 per edge, ascending edge index).  The boundary
 set consists of all DOFs of boundary edges; the boundary form B is diagonal
 and supported there only.  A is kept as its local matrices, one per
-congruence class, and scattered into a sparse matrix only when read.
-Assembly order is deterministic, so repeated runs produce bit-identical
-matrices.
+congruence class, and is never assembled into a global matrix: the solvers
+apply it cell by cell.  Assembly order is deterministic, so repeated runs
+produce bit-identical matrices.
 """
 
 from dataclasses import dataclass
@@ -142,8 +142,7 @@ class WgOperatorPair:
 
     A is held cell by cell: ``local[c]`` is the local matrix of every cell of
     congruence class c of ``dof_map.classes``, on the global DOFs
-    ``dof_map.local_dofs`` of each such cell.  The assembled sparse A is
-    formed on first read only; the solvers use the local matrices.
+    ``dof_map.local_dofs`` of each such cell; no global A is formed.
 
     B (CSR) is diagonal: the edge basis is orthonormal on the unit parameter,
     so on a boundary edge e the L2 mass of the traces is exactly |e| times
@@ -159,13 +158,6 @@ class WgOperatorPair:
         mesh, g = dof_map.mesh, dof_map.boundary_dofs
         lengths = np.repeat(mesh.length[mesh.boundary_edge], dof_map.dim_edge)
         self.B = sp.csr_matrix((lengths, (g, g)), shape=(dof_map.n_dofs, dof_map.n_dofs))
-
-    @cached_property
-    def A(self):
-        """The assembled sparse principal form (CSR)."""
-        dof_map = self.dof_map
-        local = self.local[dof_map.classes.class_of]
-        return scatter_local(local, dof_map.local_dofs, dof_map.n_dofs).tocsr()
 
     def apply(self, V):
         """A V for a vector or the columns of a matrix, cell by cell: each
@@ -189,24 +181,14 @@ def assemble(dof_map, stabilizer):
     return WgOperatorPair(local, dof_map)
 
 
-def scatter_local(local, gdofs, n_dofs):
-    """A stack of local matrices (N, m, m) placed at rows and columns gdofs
-    (N, m) of an n_dofs x n_dofs COO matrix; converting it sums the overlaps."""
-    m = gdofs.shape[1]
-    rows = np.repeat(gdofs, m, axis=1).ravel()
-    cols = np.tile(gdofs, (1, m)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n_dofs, n_dofs))
-
-
 def interpolate(dof_map, f):
     """Global interpolant coefficients: cellwise and edgewise L2 projections of f.
 
     The quadrature is elevated (analytic-integrand margin) since the usual
     argument is a smooth non-polynomial function.
     """
-    mesh, k = dof_map.mesh, dof_map.k
     cells = dof_map.cell_quadrature
-    edges = EdgeQuadrature(mesh, k, 2 * k + ANALYTIC_MARGIN, np.arange(mesh.n_edges))
+    edges = EdgeQuadrature(dof_map, np.arange(dof_map.mesh.n_edges))
     # cell blocks first, then edge blocks: the DofMap layout
     c0 = cells.project(evaluate(f, cells.points))
     cb = edges.project(evaluate(f, edges.points))

@@ -27,9 +27,9 @@ eigenvectors: with (mu, Q) the eigenpairs of that m x m matrix,
 lambda = 1 / mu and the boundary part is u_g = lambda Z Q.  The tree
 extends it inward, top-down, each node setting the edges it eliminated
 from those it kept, and the cell part of each cell is -W applied to its
-edge values.  No solve path assembles A.  The cell elimination and
-the tree (`eliminate_cells`) also serve the boundary-flux source problem
-(`source.solve_source`), whose load is supported on g as well.
+edge values.  No solve path assembles A.  `condense` builds all of this
+once, as one `CondensedPencil`, which also serves the boundary-flux source
+problem (`source.solve_source`), whose load is supported on g as well.
 """
 
 from dataclasses import dataclass
@@ -76,54 +76,6 @@ def lanczos(matvec, size, m, tol):
         raise NumericalError(f"Lanczos solve failed: {exc}") from exc
 
 
-class CondensedPencil:
-    """Boundary reduction (S, D) of an operator pair.
-
-    Holds the cell elimination (`cells`), with the dense boundary Schur
-    complement S of the edge operator and its Cholesky factor, and the
-    square root of the diagonal boundary block D of B.
-    """
-
-    def __init__(self, cells):
-        self.pair = cells.pair
-        self.cells = cells
-        self.S = cells.S
-        self._root_d = np.sqrt(self.pair.B.diagonal()[self.pair.dof_map.boundary_dofs])
-
-    @property
-    def size(self):
-        return len(self.S)
-
-    def _lanczos_matvec(self, y):
-        """T y = D^{1/2} S^{-1} D^{1/2} y by one solve with the factor of S."""
-        return self._root_d * self.cells.boundary_solve(self._root_d * y.ravel())
-
-    def _lanczos_basis(self, m):
-        """Orthonormal basis of the invariant subspace of T for its m largest
-        eigenvalues, found by Lanczos (ARPACK)."""
-        return lanczos(self._lanczos_matvec, self.size, m, _LANCZOS_TOL)[1]
-
-    def eigenpairs(self, m):
-        """The m smallest eigenvalues of (A, B), ascending, with full DOF
-        eigenvectors of unit boundary norm as columns.
-
-        A Rayleigh-Ritz step on an orthonormal basis Y (Lanczos's, or the
-        identity for the whole spectrum) takes one block solve
-        Z = S^{-1} D^{1/2} Y: the eigenpairs (mu, Q) of Y^T D^{1/2} Z give
-        the values 1 / mu, and the same Z gives the boundary part
-        lambda Z Q of each eigenvector, which `cells` extends to the
-        interior edges and then to the cells.
-        """
-        Y = np.eye(self.size) if m == self.size else self._lanczos_basis(m)
-        root_d = self._root_d[:, None]
-        Z = self.cells.boundary_solve(root_d * Y)
-        H = Y.T @ (root_d * Z)
-        mu, Q = sla.eigh(0.5 * (H + H.T))
-        values = 1.0 / mu[::-1]
-        u_g = (Z @ Q[:, ::-1]) * values
-        return values, self.cells.expand(self.cells.extend(u_g))
-
-
 @dataclass(frozen=True)
 class SchurStep:
     """One dense elimination of the Schur tree, shared by the tree nodes of
@@ -140,15 +92,17 @@ class SchurStep:
     sep: np.ndarray
 
 
-class CellElimination:
-    """The cell DOFs of an operator pair eliminated exactly, and the edge
-    operator E condensed onto the boundary by the Schur tree.
+class CondensedPencil:
+    """The boundary reduction (S, D) of an operator pair: its cell DOFs
+    eliminated exactly and the edge operator E condensed onto the boundary
+    by the Schur tree (`condense`).
 
     ``W`` holds the local elimination map K_cc^{-1} K_ce of each congruence
     class, and ``edge_dofs`` (C, 3 (k + 1)) the DOFs of each cell's edges,
     counted from the first edge DOF.  ``steps`` lists the `SchurStep`s of
     the tree bottom-up.  ``S`` is the boundary Schur complement of E, in the
-    order of ``dof_map.boundary_dofs``; it is factored by Cholesky here.
+    order of ``dof_map.boundary_dofs``; it is factored by Cholesky here.  D,
+    the boundary block of B, is diagonal, so only its square root is kept.
     `a_norm` is ||A||_inf of the assembled A, for the backward-error gates.
     """
 
@@ -163,6 +117,11 @@ class CellElimination:
             self._factor = sla.cho_factor(S, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"edge factorization failed: {exc}") from exc
+        self._root_d = np.sqrt(pair.B.diagonal()[pair.dof_map.boundary_dofs])
+
+    @property
+    def size(self):
+        return len(self.S)
 
     def boundary_solve(self, f_g):
         """S^{-1} f_g for right-hand side(s) given on the boundary DOFs."""
@@ -189,8 +148,36 @@ class CellElimination:
             u_c[members] = -(W @ X[self._edge_dofs[members]])
         return np.concatenate([u_c.reshape(-1, *u_e.shape[1:]), u_e])
 
+    def _lanczos_matvec(self, y):
+        """T y = D^{1/2} S^{-1} D^{1/2} y by one solve with the factor of S."""
+        return self._root_d * self.boundary_solve(self._root_d * y.ravel())
 
-def eliminate_cells(pair):
+    def eigenpairs(self, m):
+        """The m smallest eigenvalues of (A, B), ascending, with full DOF
+        eigenvectors of unit boundary norm as columns.
+
+        A Rayleigh-Ritz step on an orthonormal basis Y takes one block solve
+        Z = S^{-1} D^{1/2} Y: the eigenpairs (mu, Q) of Y^T D^{1/2} Z give
+        the values 1 / mu, and the same Z gives the boundary part
+        lambda Z Q of each eigenvector, which is then extended to the
+        interior edges and to the cells.  Y is the identity for the whole
+        spectrum, and otherwise Lanczos's basis of the invariant subspace
+        of T for its m largest eigenvalues.
+        """
+        if m == self.size:
+            Y = np.eye(self.size)
+        else:
+            Y = lanczos(self._lanczos_matvec, self.size, m, _LANCZOS_TOL)[1]
+        root_d = self._root_d[:, None]
+        Z = self.boundary_solve(root_d * Y)
+        H = Y.T @ (root_d * Z)
+        mu, Q = sla.eigh(0.5 * (H + H.T))
+        values = 1.0 / mu[::-1]
+        u_g = (Z @ Q[:, ::-1]) * values
+        return values, self.expand(self.extend(u_g))
+
+
+def condense(pair):
     """Eliminate the cell DOFs of an operator pair class by class, and
     condense the edge operator onto the boundary by the Schur tree.
 
@@ -199,7 +186,7 @@ def eliminate_cells(pair):
     Schur complement K_ee - Y^T Y = K_ee - K_ce^T W are formed.  These are
     the leaves of `_schur_tree` on the cells' nested-dissection codes; its
     root, the dense boundary Schur complement S, is checked for symmetry to
-    1e-12 and symmetrized.  Returns a `CellElimination`.
+    1e-12 and symmetrized.  Returns a `CondensedPencil`.
     """
     dof_map = pair.dof_map
     class_of = dof_map.classes.class_of
@@ -227,7 +214,7 @@ def eliminate_cells(pair):
         raise NumericalError(f"condensed matrix asymmetry {asym / scale:.2e} exceeds 1e-12")
     S = np.add(S, S.T, out=work)
     S *= 0.5
-    return CellElimination(pair, edge_dofs, W, steps, S, a_norm)
+    return CondensedPencil(pair, edge_dofs, W, steps, S, a_norm)
 
 
 def _a_norm(K, class_of, cell_edges, n_edges, d, m):
@@ -373,12 +360,6 @@ def _schur_tree(local_S, class_of, cell_edges, codes, boundary, m):
     return steps, S
 
 
-def condense(pair):
-    """Reduce an operator pair onto its boundary DOFs by `eliminate_cells`;
-    the boundary block of B is diagonal and needs no factorization."""
-    return CondensedPencil(eliminate_cells(pair))
-
-
 class EigenResult:
     """Eigenpairs of the WG pencil, ascending, boundary-form normalized.
 
@@ -419,7 +400,7 @@ def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
     b_norm = float(abs(pair.B).sum(axis=1).max())
     BV = pair.B @ vectors
     r = np.linalg.norm(pair.apply(vectors) - BV * values, axis=0)
-    scale = pencil.cells.a_norm + np.abs(values) * b_norm
+    scale = pencil.a_norm + np.abs(values) * b_norm
     residuals = r / (scale * np.linalg.norm(vectors, axis=0))
     b_norms = np.einsum("ij,ij->j", vectors, BV)
     if not np.all(residuals <= rtol):
@@ -432,26 +413,3 @@ def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
 def solve_pair(pair, m, rtol=DEFAULT_RTOL):
     """Condense and solve in one step."""
     return solve_condensed(condense(pair), m, rtol=rtol)
-
-
-def rayleigh_quotient(pair, u):
-    """Form quotient a_w(u, u) / b_w(u, u) of a discrete function."""
-    den = float(u @ (pair.B @ u))
-    if den <= 0.0:
-        raise ValueError("function has no boundary content (b_w(u, u) <= 0)")
-    return float(u @ pair.apply(u)) / den
-
-
-def dense_eigenvalues(pair):
-    """All finite eigenvalues of (A, B) by a dense QZ solve, ascending.
-
-    Brute-force reference path, independent of the condensation route; only
-    sensible for small meshes.
-    """
-    A = pair.A.toarray()
-    B = pair.B.toarray()
-    alpha, beta = sla.eig(A, B, right=False, homogeneous_eigvals=True)
-    scale = np.abs(alpha) + np.abs(beta)
-    finite = np.abs(beta) > 1e-10 * scale
-    values = np.real(alpha[finite] / beta[finite])
-    return np.sort(values)

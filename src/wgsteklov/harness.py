@@ -17,8 +17,8 @@ import numpy as np
 from . import glb as glb_mod
 from .assembly import AlphaStabilizer, DofMap, GammaStabilizer, NegInvLog, PowerEps, assemble
 from .eigen import NumericalError, _stage, check_eigenpair_count, condense, solve_condensed
-from .mesh import DOMAINS, boundary_dof_count, build_structured_mesh, check_grid, locate_cell
-from .mesh import mesh_stats, mesh_to_json
+from .mesh import DOMAINS, UNIT_SQUARE, boundary_dof_count, build_structured_mesh, check_grid
+from .mesh import locate_cell, mesh_stats, mesh_to_json
 from .source import exponential_solution, interpolant, projection_errors, solve_source
 from .source import v_norm_error, x_norm_error
 from .wgcore import check_degree
@@ -385,6 +385,15 @@ def parse_refs(text):
         raise ValueError(f"--refs: {exc}") from None
 
 
+def _domain_refs(args):
+    """The parsed --refs of a study on --domain; the built-in values are the
+    unit square's eigenvalues, so another domain rejects them."""
+    if args.refs == "builtin:square" and args.domain != UNIT_SQUARE:
+        raise ValueError(f"--refs builtin:square holds the unit square's eigenvalues, "
+                         f"not those of domain {args.domain!r}")
+    return parse_refs(args.refs)
+
+
 def check_levels(levels):
     """Mesh levels as a tuple of ints; raises ValueError unless they strictly increase."""
     levels = tuple(int(n) for n in levels)
@@ -519,7 +528,7 @@ def _cmd_converge(args):
         stabilizer=parse_stabilizer(args.gamma, args.alpha),
         levels=parse_levels(args.levels),
         n_eigs=int(args.eigs or 4),
-        refs=parse_refs(args.refs),
+        refs=_domain_refs(args),
     )
     report = run_eigen_study(config)
     _emit(report.render(args.format or "csv"), args.out)
@@ -557,7 +566,7 @@ def _cmd_glb(args):
         parse_levels(args.levels),
         int(args.k),
         config,
-        refs=parse_refs(args.refs),
+        refs=_domain_refs(args),
         probe_degree=int(args.probe_degree) if args.probe_degree else None,
     )
     if (args.format or "csv") == "json":

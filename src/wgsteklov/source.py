@@ -4,14 +4,15 @@ The companion problem to the eigenproblem keeps the same principal form but
 replaces the eigenvalue coupling by a prescribed normal flux on the domain
 boundary; solving it across a refinement sequence gives an independent
 convergence check of the assembled operators.  Its solve shares the eigen
-path's cell elimination and Schur tree (`eigen.eliminate_cells`).
+path's condensed pencil (`eigen.condense`): the cell elimination and the
+Schur tree.
 """
 
 import numpy as np
 
 from .assembly import assemble, interpolate
-from .eigen import NumericalError, eliminate_cells
-from .wgcore import ANALYTIC_MARGIN, POLY_MARGIN, CellQuadrature, EdgeQuadrature, evaluate
+from .eigen import NumericalError, condense
+from .wgcore import POLY_MARGIN, CellQuadrature, EdgeQuadrature, evaluate
 
 
 class ManufacturedSolution:
@@ -55,8 +56,8 @@ def boundary_load(dof_map, flux):
     `flux` is called as flux(points, normal), with `normal` the outward unit
     normal shared by all the boundary edges the points lie on.
     """
-    mesh, k = dof_map.mesh, dof_map.k
-    bnd = EdgeQuadrature(mesh, k, 2 * k + ANALYTIC_MARGIN, np.flatnonzero(mesh.boundary_edge))
+    mesh = dof_map.mesh
+    bnd = EdgeQuadrature(dof_map, np.flatnonzero(mesh.boundary_edge))
     normals, side = np.unique(mesh.boundary_normal(bnd.edges), axis=0, return_inverse=True)
     values = np.empty(bnd.weights.shape)
     for i, normal in enumerate(normals):
@@ -73,7 +74,7 @@ def solve_source(dof_map, stabilizer, flux, rtol=1e-10):
     The load is supported on the boundary DOFs, so one solve with the
     factor of the boundary Schur complement S gives the boundary values of
     u_h, which the Schur tree extends to the interior edges and the cells
-    (`eigen.eliminate_cells`).  Raises NumericalError when the elimination
+    (`eigen.condense`).  Raises NumericalError when the elimination
     fails or the normwise backward error ||A u - F|| / (||A|| ||u|| + ||F||)
     on the full operator exceeds `rtol`; the gate is skipped only for a load
     that is exactly zero.
@@ -82,11 +83,11 @@ def solve_source(dof_map, stabilizer, flux, rtol=1e-10):
     F = boundary_load(dof_map, flux)
     g = dof_map.boundary_dofs
     assert not np.delete(F, g).any(), "the boundary load must vanish off the boundary DOFs"
-    cells = eliminate_cells(pair)
-    u = cells.expand(cells.extend(cells.boundary_solve(F[g])))
+    pencil = condense(pair)
+    u = pencil.expand(pencil.extend(pencil.boundary_solve(F[g])))
     f_norm = np.linalg.norm(F)
     if f_norm != 0.0:
-        residual = np.linalg.norm(pair.apply(u) - F) / (cells.a_norm * np.linalg.norm(u) + f_norm)
+        residual = np.linalg.norm(pair.apply(u) - F) / (pencil.a_norm * np.linalg.norm(u) + f_norm)
         if not residual <= rtol:
             raise NumericalError(f"source solve residual {residual:.2e} exceeds {rtol:.1e}")
     return u
@@ -118,9 +119,8 @@ def v_norm_error(u_h, q, dof_map):
 
 def x_norm_error(u_h, exact, dof_map):
     """Boundary L2 error ||u - u_{h,b}|| over the domain boundary."""
-    mesh, k = dof_map.mesh, dof_map.k
     cb = dof_map.split(u_h)[1]
-    bnd = EdgeQuadrature(mesh, k, 2 * k + ANALYTIC_MARGIN, np.flatnonzero(mesh.boundary_edge))
+    bnd = EdgeQuadrature(dof_map, np.flatnonzero(dof_map.mesh.boundary_edge))
     diff = evaluate(exact.u, bnd.points) - cb[bnd.edges] @ bnd.basis.T
     return float(np.sqrt(np.sum(bnd.weights * diff**2)))
 

@@ -3,8 +3,8 @@
 A discrete unknown on a cell is the block vector (v0, vb1, vb2, vb3): the
 interior polynomial of degree <= k followed by one polynomial of degree <= k
 per edge, each expressed in the orthonormal bases of :mod:`polyquad`.  This
-module provides the L2 projections, the discrete weak gradient, the two
-trace-penalty stabilizers, and the local matrix of the principal form.
+module provides the discrete weak gradient, the two trace-penalty
+stabilizers, and the local matrix of the principal form.
 Whole-mesh quadrature goes through :class:`CellQuadrature`, which tabulates
 the cell basis once per congruence class, and :class:`EdgeQuadrature`.
 """
@@ -71,46 +71,6 @@ class LocalCell:
         p = self.vertices[l]
         q = self.vertices[(l + 1) % 3]
         return (q, p) if self.flips[l] else (p, q)
-
-
-def project_cell(cell, f, quad_degree=None):
-    """Coefficients of the L2(T) projection of f onto P_k(T).
-
-    `f` maps an (n, 2) point array to n values.  The default quadrature is
-    exact for polynomial f of degree <= k + POLY_MARGIN; pass an elevated
-    `quad_degree` for analytic integrands.
-    """
-    deg = quad_degree if quad_degree is not None else 2 * cell.k + POLY_MARGIN
-    pts, w = map_to_triangle(triangle_quadrature(deg), cell.vertices)
-    phi = cell.basis.eval(pts)
-    return (phi * w[:, None]).T @ np.asarray(f(pts), dtype=float)
-
-
-def project_edge(k, p_lo, p_hi, f, quad_degree=None):
-    """Coefficients of the L2(e) projection of f onto P_k(e).
-
-    The edge runs from `p_lo` (t=0) to `p_hi` (t=1) in its canonical
-    parameterization; `f` maps an (n, 2) point array to n values.
-    """
-    deg = quad_degree if quad_degree is not None else 2 * k + POLY_MARGIN
-    rule = edge_quadrature(deg)
-    pts, _ = map_to_edge(rule, p_lo, p_hi)
-    phi = EdgeBasis(k).eval(rule.points)
-    return (phi * rule.weights[:, None]).T @ np.asarray(f(pts), dtype=float)
-
-
-def project_vector(cell, f, quad_degree=None):
-    """Coefficients of the componentwise L2 projection onto [P_{k-1}(T)]^2.
-
-    `f` maps an (n, 2) point array to an (n, 2) array of vector values.
-    """
-    deg = quad_degree if quad_degree is not None else 2 * cell.k + POLY_MARGIN
-    pts, w = map_to_triangle(triangle_quadrature(deg), cell.vertices)
-    values = np.asarray(f(pts), dtype=float)
-    phi = cell.grad_basis.eval(pts)
-    cx = (phi * w[:, None]).T @ values[:, 0]
-    cy = (phi * w[:, None]).T @ values[:, 1]
-    return np.concatenate([cx, cy])
 
 
 def weak_gradient_map(cell):
@@ -292,14 +252,17 @@ class CellQuadrature:
 
 
 class EdgeQuadrature:
-    """An edge rule on the given mesh edges, in canonical direction.
+    """An edge rule of degree 2k + ANALYTIC_MARGIN, for smooth
+    non-polynomial integrands, on the given edges of the mesh of an
+    `assembly.DofMap`, in canonical direction.
 
     Stores physical ``points`` (n, q, 2) and arclength ``weights`` (n, q)
     per edge, and the edge ``basis`` once, on the canonical parameter.
     """
 
-    def __init__(self, mesh, k, degree, edges):
-        rule = edge_quadrature(degree)
+    def __init__(self, dof_map, edges):
+        mesh, k = dof_map.mesh, dof_map.k
+        rule = edge_quadrature(2 * k + ANALYTIC_MARGIN)
         self.edges = edges
         lo, hi = np.moveaxis(mesh.vertices[mesh.edges[self.edges]], 1, 0)
         self.points = lo[:, None] + rule.points[:, None] * (hi - lo)[:, None]
@@ -342,9 +305,9 @@ def epsilon_h_diagnostic(u, grad_u, dof_map, gamma_value):
     residual-first so small values are not lost to cancellation.  `u` maps
     (n, 2) points to values, `grad_u` to (n, 2) gradients.
     """
-    mesh, k = dof_map.mesh, dof_map.k
+    k = dof_map.k
     cells = dof_map.cell_quadrature
-    edges = EdgeQuadrature(mesh, k, 2 * k + ANALYTIC_MARGIN, np.arange(mesh.n_edges))
+    edges = EdgeQuadrature(dof_map, np.arange(dof_map.mesh.n_edges))
     uq = evaluate(u, cells.points)
     gq = evaluate(grad_u, cells.points)
     c0 = cells.project(uq)

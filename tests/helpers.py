@@ -1,12 +1,21 @@
-"""Shared test utilities: random geometry and polynomial oracles."""
+"""Shared test utilities: random geometry, and oracles that the package's
+solve paths do not need: the assembled A, a dense QZ eigensolve, the
+Rayleigh quotient and the per-cell L2 projections."""
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from wgsteklov.assembly import scatter_local
 from wgsteklov.mesh import L_SHAPE, Mesh
-from wgsteklov.polyquad import EdgeBasis, edge_quadrature, monomial_exponents
-from wgsteklov.wgcore import POLY_MARGIN, project_cell, project_edge
+from wgsteklov.polyquad import (
+    EdgeBasis,
+    edge_quadrature,
+    map_to_edge,
+    map_to_triangle,
+    monomial_exponents,
+    triangle_quadrature,
+)
+from wgsteklov.wgcore import POLY_MARGIN
 
 
 def random_triangle(rng, min_area=0.05, scale=1.0):
@@ -58,6 +67,86 @@ def interior_dofs(dof_map):
     return np.flatnonzero(interior)
 
 
+def scatter_local(local, gdofs, n_dofs):
+    """A stack of local matrices (N, m, m) placed at rows and columns gdofs
+    (N, m) of an n_dofs x n_dofs COO matrix; converting it sums the overlaps."""
+    m = gdofs.shape[1]
+    rows = np.repeat(gdofs, m, axis=1).ravel()
+    cols = np.tile(gdofs, (1, m)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n_dofs, n_dofs))
+
+
+def assembled_A(pair):
+    """The assembled sparse principal form (CSR) of a `WgOperatorPair`: the
+    local matrix of each cell's class scattered onto the cell's global DOFs."""
+    dof_map = pair.dof_map
+    local = pair.local[dof_map.classes.class_of]
+    return scatter_local(local, dof_map.local_dofs, dof_map.n_dofs).tocsr()
+
+
+def dense_eigenvalues(pair):
+    """All finite eigenvalues of (A, B) by a dense QZ solve, ascending.
+
+    Brute-force reference path, independent of the condensation route; only
+    sensible for small meshes.
+    """
+    A = assembled_A(pair).toarray()
+    B = pair.B.toarray()
+    alpha, beta = sla.eig(A, B, right=False, homogeneous_eigvals=True)
+    scale = np.abs(alpha) + np.abs(beta)
+    finite = np.abs(beta) > 1e-10 * scale
+    values = np.real(alpha[finite] / beta[finite])
+    return np.sort(values)
+
+
+def rayleigh_quotient(pair, u):
+    """Form quotient a_w(u, u) / b_w(u, u) of a discrete function."""
+    den = float(u @ (pair.B @ u))
+    if den <= 0.0:
+        raise ValueError("function has no boundary content (b_w(u, u) <= 0)")
+    return float(u @ pair.apply(u)) / den
+
+
+def project_cell(cell, f, quad_degree=None):
+    """Coefficients of the L2(T) projection of f onto P_k(T).
+
+    `f` maps an (n, 2) point array to n values.  The default quadrature is
+    exact for polynomial f of degree <= k + POLY_MARGIN; pass an elevated
+    `quad_degree` for analytic integrands.
+    """
+    deg = quad_degree if quad_degree is not None else 2 * cell.k + POLY_MARGIN
+    pts, w = map_to_triangle(triangle_quadrature(deg), cell.vertices)
+    phi = cell.basis.eval(pts)
+    return (phi * w[:, None]).T @ np.asarray(f(pts), dtype=float)
+
+
+def project_edge(k, p_lo, p_hi, f, quad_degree=None):
+    """Coefficients of the L2(e) projection of f onto P_k(e).
+
+    The edge runs from `p_lo` (t=0) to `p_hi` (t=1) in its canonical
+    parameterization; `f` maps an (n, 2) point array to n values.
+    """
+    deg = quad_degree if quad_degree is not None else 2 * k + POLY_MARGIN
+    rule = edge_quadrature(deg)
+    pts, _ = map_to_edge(rule, p_lo, p_hi)
+    phi = EdgeBasis(k).eval(rule.points)
+    return (phi * rule.weights[:, None]).T @ np.asarray(f(pts), dtype=float)
+
+
+def project_vector(cell, f, quad_degree=None):
+    """Coefficients of the componentwise L2 projection onto [P_{k-1}(T)]^2.
+
+    `f` maps an (n, 2) point array to an (n, 2) array of vector values.
+    """
+    deg = quad_degree if quad_degree is not None else 2 * cell.k + POLY_MARGIN
+    pts, w = map_to_triangle(triangle_quadrature(deg), cell.vertices)
+    values = np.asarray(f(pts), dtype=float)
+    phi = cell.grad_basis.eval(pts)
+    cx = (phi * w[:, None]).T @ values[:, 0]
+    cy = (phi * w[:, None]).T @ values[:, 1]
+    return np.concatenate([cx, cy])
+
+
 def quadrature_boundary_form(dof_map):
     """Reference for `WgOperatorPair.B`: the L2(e) mass matrix of the edge
     basis on each boundary edge, by quadrature, placed on the edge's boundary
@@ -71,8 +160,8 @@ def quadrature_boundary_form(dof_map):
 
 
 def global_elimination(A, dof_map):
-    """Reference for `eigen.eliminate_cells` on the assembled A: slice off the
-    cell block A_cc, invert its d x d diagonal blocks, and form
+    """Reference for the cell elimination of `eigen.condense`, on the
+    assembled A: slice off the cell block A_cc, invert its d x d diagonal blocks, and form
     W = A_cc^{-1} A_ce and E = A_ee - A_ce^T W by sparse products.
     Returns (W, E)."""
     A = A.tocsc()

@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import local_interpolant, random_poly, random_triangle
+from helpers import assembled_A, dense_eigenvalues, local_interpolant, project_vector, random_poly
+from helpers import random_triangle
 from wgsteklov.assembly import (
     AlphaStabilizer,
     DofMap,
@@ -20,7 +21,7 @@ from wgsteklov.assembly import (
     PowerEps,
     assemble,
 )
-from wgsteklov.eigen import condense, dense_eigenvalues, solve_condensed
+from wgsteklov.eigen import condense, solve_condensed
 from wgsteklov.glb import GlbConfig, glb_criterion, run_glb_study
 from wgsteklov.harness import (
     SQUARE_REFERENCE_EIGENVALUES,
@@ -30,7 +31,7 @@ from wgsteklov.harness import (
 )
 from wgsteklov.mesh import L_SHAPE, UNIT_SQUARE, build_structured_mesh
 from wgsteklov.source import exponential_solution
-from wgsteklov.wgcore import LocalCell, epsilon_h_diagnostic, project_vector, weak_gradient_map
+from wgsteklov.wgcore import LocalCell, epsilon_h_diagnostic, weak_gradient_map
 from wgsteklov.assembly import gamma_of_h
 
 LEVELS = (8, 16, 32, 64)
@@ -235,16 +236,17 @@ def test_criterion_07_operator_properties():
     ok = True
     for n, k in ((2, 1), (4, 1), (2, 2)):
         pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, n), k), gamma)
-        A = pair.A.toarray()
-        ok &= np.linalg.eigvalsh(A).min() > 0
+        A = assembled_A(pair)
+        ok &= np.linalg.eigvalsh(A.toarray()).min() > 0
         B = pair.B.toarray()
         ok &= np.linalg.matrix_rank(B) == len(pair.dof_map.boundary_dofs)
         ok &= np.linalg.eigvalsh(B).min() > -1e-12
-        ok &= (pair.A != pair.A.T).nnz == 0
+        ok &= (A != A.T).nnz == 0
     for n in (8, 16):
         pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, n), 1), gamma)
-        np.linalg.cholesky(pair.A.toarray())  # raises if not positive definite
-        ok &= (pair.A != pair.A.T).nnz == 0
+        A = assembled_A(pair)
+        np.linalg.cholesky(A.toarray())  # raises if not positive definite
+        ok &= (A != A.T).nnz == 0
         pencil = condense(pair)
         asym = np.abs(pencil.S - pencil.S.T).max() / np.abs(pencil.S).max()
         ok &= asym <= 1e-12
@@ -295,7 +297,7 @@ def test_criterion_10_glb_pathway():
     # alpha-stabilized operators stay positive definite
     for alpha in (0.01, 0.1, 1.0):
         pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 2), 1), AlphaStabilizer(alpha))
-        ok &= np.linalg.eigvalsh(pair.A.toarray()).min() > 0
+        ok &= np.linalg.eigvalsh(assembled_A(pair).toarray()).min() > 0
     # certificate arithmetic against hand-computed cases
     cert = glb_criterion(GlbConfig(alpha=0.1, stab_bound=2.0, proj_bound=0.5), None, 1.0)
     ok &= cert.certified and cert.case == 2

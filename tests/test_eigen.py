@@ -16,22 +16,12 @@ from wgsteklov.assembly import (
     assemble,
     interpolate,
 )
-from wgsteklov.eigen import (
-    CellElimination,
-    CondensedPencil,
-    NumericalError,
-    condense,
-    dense_eigenvalues,
-    eliminate_cells,
-    rayleigh_quotient,
-    solve_condensed,
-    solve_pair,
-)
+from wgsteklov.eigen import CondensedPencil, NumericalError, condense, solve_condensed, solve_pair
 from wgsteklov.harness import main
 from wgsteklov.mesh import L_SHAPE, UNIT_SQUARE, build_structured_mesh
 from wgsteklov.source import exponential_solution, solve_source
-from helpers import global_elimination, interior_dofs, jittered_mesh, quadrature_boundary_form
-from helpers import renumbered_mesh
+from helpers import assembled_A, dense_eigenvalues, global_elimination, interior_dofs, jittered_mesh
+from helpers import quadrature_boundary_form, rayleigh_quotient, renumbered_mesh
 
 GAMMA = GammaStabilizer(PowerEps(0.1))
 
@@ -90,6 +80,27 @@ def test_cli_singular_edge_operator_exits_2(monkeypatch, capsys):
     assert "stage 'condense'" in err and "edge factorization failed" in err
 
 
+def asymmetric_pair():
+    # square n=4, k=1 with one entry of one class's local matrix off its
+    # mirror by 1e-6.  The eliminations read only one side of the blocks
+    # they eliminate, so only an entry that stays in the kept block up to
+    # the root, as this one does, reaches S asymmetric
+    pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 4), 1), GAMMA)
+    d = pair.dof_map.dim_cell
+    pair.local[0, d, d + 1] += 1e-6
+    return pair
+
+
+def test_condensed_matrix_asymmetry_raises(monkeypatch, capsys):
+    with pytest.raises(NumericalError, match=r"condensed matrix asymmetry \S+ exceeds 1e-12"):
+        condense(asymmetric_pair())
+    monkeypatch.setattr(harness, "assemble", lambda *args: asymmetric_pair())
+    argv = ["solve", "--domain", "square", "--n", "4", "--k", "1", "--gamma", "pow:0.1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "stage 'condense'" in err and "condensed matrix asymmetry" in err
+
+
 def test_singular_cell_block_raises():
     pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 2), 1), GAMMA)
     d = pair.dof_map.dim_cell
@@ -107,19 +118,19 @@ STABILIZERS = pytest.mark.parametrize(
 def check_against_global_elimination(pair):
     """The boundary Schur complement from the tree and the extension inward
     against a dense Schur complement of the edge operator E of the global
-    elimination; returns the elimination and the oracle's (W, E)."""
-    cells = eliminate_cells(pair)
-    W, E = global_elimination(pair.A, pair.dof_map)
+    elimination; returns the pencil and the oracle's (W, E)."""
+    pencil = condense(pair)
+    W, E = global_elimination(assembled_A(pair), pair.dof_map)
     E = E.toarray()
     g = pair.dof_map.boundary_dofs - pair.dof_map.n_cell_dofs
     i = np.setdiff1d(np.arange(len(E)), g)
     want_S = E[np.ix_(g, g)] - E[np.ix_(g, i)] @ np.linalg.solve(E[np.ix_(i, i)], E[np.ix_(i, g)])
-    assert np.abs(cells.S - want_S).max() <= 1e-13 * np.abs(want_S).max()
+    assert np.abs(pencil.S - want_S).max() <= 1e-13 * np.abs(want_S).max()
     u_g = np.random.default_rng(2).standard_normal((len(g), 2))
-    u_e = cells.extend(u_g)
+    u_e = pencil.extend(u_g)
     assert np.array_equal(u_e[g], u_g)
     assert np.abs((E @ u_e)[i]).max() <= 1e-13 * np.abs(E).max() * np.abs(u_e).max()
-    return cells, W, E
+    return pencil, W, E
 
 
 @STABILIZERS
@@ -128,13 +139,13 @@ def test_local_elimination_matches_global_elimination(domain, k, n, stabilizer):
     # the Schur tree, and the cell parts of the expansion, against the
     # elimination on the assembled A
     pair = assemble(DofMap(build_structured_mesh(domain, n), k), stabilizer)
-    cells, W, E = check_against_global_elimination(pair)
+    pencil, W, E = check_against_global_elimination(pair)
     u_e = np.random.default_rng(0).standard_normal((E.shape[0], 2))
     want = -(W @ u_e)
-    u = cells.expand(u_e)
+    u = pencil.expand(u_e)
     assert np.array_equal(u[pair.dof_map.n_cell_dofs :], u_e)
     assert np.abs(u[: pair.dof_map.n_cell_dofs] - want).max() <= 1e-14 * np.abs(want).max()
-    single = cells.expand(u_e[:, 0])[: pair.dof_map.n_cell_dofs]
+    single = pencil.expand(u_e[:, 0])[: pair.dof_map.n_cell_dofs]
     assert np.abs(single - want[:, 0]).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -154,11 +165,12 @@ def test_schur_tree_on_meshes_with_other_classes(domain, k, remesh, rng):
 def test_local_apply_and_norm_match_assembled_A(domain, k, n, stabilizer):
     pair = assemble(DofMap(build_structured_mesh(domain, n), k), stabilizer)
     V = np.random.default_rng(1).standard_normal((pair.dof_map.n_dofs, 3))
-    want = pair.A @ V
+    A = assembled_A(pair)
+    want = A @ V
     assert np.abs(pair.apply(V) - want).max() <= 1e-14 * np.abs(want).max()
     assert np.abs(pair.apply(V[:, 1]) - want[:, 1]).max() <= 1e-14 * np.abs(want).max()
-    a_norm = abs(pair.A).sum(axis=1).max()
-    assert abs(eliminate_cells(pair).a_norm - a_norm) <= 4 * np.spacing(a_norm)
+    a_norm = abs(A).sum(axis=1).max()
+    assert abs(condense(pair).a_norm - a_norm) <= 4 * np.spacing(a_norm)
 
 
 def test_edge_operator_does_not_couple_the_halves_of_the_top_cut():
@@ -168,7 +180,7 @@ def test_edge_operator_does_not_couple_the_halves_of_the_top_cut():
     k = 2
     mesh = build_structured_mesh(UNIT_SQUARE, 8)
     dof_map = DofMap(mesh, k)
-    root = eliminate_cells(assemble(dof_map, GAMMA)).steps[-1]
+    root = condense(assemble(dof_map, GAMMA)).steps[-1]
     x = mesh.vertices[mesh.edges, 0]
     on_cut = np.flatnonzero((x == 0.5).all(axis=1))
     assert len(on_cut) == 8
@@ -184,7 +196,7 @@ def test_one_elimination_per_class_and_every_edge_eliminated_once():
     # all its nodes; the DOFs eliminated by the steps and the boundary DOFs
     # cover the edge DOFs once each
     dof_map = DofMap(build_structured_mesh(UNIT_SQUARE, 16), 2)
-    steps = eliminate_cells(assemble(dof_map, GAMMA)).steps
+    steps = condense(assemble(dof_map, GAMMA)).steps
     assert [len(step.sep) for step in steps] == [2 ** j for j in range(8, -1, -1)]
     covered = [step.sep.ravel() for step in steps] + [dof_map.boundary_dofs - dof_map.n_cell_dofs]
     covered = np.concatenate(covered)
@@ -215,17 +227,16 @@ def test_boundary_mass_is_the_boundary_block_of_B():
 
 def test_solve_paths_never_assemble_A(monkeypatch, tmp_path):
     # the eigen and source solves, the Rayleigh quotient and a converge study
-    # work from the local matrices; the assembled A is formed only where it is read
+    # work from the local matrices; the package has no assembled A, and an
+    # A read by any of them would fail
     mesh = build_structured_mesh(UNIT_SQUARE, 4)
     dof_map = DofMap(mesh, 2)
-    pair = assemble(dof_map, GAMMA)
-    assert "A" not in vars(pair)
-    assert pair.A is pair.A
+    assert not hasattr(assemble(dof_map, GAMMA), "A")
 
     def unavailable(self):
         raise AssertionError("the assembled A was read")
 
-    monkeypatch.setattr(WgOperatorPair, "A", property(unavailable))
+    monkeypatch.setattr(WgOperatorPair, "A", property(unavailable), raising=False)
     pair = assemble(dof_map, GAMMA)
     rayleigh_quotient(pair, solve_pair(pair, 4).vectors[:, 0])
     solve_source(dof_map, GAMMA, exponential_solution().flux)
@@ -271,7 +282,9 @@ def test_spectrum_matches_quadrature_boundary_form(domain, k, n):
     pair = assemble(DofMap(build_structured_mesh(domain, n), k), GAMMA)
     pencil = condense(pair)
     full = solve_condensed(pencil, pencil.size).values
-    quadrature = SimpleNamespace(A=pair.A, B=quadrature_boundary_form(pair.dof_map))
+    quadrature = SimpleNamespace(
+        local=pair.local, dof_map=pair.dof_map, B=quadrature_boundary_form(pair.dof_map)
+    )
     assert np.allclose(full, dense_eigenvalues(quadrature), rtol=1e-12, atol=0.0)
 
 
@@ -299,12 +312,12 @@ def test_one_solve_per_lanczos_application_and_one_block_solve(monkeypatch):
     monkeypatch.setattr(spla, "splu", no_splu)
     log = []
     pencil = condense(assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 8), 2), GAMMA))
-    matvec, solve = CondensedPencil._lanczos_matvec, CellElimination.boundary_solve
+    matvec, solve = CondensedPencil._lanczos_matvec, CondensedPencil.boundary_solve
     monkeypatch.setattr(
         CondensedPencil, "_lanczos_matvec", lambda self, y: log.append("A") or matvec(self, y)
     )
     monkeypatch.setattr(
-        CellElimination, "boundary_solve",
+        CondensedPencil, "boundary_solve",
         lambda self, f: log.append("s" if np.ndim(f) == 1 else "S") or solve(self, f),
     )
     solve_condensed(pencil, 4)
@@ -331,10 +344,11 @@ def test_rayleigh_ritz_step_sets_the_values(monkeypatch, domain, k, n):
 def test_backward_errors_match_per_pair_formula():
     pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 8), 2), GAMMA)
     result = solve_pair(pair, 4)
-    a_norm = abs(pair.A).sum(axis=1).max()
+    A = assembled_A(pair)
+    a_norm = abs(A).sum(axis=1).max()
     b_norm = abs(pair.B).sum(axis=1).max()
     for lam, u, res in zip(result.values, result.vectors.T, result.residuals):
-        r = np.linalg.norm(pair.A @ u - lam * (pair.B @ u))
+        r = np.linalg.norm(A @ u - lam * (pair.B @ u))
         assert res == pytest.approx(r / ((a_norm + lam * b_norm) * np.linalg.norm(u)), rel=1e-12)
     with pytest.raises(NumericalError, match=r"eigenpair residual .* exceeds tolerance 1\.0e-30"):
         solve_pair(pair, 4, rtol=1e-30)

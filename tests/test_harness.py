@@ -422,6 +422,33 @@ def test_cli_rejects_non_finite_refs(command, refs, monkeypatch, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["converge", "glb"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_rejects_builtin_square_refs_on_lshape(command, source, monkeypatch, tmp_path,
+                                                   capsys):
+    # the built-in references are the unit square's eigenvalues: errors,
+    # lower-bound flags and certificates against them mean nothing on the
+    # L-shape, so the pairing exits 1 before any mesh is built
+    monkeypatch.setattr(harness, "build_structured_mesh", _no_mesh)
+    monkeypatch.setattr(harness.glb_mod, "build_structured_mesh", _no_mesh)
+    options = {
+        "converge": ["--gamma", "pow:0.1"],
+        "glb": ["--alpha", "0.01", "--stab-bound", "2.0", "--proj-bound", "0.5"],
+    }[command]
+    out = tmp_path / "r.csv"
+    argv = [command, "--domain", "lshape", "--k", "1", *options, "--levels", "2,4",
+            "--out", str(out)]
+    if source == "flag":
+        argv += ["--refs", "builtin:square"]
+    else:
+        config = tmp_path / "refs.conf"
+        config.write_text("refs = builtin:square\n")
+        argv += ["--config", str(config)]
+    assert main(argv) == 1
+    assert "--refs builtin:square holds the unit square's eigenvalues" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_studies_reject_non_finite_refs(bad, monkeypatch):
     monkeypatch.setattr(harness.glb_mod, "build_structured_mesh", _no_mesh)
