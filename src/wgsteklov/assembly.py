@@ -161,16 +161,31 @@ class WgOperatorPair:
 
     def apply(self, V):
         """A V for a vector or the columns of a matrix, cell by cell: each
-        class's local matrix acts on its cells' local DOFs, and the local
-        products are summed into the global DOFs."""
+        class's local matrix acts on the local DOFs of its cells, a bounded
+        run of cells at a time (`cell_runs`), and the local products are
+        summed into the global DOFs."""
         local_dofs = self.dof_map.local_dofs
         X = V.reshape(len(V), -1)
-        Y = np.empty(local_dofs.shape + X.shape[1:])
-        for K, members in zip(self.local, self.dof_map.classes.members):
-            Y[members] = K @ X[local_dofs[members]]
-        dofs = local_dofs.ravel()
-        columns = [np.bincount(dofs, Y[..., j].ravel(), len(V)) for j in range(X.shape[1])]
-        return np.column_stack(columns).reshape(V.shape)
+        AX = np.zeros(X.shape)
+        for c, cells in cell_runs(self.dof_map.classes):
+            dofs = local_dofs[cells]
+            Y = (self.local[c] @ X[dofs]).reshape(dofs.size, -1)
+            for j in range(X.shape[1]):
+                np.add.at(AX[:, j], dofs.ravel(), Y[:, j])
+        return AX.reshape(V.shape)
+
+
+# cells per run of `cell_runs`: the blocks gathered for a run then stay a
+# small fraction of the full DOF vectors they are gathered from
+_CELL_RUN = 256
+
+
+def cell_runs(classes):
+    """(class, cells) for runs of at most _CELL_RUN cells of one congruence
+    class, class by class, covering every cell once."""
+    for c, members in enumerate(classes.members):
+        for start in range(0, len(members), _CELL_RUN):
+            yield c, members[start : start + _CELL_RUN]
 
 
 def assemble(dof_map, stabilizer):

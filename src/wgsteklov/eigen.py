@@ -14,9 +14,9 @@ eliminates, by a dense Cholesky factor, the edges where their cells part.
 On a structured mesh the nodes of one size are mostly translates of each
 other, and one elimination serves each congruence class of nodes.  The
 root gives the dense Schur complement S of E onto g, which is factored by
-Cholesky.  With D the boundary block of B, which is diagonal (|e| on each
-DOF of boundary edge e), the finite eigenvalues of (A, B) are those of
-(S, D).  The m smallest eigenvalues are the reciprocals of the m largest
+Cholesky in its own array.  With D the boundary block of B, which is
+diagonal (|e| on each DOF of boundary edge e), the finite eigenvalues of
+(A, B) are those of (S, D).  The m smallest eigenvalues are the reciprocals of the m largest
 eigenvalues of the symmetric operator T = D^{1/2} S^{-1} D^{1/2}.  Lanczos
 (ARPACK) finds their invariant subspace, each application of T one solve
 with the factor of S; a full-spectrum request, which ARPACK cannot serve,
@@ -38,6 +38,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
+from .assembly import cell_runs
 from .mesh import nested_dissection
 
 
@@ -100,10 +101,13 @@ class CondensedPencil:
     ``W`` holds the local elimination map K_cc^{-1} K_ce of each congruence
     class, and ``edge_dofs`` (C, 3 (k + 1)) the DOFs of each cell's edges,
     counted from the first edge DOF.  ``steps`` lists the `SchurStep`s of
-    the tree bottom-up.  ``S`` is the boundary Schur complement of E, in the
-    order of ``dof_map.boundary_dofs``; it is factored by Cholesky here.  D,
-    the boundary block of B, is diagonal, so only its square root is kept.
-    `a_norm` is ||A||_inf of the assembled A, for the backward-error gates.
+    the tree bottom-up.  The symmetric boundary Schur complement S of E, in
+    the order of ``dof_map.boundary_dofs``, is handed over by `condense` and
+    factored by Cholesky in place: S.T is S in Fortran order, so the factor
+    fills one triangle of S's array and the other still holds S, which with
+    the kept diagonal rebuilds ``S`` on read.  D, the boundary block of B,
+    is diagonal, so only its square root is kept.  `a_norm` is ||A||_inf of
+    the assembled A, for the backward-error gates.
     """
 
     def __init__(self, pair, edge_dofs, W, steps, S, a_norm):
@@ -111,21 +115,30 @@ class CondensedPencil:
         self._edge_dofs = edge_dofs
         self._W = W
         self.steps = steps
-        self.S = S
         self.a_norm = a_norm
+        self._diagonal = S.diagonal().copy()
         try:
-            self._factor = sla.cho_factor(S, lower=True, check_finite=False)
+            self._factor = sla.cho_factor(S.T, lower=True, overwrite_a=True, check_finite=False)[0]
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"edge factorization failed: {exc}") from exc
         self._root_d = np.sqrt(pair.B.diagonal()[pair.dof_map.boundary_dofs])
 
     @property
+    def S(self):
+        """The boundary Schur complement S, rebuilt from the triangle of the
+        factor's array that the factorization left as it was."""
+        S = np.triu(self._factor, 1)
+        S += S.T
+        np.fill_diagonal(S, self._diagonal)
+        return S
+
+    @property
     def size(self):
-        return len(self.S)
+        return len(self._diagonal)
 
     def boundary_solve(self, f_g):
         """S^{-1} f_g for right-hand side(s) given on the boundary DOFs."""
-        return sla.cho_solve(self._factor, f_g, check_finite=False)
+        return sla.cho_solve((self._factor, True), f_g, check_finite=False)
 
     def extend(self, u_g):
         """The edge DOF vector(s) u_e with E u_e zero off the boundary and
@@ -141,12 +154,16 @@ class CondensedPencil:
 
     def expand(self, u_e):
         """Full DOF vector(s) [u_c; u_e] that solve A u = [0; E u_e]: the cell
-        part of each cell is -W applied to the values on its edges."""
+        part of each cell is -W applied to the values on its edges, written
+        into the output a bounded run of cells at a time (`cell_runs`)."""
+        dof_map = self.pair.dof_map
+        u = np.empty((dof_map.n_cell_dofs + len(u_e),) + u_e.shape[1:])
+        u[dof_map.n_cell_dofs :] = u_e
         X = u_e.reshape(len(u_e), -1)
-        u_c = np.empty((len(self._edge_dofs), self._W.shape[1], X.shape[1]))
-        for W, members in zip(self._W, self.pair.dof_map.classes.members):
-            u_c[members] = -(W @ X[self._edge_dofs[members]])
-        return np.concatenate([u_c.reshape(-1, *u_e.shape[1:]), u_e])
+        u_c = u[: dof_map.n_cell_dofs].reshape(len(self._edge_dofs), -1, X.shape[1])
+        for c, cells in cell_runs(dof_map.classes):
+            u_c[cells] = -(self._W[c] @ X[self._edge_dofs[cells]])
+        return u
 
     def _lanczos_matvec(self, y):
         """T y = D^{1/2} S^{-1} D^{1/2} y by one solve with the factor of S."""
@@ -243,17 +260,29 @@ def _a_norm(K, class_of, cell_edges, n_edges, d, m):
     return float(max(absK[:, :d].sum(axis=2).max(), edge_rows.max()))
 
 
+# rows per block of the update of the kept block in `_eliminate`
+_BLOCK = 128
+
+
 def _eliminate(M, n_keep):
     """The Schur complement of M onto its first n_keep rows and columns, and
-    X = M_ss^{-1} M_sk for the rest (s), by a Cholesky factor of M_ss."""
+    X = M_ss^{-1} M_sk for the rest (s), by a Cholesky factor of M_ss.
+
+    Y^T Y, with Y = L^{-1} M_sk, is subtracted from M's kept block in place,
+    a block of rows at a time, so no second matrix of that size is formed:
+    each block row is updated up to the diagonal and mirrored above it.
+    The complement is returned as a view of that block."""
     try:
         L = np.linalg.cholesky(M[n_keep:, n_keep:])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"edge factorization failed: {exc}") from exc
     Y = sla.solve_triangular(L, M[n_keep:, :n_keep], lower=True, check_finite=False)
     X = sla.solve_triangular(L, Y, lower=True, trans="T", check_finite=False)
-    S = Y.T @ Y
-    return np.subtract(M[:n_keep, :n_keep], S, out=S), X
+    for i in range(0, n_keep, _BLOCK):
+        rows = slice(i, min(i + _BLOCK, n_keep))
+        M[rows, : rows.stop] -= Y[:, rows].T @ Y[:, : rows.stop]
+        M[: rows.start, rows] = M[rows, : rows.start].T
+    return M[:n_keep, :n_keep], X
 
 
 def _dofs(edges, m):
@@ -310,10 +339,13 @@ def _schur_tree(local_S, class_of, cell_edges, codes, boundary, m):
         members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
         new_kept = np.full((len(child), 2 * w), -1)
         mats_up, width_up = [], []
+        # each class's matrix is dropped once the last front that reads it
+        # is built, so fronts do not pile up on their children's matrices
+        readers = np.bincount(node_class[child[reps][has[reps]]], minlength=len(mats))
         for rep, nodes in zip(reps, members):
             c0, c1 = child[rep]
             if c0 < 0 or c1 < 0:
-                mats_up.append(mats[node_class[max(c0, c1)]])
+                mats_up.append(_read(mats, readers, node_class[max(c0, c1)]))
                 width_up.append(width[node_class[max(c0, c1)]])
                 new_kept[nodes, :w] = kept[child[nodes].max(axis=1)]
                 continue
@@ -332,18 +364,24 @@ def _schur_tree(local_S, class_of, cell_edges, codes, boundary, m):
             place1 = np.empty(w1, dtype=np.int64)
             place1[u1] = len(u0) + np.arange(len(u1))
             place1[pos1[s0]] = place0[s0]
-            # the children overlap only on the shared block, which comes last
             d0, d1 = _dofs(place0, m), _dofs(place1, m)
-            M = np.zeros(((n_keep + len(s0)) * m,) * 2)
-            M[np.ix_(d0, d0)] = mats[node_class[c0]]
-            shared = M[n_keep * m :, n_keep * m :].copy()
-            M[np.ix_(d1, d1)] = mats[node_class[c1]]
-            M[n_keep * m :, n_keep * m :] += shared
+            # the children's matrices go before the elimination, and the
+            # front right after it: only the root, the lone node of its
+            # level, keeps its complement as a view of the front, until S is
+            # copied out of it in boundary order
+            mat0 = _read(mats, readers, node_class[c0])
+            mat1 = _read(mats, readers, node_class[c1])
+            M = _front(mat0, mat1, d0, d1, n_keep * m)
+            del mat0, mat1
             mat, X = _eliminate(M, n_keep * m)
+            del M
+            if len(child) > 1:
+                mat = mat.copy()
             k0, k1 = kept[child[nodes, 0]], kept[child[nodes, 1]]
             keep = np.concatenate([k0[:, u0], k1[:, u1]], axis=1)
             steps.append(SchurStep(X, _dofs(keep, m), _dofs(k0[:, s0], m)))
             mats_up.append(mat)
+            del mat
             width_up.append(n_keep)
             new_kept[nodes, :n_keep] = keep
         codes, node_class, mats, width = parent[new], inverse, mats_up, width_up
@@ -358,6 +396,27 @@ def _schur_tree(local_S, class_of, cell_edges, codes, boundary, m):
         ordered = edges[place][None]
         steps.append(SchurStep(X, _dofs(ordered[:, :n_keep], m), _dofs(ordered[:, n_keep:], m)))
     return steps, S
+
+
+def _read(mats, readers, c):
+    """mats[c], which leaves the list when its count of readers runs out."""
+    readers[c] -= 1
+    mat = mats[c]
+    if readers[c] == 0:
+        mats[c] = None
+    return mat
+
+
+def _front(mat0, mat1, d0, d1, n_keep):
+    """The matrix of a tree node: its children's matrices added at their
+    DOFs d0 and d1, which overlap only on the shared block after the first
+    n_keep."""
+    M = np.zeros((max(d0.max(), d1.max()) + 1,) * 2)
+    M[np.ix_(d0, d0)] = mat0
+    shared = M[n_keep:, n_keep:].copy()
+    M[np.ix_(d1, d1)] = mat1
+    M[n_keep:, n_keep:] += shared
+    return M
 
 
 class EigenResult:
@@ -397,17 +456,27 @@ def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
     check_eigenpair_count(m, pencil.size)
     values, vectors = pencil.eigenpairs(m)
     pair = pencil.pair
-    b_norm = float(abs(pair.B).sum(axis=1).max())
-    BV = pair.B @ vectors
-    r = np.linalg.norm(pair.apply(vectors) - BV * values, axis=0)
-    scale = pencil.a_norm + np.abs(values) * b_norm
-    residuals = r / (scale * np.linalg.norm(vectors, axis=0))
-    b_norms = np.einsum("ij,ij->j", vectors, BV)
+    # B is diagonal and supported on the boundary DOFs g, so B V lives on
+    # the rows g and ||B||_inf is the largest |B_ii| there
+    g = pair.dof_map.boundary_dofs
+    d = pair.B.diagonal()[g]
+    V_g = vectors[g]
+    BV_g = d[:, None] * V_g
+    R = pair.apply(vectors)
+    R[g] -= BV_g * values
+    scale = pencil.a_norm + np.abs(values) * float(np.abs(d).max())
+    residuals = _column_norms(R) / (scale * _column_norms(vectors))
+    b_norms = np.einsum("ij,ij->j", V_g, BV_g)
     if not np.all(residuals <= rtol):
         raise NumericalError(
             f"eigenpair residual {residuals.max():.2e} exceeds tolerance {rtol:.1e}"
         )
     return EigenResult(values, vectors, residuals, b_norms)
+
+
+def _column_norms(V):
+    """The 2-norm of each column of V, without a temporary of V's size."""
+    return np.sqrt(np.einsum("ij,ij->j", V, V))
 
 
 def solve_pair(pair, m, rtol=DEFAULT_RTOL):

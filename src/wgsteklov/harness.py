@@ -230,15 +230,23 @@ def _solve_level(domain, n, k, stabilizer, m):
     return dof_map, _stage("solve", solve_condensed, pencil, m)
 
 
+def _eigen_level(config, n):
+    """Solve one level of the eigenvalue study.
+
+    Returns (h, eigenvalues); nothing else of the level outlives the call,
+    so neither its DofMap nor its eigenvectors are held while the next
+    level is built.
+    """
+    dof_map, result = _solve_level(config.domain, n, config.k, config.stabilizer, config.n_eigs)
+    return dof_map.mesh.h_max, [float(v) for v in result.values]
+
+
 def run_eigen_study(config):
     """Run the eigenvalue convergence study described by `config`."""
-    ns, hs, eigenvalues = [], [], []
-    for n in config.levels:
-        dof_map, result = _solve_level(config.domain, n, config.k, config.stabilizer, config.n_eigs)
-        ns.append(n)
-        hs.append(dof_map.mesh.h_max)
-        eigenvalues.append([float(v) for v in result.values])
-    return ConvergenceReport(config, ns, hs, eigenvalues)
+    rows = [_eigen_level(config, n) for n in config.levels]
+    hs = [h for h, _ in rows]
+    eigenvalues = [values for _, values in rows]
+    return ConvergenceReport(config, list(config.levels), hs, eigenvalues)
 
 
 class SourceReport:

@@ -173,29 +173,50 @@ def build_structured_mesh(domain, n):
 def nested_dissection(mesh):
     """Each cell's code in the nested-dissection tree of a conforming mesh.
 
-    The cells are halved level by level, ceil(log2(C)) times, at the median
-    of each group's lowest vertex coordinate, along x on even levels and y on
-    odd ones; a cell goes to the upper half when its key reaches the median.
-    No cell of a structured mesh straddles a grid line, so there every cut
-    lies on one.  Cells left sharing a group (the two triangles of a grid
-    square share their lowest vertex) get extra low bits, their rank within
-    the group in cell order.  The codes are distinct, and the tree node j
-    levels above the leaves holds the cells whose codes agree once their j
-    lowest bits are dropped.  Reads `vertices` and `cells`.
+    The cells are halved level by level at the median of each group's
+    lowest vertex coordinate, along x on even levels and y on odd ones.  The
+    cells whose key ties the median go to whichever half leaves the two
+    closer in size, the upper one when both choices are equally close, so a
+    group whose keys are not all equal is always cut.  No cell of a
+    structured mesh straddles a grid line, so there every cut lies on one.
+    The cuts go on for at least ceil(log2(C)) levels, and until the cells
+    sharing a group share their lowest vertex, as the two triangles of a
+    grid square do; those get extra low bits, their rank within the group in
+    cell order.  The codes are distinct, and the tree node j levels above
+    the leaves holds the cells whose codes agree once their j lowest bits
+    are dropped.  Reads `vertices` and `cells`.
     """
     low = mesh.vertices[mesh.cells].min(axis=1)
+    code = np.zeros(len(mesh.cells), dtype=np.int64)
+    # the groups of the codes so far, numbered 0, 1, ... in code order
     group = np.zeros(len(mesh.cells), dtype=np.int64)
-    for level in range((len(mesh.cells) - 1).bit_length()):
+    levels = (len(mesh.cells) - 1).bit_length()
+    level = 0
+    while level < levels or _mixed(group, low):
         key = low[:, level % 2]
-        order = np.lexsort((key, group))
         counts = np.bincount(group)
-        median = np.cumsum(counts) - (counts + 1) // 2
-        group = 2 * group + (key >= key[order[median[group]]])
+        order = np.lexsort((key, group))
+        median = key[order[np.cumsum(counts) - (counts + 1) // 2]][group]
+        below = np.bincount(group, key < median)
+        at_most = np.bincount(group, key <= median)
+        ties_down = np.abs(2 * at_most - counts) < np.abs(2 * below - counts)
+        upper = np.where(ties_down[group], key > median, key >= median)
+        code = 2 * code + upper
+        halves = 2 * group + upper
+        group = np.cumsum(np.bincount(halves) > 0)[halves] - 1
+        level += 1
     counts = np.bincount(group)
     order = np.argsort(group, kind="stable")
     rank = np.empty_like(group)
     rank[order] = np.arange(len(group)) - (np.cumsum(counts) - counts)[group[order]]
-    return (group << int(counts.max() - 1).bit_length()) | rank
+    return (code << int(counts.max() - 1).bit_length()) | rank
+
+
+def _mixed(group, low):
+    """Whether some group holds cells of different lowest vertices."""
+    one = np.empty((int(group.max()) + 1, low.shape[1]))
+    one[group] = low  # the value of some cell of each group
+    return bool(np.any(one[group] != low))
 
 
 def boundary_dof_count(domain, n, k):

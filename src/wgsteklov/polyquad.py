@@ -2,10 +2,12 @@
 
 Triangle rules are conical (Duffy-type) products of Gauss-Legendre and
 Gauss-Jacobi rules, so any requested exactness degree is available with
-strictly positive weights.  Cell bases are monomials centered at the cell
-centroid and scaled by the cell diameter, then orthonormalized in L2 of the
-physical cell; edge bases are Legendre polynomials orthonormal with respect
-to the unit parameter interval.
+strictly positive weights; the Gauss-Jacobi rule is computed here from its
+three-term recurrence (Golub-Welsch), so the package needs no
+scipy.special.  Cell bases are monomials centered at the cell centroid and
+scaled by the cell diameter, then orthonormalized in L2 of the physical
+cell; edge bases are Legendre polynomials orthonormal with respect to the
+unit parameter interval.
 """
 
 from functools import lru_cache
@@ -13,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legval
 from scipy.linalg import solve_triangular
-from scipy.special import roots_jacobi
 
 
 def dim_pk(k):
@@ -42,6 +43,38 @@ class QuadratureRule:
         self.weights = np.asarray(weights, dtype=float)
 
 
+def gauss_jacobi_1_0(m):
+    """The m-point Gauss rule on [-1, 1] for the weight 1 - x (Gauss-Jacobi
+    with alpha = 1, beta = 0): nodes ascending, and weights.
+
+    The nodes are the eigenvalues of the Jacobi matrix of the weight's
+    orthonormal polynomials p_n (Golub-Welsch), refined by one Newton step
+    on p_m; each weight is mu_0 / sum_{n<m} p_n(x)^2, with p_0 = 1 and
+    mu_0 = 2 the integral of the weight.
+    """
+    n = np.arange(m + 1, dtype=float)
+    a = -1.0 / ((2.0 * n + 1.0) * (2.0 * n + 3.0))
+    b = np.sqrt(n * (n + 1.0)) / (2.0 * n + 1.0)
+    x = np.linalg.eigvalsh(np.diag(a[:m]) + np.diag(b[1:m], 1) + np.diag(b[1:m], -1))
+    p, dp, _ = _jacobi_1_0_recurrence(x, a, b, m)
+    x = x - p / dp
+    return x, 2.0 / _jacobi_1_0_recurrence(x, a, b, m)[2]
+
+
+def _jacobi_1_0_recurrence(x, a, b, m):
+    """p_m(x), p_m'(x) and sum_{n<m} p_n(x)^2 by the three-term recurrence
+    b_{n+1} p_{n+1} = (x - a_n) p_n - b_n p_{n-1}, differentiated for p'."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+    total = np.zeros_like(x)
+    for j in range(m):
+        total += p * p
+        p_next = ((x - a[j]) * p - b[j] * p_prev) / b[j + 1]
+        dp_next = (p + (x - a[j]) * dp - b[j] * dp_prev) / b[j + 1]
+        p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
+    return p, dp, total
+
+
 @lru_cache(maxsize=None)
 def triangle_quadrature(degree):
     """Quadrature rule on the triangle exact for total degree <= `degree`.
@@ -57,7 +90,7 @@ def triangle_quadrature(degree):
     xg, wg = leggauss(m)
     xi = (xg + 1.0) / 2.0
     wxi = wg / 2.0
-    xj, wj = roots_jacobi(m, 1.0, 0.0)
+    xj, wj = gauss_jacobi_1_0(m)
     eta = (xj + 1.0) / 2.0
     weta = wj / 4.0
     x = np.outer(xi, 1.0 - eta).ravel()

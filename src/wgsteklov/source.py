@@ -87,7 +87,9 @@ def solve_source(dof_map, stabilizer, flux, rtol=1e-10):
     u = pencil.expand(pencil.extend(pencil.boundary_solve(F[g])))
     f_norm = np.linalg.norm(F)
     if f_norm != 0.0:
-        residual = np.linalg.norm(pair.apply(u) - F) / (pencil.a_norm * np.linalg.norm(u) + f_norm)
+        R = pair.apply(u)
+        R -= F
+        residual = np.linalg.norm(R) / (pencil.a_norm * np.linalg.norm(u) + f_norm)
         if not residual <= rtol:
             raise NumericalError(f"source solve residual {residual:.2e} exceeds {rtol:.1e}")
     return u

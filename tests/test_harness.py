@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from functools import partial
 from types import SimpleNamespace
 
@@ -103,6 +104,22 @@ def test_eigen_study_report_contents():
     assert report.orders[0][0] is None
     assert report.orders[0][1] is not None
     assert report.trend_nondecreasing(0)
+
+
+def test_eigen_study_drops_each_level_before_the_next(monkeypatch):
+    # nothing of a level, neither its DofMap nor its eigenvectors, is held
+    # while the next level is meshed, condensed and solved
+    refs = []
+    condense = harness.condense
+
+    def recording(pair):
+        assert all(ref() is None for ref in refs), "an earlier level's DofMap is alive"
+        refs.append(weakref.ref(pair.dof_map))
+        return condense(pair)
+
+    monkeypatch.setattr(harness, "condense", recording)
+    report = run_eigen_study(small_config(levels=(2, 4, 8)))
+    assert len(refs) == 3 and report.ns == [2, 4, 8]
 
 
 def test_report_determinism_and_formats():
@@ -292,6 +309,31 @@ def test_python_m_wgsteklov_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "total_area = 1.0" in proc.stdout
+
+
+def test_studies_never_import_scipy_special(tmp_path):
+    # scipy.special costs a few MiB and some import time, and the package
+    # has no use for it: each of the three studies runs without loading it
+    script = f"""
+import sys
+from wgsteklov.harness import main
+out = {str(tmp_path / "report")!r}
+for argv in (
+    ["converge", "--domain", "square", "--k", "1", "--gamma", "pow:0.1", "--levels", "2,4"],
+    ["source", "--domain", "square", "--k", "1", "--gamma", "pow:0.1", "--levels", "2,4"],
+    ["glb", "--domain", "square", "--k", "1", "--levels", "2,4", "--alpha", "0.01",
+     "--stab-bound", "2.0", "--proj-bound", "estimate"],
+):
+    assert main(argv + ["--out", out]) == 0, argv
+print("scipy.special" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(wgsteklov.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_solve_prints_ascending_eigenvalues(capsys):

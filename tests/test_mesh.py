@@ -232,6 +232,30 @@ def test_nested_dissection_is_a_permutation_of_the_edges(domain, n, rng):
 
 
 @pytest.mark.parametrize(
+    "domain,n", [(UNIT_SQUARE, n) for n in (2, 6, 64)] + [(L_SHAPE, n) for n in (4, 10, 64)]
+)
+def test_nested_dissection_parts_cells_by_cuts(domain, n):
+    # every tree node whose cells do not all share their lowest vertex is
+    # parted by a cut: along x or y, the lowest vertices of one half all lie
+    # below those of the other.  Only cells that share it, the two
+    # triangles of a grid square, are told apart by their rank
+    mesh = build_structured_mesh(domain, n)
+    codes = nested_dissection(mesh)
+    low = mesh.vertices[mesh.cells].min(axis=1)
+    for j in range(int(codes.max()).bit_length()):
+        _, node = np.unique(codes >> (j + 1), return_inverse=True)
+        half = (codes >> j) & 1
+        lo = np.full((node.max() + 1, 2, 2), np.inf)
+        hi = np.full((node.max() + 1, 2, 2), -np.inf)
+        np.minimum.at(lo, (node, half), low)
+        np.maximum.at(hi, (node, half), low)
+        cut = np.any(hi[:, 0] < lo[:, 1], axis=1)
+        one_child = np.any(np.isinf(lo), axis=(1, 2))
+        one_vertex = np.all(lo.min(axis=1) == hi.max(axis=1), axis=1)
+        assert np.all(cut | one_child | one_vertex), j
+
+
+@pytest.mark.parametrize(
     "domain,n", [(UNIT_SQUARE, n) for n in (1, 3, 8)] + [(L_SHAPE, n) for n in (2, 8)]
 )
 def test_boundary_dof_count_matches_the_mesh(domain, n):

@@ -9,6 +9,7 @@ from wgsteklov.polyquad import (
     EdgeBasis,
     dim_pk,
     edge_quadrature,
+    gauss_jacobi_1_0,
     map_to_triangle,
     monomial_exponents,
     triangle_quadrature,
@@ -33,6 +34,27 @@ def test_triangle_rule_exactness(degree):
         exact = reference_monomial_integral(a, b)
         got = float(w @ (pts[:, 0] ** a * pts[:, 1] ** b))
         assert got == pytest.approx(exact, rel=1e-13, abs=1e-15), (a, b)
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_gauss_jacobi_rule_is_exact_for_its_weight(m):
+    # the m-point rule for the weight 1 - x integrates (1 - x) x^j over
+    # [-1, 1] for j <= 2m - 1: 2 / (j + 1) for even j, -2 / (j + 2) for odd j
+    x, w = gauss_jacobi_1_0(m)
+    assert np.all(w > 0) and np.all(np.diff(x) > 0) and np.all(np.abs(x) < 1)
+    for j in range(2 * m):
+        exact = 2.0 / (j + 1) if j % 2 == 0 else -2.0 / (j + 2)
+        assert float(w @ x**j) == pytest.approx(exact, rel=1e-14, abs=0.0), j
+
+
+def test_gauss_jacobi_rule_matches_scipy():
+    from scipy.special import roots_jacobi
+
+    for m in range(1, 21):
+        x, w = gauss_jacobi_1_0(m)
+        want_x, want_w = roots_jacobi(m, 1.0, 0.0)
+        assert np.abs(x - want_x).max() <= 1e-12, m
+        assert np.all(np.abs(w - want_w) <= 1e-12 * want_w), m
 
 
 def test_triangle_rule_spot_values():
