@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .polyquad import dim_pk
-from .wgcore import ANALYTIC_MARGIN, CellClasses, CellQuadrature, EdgeQuadrature, LocalKernels
+from .wgcore import CellClasses, CellQuadrature, EdgeQuadrature, LocalKernels
 from .wgcore import check_alpha, check_degree, evaluate
 
 
@@ -124,10 +124,9 @@ class DofMap:
 
     @cached_property
     def cell_quadrature(self):
-        """The `CellQuadrature` of degree 2k + ANALYTIC_MARGIN, for smooth
-        non-polynomial integrands, built on first use and shared by every
-        consumer of the level."""
-        return CellQuadrature(self.classes, 2 * self.k + ANALYTIC_MARGIN)
+        """The level's one `CellQuadrature`, built on first use and shared
+        by every consumer of the level."""
+        return CellQuadrature(self.classes)
 
     def split(self, coeffs):
         """Views of a global vector as cell rows (C, dim_cell) and edge rows (E, dim_edge)."""

@@ -19,7 +19,7 @@ from scipy.sparse.linalg import splu
 
 from .assembly import AlphaStabilizer, DofMap, assemble
 from .eigen import DEFAULT_RTOL, NumericalError, _stage, check_eigenpair_count, lanczos, solve_pair
-from .mesh import boundary_dof_count, build_structured_mesh, check_grid
+from .mesh import boundary_dof_count, build_structured_mesh, check_grid, check_levels
 from .polyquad import (
     EdgeBasis,
     dim_pk,
@@ -148,10 +148,7 @@ class LagrangeProbeSpace:
         """Physical node positions of a :class:`LocalCell`: vertices, edge
         nodes in canonical order, then the interior lattice."""
         points = list(cell.vertices)
-        for l in range(3):
-            lo, hi = cell.edge_canonical(l)
-            for i in range(1, self.p):
-                points.append(lo + (i / self.p) * (hi - lo))
+        points.extend(cell.edge_points(np.arange(1, self.p) / self.p).reshape(-1, 2))
         verts = cell.vertices
         for a in range(1, self.p):
             for b in range(1, self.p - a):
@@ -222,7 +219,7 @@ def probe_defects(dof_map, probe_degree):
         vinv = np.linalg.inv(scaled_monomials(nodes, centroid, scale, exps))
         pts, w = map_to_triangle(rule, cell.vertices)
         gx, gy = (g @ vinv for g in scaled_monomial_grads(pts, centroid, scale, exps))
-        phiv = cell.grad_basis.eval(pts)
+        phiv = cell.basis.eval(pts)[:, : dim_pk(k - 1)]
         wproj = phiv @ (phiv * w[:, None]).T
         rx = gx - wproj @ gx
         ry = gy - wproj @ gy
@@ -301,9 +298,8 @@ def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):
     discrete eigenvalue (case 2) or the reference (case 1) when available.
     """
     k = check_degree(k)
-    levels = [check_grid(domain, n) for n in levels]
-    if levels:
-        check_eigenpair_count(config.index, boundary_dof_count(domain, levels[0], k))
+    levels = [check_grid(domain, n) for n in check_levels(levels)]
+    check_eigenpair_count(config.index, boundary_dof_count(domain, levels[0], k))
     if refs is not None:
         refs = check_refs(refs)
         if config.index > len(refs):

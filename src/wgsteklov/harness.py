@@ -18,7 +18,7 @@ from . import glb as glb_mod
 from .assembly import AlphaStabilizer, DofMap, GammaStabilizer, NegInvLog, PowerEps, assemble
 from .eigen import NumericalError, _stage, check_eigenpair_count, condense, solve_condensed
 from .mesh import DOMAINS, UNIT_SQUARE, boundary_dof_count, build_structured_mesh, check_grid
-from .mesh import locate_cell, mesh_stats, mesh_to_json
+from .mesh import check_levels, locate_cell, mesh_stats, mesh_to_json
 from .source import exponential_solution, interpolant, projection_errors, solve_source
 from .source import v_norm_error, x_norm_error
 from .wgcore import check_degree
@@ -55,8 +55,7 @@ class StudyConfig:
         self.levels = tuple(check_grid(self.domain, n) for n in check_levels(self.levels))
         if self.n_eigs < 1:
             raise ValueError(f"number of eigenvalues must be >= 1, got {self.n_eigs}")
-        if self.levels:
-            check_eigenpair_count(self.n_eigs, boundary_dof_count(self.domain, self.levels[0], self.k))
+        check_eigenpair_count(self.n_eigs, boundary_dof_count(self.domain, self.levels[0], self.k))
         if self.refs is not None:
             self.refs = glb_mod.check_refs(self.refs)
 
@@ -315,7 +314,7 @@ def run_source_study(domain, k, stabilizer, levels, solution=None):
     """Solve the boundary-flux problem across levels and report error orders."""
     solution = solution or exponential_solution()
     k = check_degree(k)
-    levels = [check_grid(domain, n) for n in levels]
+    levels = [check_grid(domain, n) for n in check_levels(levels)]
     rows = [_source_level(domain, n, k, stabilizer, solution) for n in levels]
     hs, v_errs, x_errs, pvs, pxs = (list(column) for column in zip(*rows))
     return SourceReport(levels, hs, v_errs, x_errs, pvs, pxs, solution.label)
@@ -400,14 +399,6 @@ def _domain_refs(args):
         raise ValueError(f"--refs builtin:square holds the unit square's eigenvalues, "
                          f"not those of domain {args.domain!r}")
     return parse_refs(args.refs)
-
-
-def check_levels(levels):
-    """Mesh levels as a tuple of ints; raises ValueError unless they strictly increase."""
-    levels = tuple(int(n) for n in levels)
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError(f"levels must be strictly increasing, got {levels}")
-    return levels
 
 
 def parse_levels(text):

@@ -137,6 +137,17 @@ def check_grid(domain, n):
     return n
 
 
+def check_levels(levels):
+    """Mesh levels as a tuple of ints; raises ValueError unless there is at
+    least one and they strictly increase."""
+    levels = tuple(int(n) for n in levels)
+    if not levels:
+        raise ValueError("at least one level is required")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"levels must be strictly increasing, got {levels}")
+    return levels
+
+
 def build_structured_mesh(domain, n):
     """Build the structured triangulation of a supported domain.
 

@@ -131,14 +131,6 @@ def map_to_triangle(rule, vertices):
     return pts, rule.weights * area
 
 
-def map_to_edge(rule, p_lo, p_hi):
-    """Physical points and arclength weights of an edge rule on a segment."""
-    p_lo = np.asarray(p_lo, dtype=float)
-    p_hi = np.asarray(p_hi, dtype=float)
-    pts = p_lo[None, :] + rule.points[:, None] * (p_hi - p_lo)[None, :]
-    return pts, rule.weights * float(np.hypot(*(p_hi - p_lo)))
-
-
 def scaled_monomials(points, center, scale, exponents):
     """Monomials t^(a, b) in t = (points - center) / scale, shape (n_points, n_exponents)."""
     t = (np.asarray(points, dtype=float) - center) / scale

@@ -18,7 +18,6 @@ from .polyquad import (
     EdgeBasis,
     dim_pk,
     edge_quadrature,
-    map_to_edge,
     map_to_triangle,
     triangle_quadrature,
 )
@@ -35,9 +34,10 @@ class LocalCell:
     Local edge l runs counter-clockwise from vertex l to vertex (l + 1) % 3.
     ``flips[l]`` is True when the canonical edge parameterization (used for
     the shared edge DOFs) runs opposite to that traversal; the canonical
-    start/end points are exposed via :meth:`edge_canonical`.  ``grad_basis``
-    is the orthonormal P_{k-1}(T) basis psi_i: the weak gradient is expanded
-    in (psi_i, 0) for every i, then (0, psi_i).
+    start/end points are exposed via :meth:`edge_canonical`.  ``basis`` is
+    orthonormalized from graded monomials by Cholesky, so its leading
+    dim P_{k-1} members psi_i are the orthonormal P_{k-1}(T) basis: the weak
+    gradient is expanded in (psi_i, 0) for every i, then (0, psi_i).
     """
 
     def __init__(self, vertices, k, flips=(False, False, False)):
@@ -45,7 +45,6 @@ class LocalCell:
         self.k = check_degree(k)
         self.flips = tuple(bool(f) for f in flips)
         self.basis = CellBasis(self.vertices, self.k)
-        self.grad_basis = CellBasis(self.vertices, self.k - 1)
         self.edge_basis = EdgeBasis(self.k)
         self.area = self.basis.area
         self.diameter = self.basis.diameter
@@ -72,30 +71,37 @@ class LocalCell:
         q = self.vertices[(l + 1) % 3]
         return (q, p) if self.flips[l] else (p, q)
 
+    def edge_points(self, t):
+        """Points at canonical parameters t on the three edges, (3, len(t), 2);
+        a weight w on [0, 1] becomes w * edge_lengths[l] on edge l."""
+        lo, hi = np.moveaxis([self.edge_canonical(l) for l in range(3)], 1, 0)
+        return lo[:, None] + np.asarray(t)[:, None] * (hi - lo)[:, None]
+
 
 def weak_gradient_map(cell):
     """Matrix mapping local DOFs to weak-gradient coefficients.
 
     Row i, column j holds (grad_w of local basis DOF j, w_i)_T, where the
-    w_i are (psi_i, 0) for every member psi_i of ``cell.grad_basis``, then
-    (0, psi_i); the weak gradient of a local DOF vector v is G @ v.
+    w_i are (psi_i, 0) for each of the leading dim P_{k-1} members psi_i of
+    ``cell.basis``, then (0, psi_i); the weak gradient of a local DOF
+    vector v is G @ v.
     """
     k = cell.k
+    m = dim_pk(k - 1)
     deg = 2 * k + POLY_MARGIN
     pts, w = map_to_triangle(triangle_quadrature(deg), cell.vertices)
     phi = cell.basis.eval(pts)
-    grad = cell.grad_basis.grad(pts)
+    grad = cell.basis.grad(pts)[:, :m]
     div = np.concatenate([grad[..., 0], grad[..., 1]], axis=1)
     G = np.zeros((div.shape[1], cell.n_loc))
     G[:, : cell.n_interior] = -(div * w[:, None]).T @ phi
 
     rule = edge_quadrature(deg)
     eb = cell.edge_basis.eval(rule.points)
+    psi = evaluate(cell.basis.eval, cell.edge_points(rule.points))[..., :m]
     for l in range(3):
-        lo, hi = cell.edge_canonical(l)
-        epts, ew = map_to_edge(rule, lo, hi)
-        psi = cell.grad_basis.eval(epts)
-        wn = np.concatenate([psi * n for n in cell.normals[l]], axis=1)
+        wn = np.concatenate([psi[l] * n for n in cell.normals[l]], axis=1)
+        ew = rule.weights * cell.edge_lengths[l]
         G[:, cell.edge_slice(l)] += (wn * ew[:, None]).T @ eb
     return G
 
@@ -104,14 +110,13 @@ def _edge_mismatch_blocks(cell):
     """Per-edge matrices of the quadratic form <v0 - vb, w0 - wb>_{L2(e)}."""
     rule = edge_quadrature(2 * cell.k + POLY_MARGIN)
     eb = cell.edge_basis.eval(rule.points)
+    traces = evaluate(cell.basis.eval, cell.edge_points(rule.points))
     blocks = []
     for l in range(3):
-        lo, hi = cell.edge_canonical(l)
-        epts, ew = map_to_edge(rule, lo, hi)
         D = np.zeros((len(rule.points), cell.n_loc))
-        D[:, : cell.n_interior] = cell.basis.eval(epts)
+        D[:, : cell.n_interior] = traces[l]
         D[:, cell.edge_slice(l)] = -eb
-        blocks.append((D * ew[:, None]).T @ D)
+        blocks.append((D * (rule.weights * cell.edge_lengths[l])[:, None]).T @ D)
     return blocks
 
 
@@ -194,7 +199,8 @@ def evaluate(f, points):
 
 
 class CellQuadrature:
-    """A triangle rule on every cell, with the cell basis tabulated per class.
+    """A triangle rule of degree 2k + ANALYTIC_MARGIN on every cell, for smooth
+    and polynomial integrands alike, with the cell basis tabulated per class.
 
     Per cell only the physical ``points`` (C, q, 2), ``weights`` (C, q) and
     ``edge_weights`` (arclength weights over the diameter, (C, 3, qe)) are
@@ -204,9 +210,10 @@ class CellQuadrature:
     ``c0`` uses the leading basis members, which span P_j for dim = dim P_j.
     """
 
-    def __init__(self, classes, degree):
+    def __init__(self, classes):
         self.classes = classes
         mesh = classes.mesh
+        degree = 2 * classes.k + ANALYTIC_MARGIN
         rule = triangle_quadrature(degree)
         erule = edge_quadrature(degree)
         self.points = rule.points @ mesh.vertices[mesh.cells]
@@ -218,8 +225,7 @@ class CellQuadrature:
         for cell, pts in zip(classes.cells, self.points[classes.representatives]):
             self._values.append(cell.basis.eval(pts).T)
             self._grads.append(cell.basis.grad(pts).transpose(1, 0, 2).reshape(cell.n_interior, -1))
-            edge_pts = [map_to_edge(erule, *cell.edge_canonical(l))[0] for l in range(3)]
-            self._traces.append(cell.basis.eval(np.concatenate(edge_pts)).T)
+            self._traces.append(cell.basis.eval(cell.edge_points(erule.points).reshape(-1, 2)).T)
 
     def _per_class(self, tables, c0, shape):
         out = np.empty((len(c0),) + shape)

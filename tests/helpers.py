@@ -1,6 +1,7 @@
 """Shared test utilities: random geometry, and oracles that the package's
 solve paths do not need: the assembled A, a dense QZ eigensolve, the
-Rayleigh quotient and the per-cell L2 projections."""
+Rayleigh quotient, the per-segment edge map and the per-cell L2
+projections."""
 
 import numpy as np
 import scipy.linalg as sla
@@ -8,9 +9,9 @@ import scipy.sparse as sp
 
 from wgsteklov.mesh import L_SHAPE, Mesh
 from wgsteklov.polyquad import (
+    CellBasis,
     EdgeBasis,
     edge_quadrature,
-    map_to_edge,
     map_to_triangle,
     monomial_exponents,
     triangle_quadrature,
@@ -107,6 +108,14 @@ def rayleigh_quotient(pair, u):
     return float(u @ pair.apply(u)) / den
 
 
+def map_to_edge(rule, p_lo, p_hi):
+    """Physical points and arclength weights of an edge rule on a segment."""
+    p_lo = np.asarray(p_lo, dtype=float)
+    p_hi = np.asarray(p_hi, dtype=float)
+    pts = p_lo[None, :] + rule.points[:, None] * (p_hi - p_lo)[None, :]
+    return pts, rule.weights * float(np.hypot(*(p_hi - p_lo)))
+
+
 def project_cell(cell, f, quad_degree=None):
     """Coefficients of the L2(T) projection of f onto P_k(T).
 
@@ -137,11 +146,13 @@ def project_vector(cell, f, quad_degree=None):
     """Coefficients of the componentwise L2 projection onto [P_{k-1}(T)]^2.
 
     `f` maps an (n, 2) point array to an (n, 2) array of vector values.
+    The P_{k-1} basis is built here on its own, apart from the one the
+    package reads off the leading members of ``cell.basis``.
     """
     deg = quad_degree if quad_degree is not None else 2 * cell.k + POLY_MARGIN
     pts, w = map_to_triangle(triangle_quadrature(deg), cell.vertices)
     values = np.asarray(f(pts), dtype=float)
-    phi = cell.grad_basis.eval(pts)
+    phi = CellBasis(cell.vertices, cell.k - 1).eval(pts)
     cx = (phi * w[:, None]).T @ values[:, 0]
     cy = (phi * w[:, None]).T @ values[:, 1]
     return np.concatenate([cx, cy])

@@ -520,6 +520,24 @@ def test_cli_checks_every_level_before_the_first_mesh(command, levels, message, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("levels,message", [
+    ((4, 2), "levels must be strictly increasing"),
+    ((2, 2), "levels must be strictly increasing"),
+    ((), "at least one level"),
+])
+def test_studies_check_the_levels_as_the_cli_does(levels, message, monkeypatch):
+    # the library entry points reject empty, repeated or decreasing levels
+    # before any mesh is built, with the message of the CLI's --levels check
+    monkeypatch.setattr(harness, "build_structured_mesh", _no_mesh)
+    monkeypatch.setattr(harness.glb_mod, "build_structured_mesh", _no_mesh)
+    with pytest.raises(ValueError, match=message):
+        small_config(levels=levels)
+    with pytest.raises(ValueError, match=message):
+        run_source_study(UNIT_SQUARE, 1, GAMMA, levels)
+    with pytest.raises(ValueError, match=message):
+        run_glb_study(UNIT_SQUARE, levels, 1, GlbConfig(0.01, 2.0, 0.5))
+
+
 def test_studies_check_every_level_before_the_first_mesh(monkeypatch):
     monkeypatch.setattr(harness, "build_structured_mesh", _no_mesh)
     monkeypatch.setattr(harness.glb_mod, "build_structured_mesh", _no_mesh)
@@ -694,19 +712,19 @@ def test_each_study_builds_one_cell_classes_per_level(monkeypatch):
 
 
 def test_source_study_builds_one_analytic_cell_quadrature_per_level(monkeypatch):
-    # the interpolant and the projection errors of a level share one
-    # quadrature of degree 2k + ANALYTIC_MARGIN, held by its DofMap
+    # the interpolant, the V-norm and the projection errors of a level share
+    # one quadrature of degree 2k + ANALYTIC_MARGIN, held by its DofMap; no
+    # other cell quadrature is built
     builds = []
     init = wgcore.CellQuadrature.__init__
 
-    def counting_init(self, classes, degree):
-        builds.append((classes.mesh.n_cells, degree))
-        init(self, classes, degree)
+    def counting_init(self, classes):
+        builds.append(classes.mesh.n_cells)
+        init(self, classes)
 
     monkeypatch.setattr(wgcore.CellQuadrature, "__init__", counting_init)
     run_source_study(UNIT_SQUARE, 1, GAMMA, (2, 4))
-    degree = 2 + wgcore.ANALYTIC_MARGIN
-    assert [b for b in builds if b[1] == degree] == [(8, degree), (32, degree)]
+    assert builds == [8, 32]
 
 
 def test_cli_numerical_failures_exit_2(monkeypatch, tmp_path, capsys):

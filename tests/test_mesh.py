@@ -13,6 +13,7 @@ from wgsteklov.mesh import (
     UNIT_SQUARE,
     Mesh,
     build_structured_mesh,
+    check_levels,
     locate_cell,
     mesh_stats,
     mesh_to_json,
@@ -101,6 +102,16 @@ def test_build_rejects_bad_parameters():
         build_structured_mesh(L_SHAPE, 3)
     with pytest.raises(ValueError):
         build_structured_mesh("hexagon", 2)
+
+
+def test_check_levels_wants_a_strictly_increasing_nonempty_sequence():
+    assert check_levels(["8", 16, 32.0]) == (8, 16, 32)
+    assert check_levels((4,)) == (4,)
+    with pytest.raises(ValueError, match="at least one level"):
+        check_levels(())
+    for levels in ((2, 2), (4, 2), (2, 8, 4)):
+        with pytest.raises(ValueError, match="levels must be strictly increasing"):
+            check_levels(levels)
 
 
 def test_lshape_boundary_edges_on_perimeter():

@@ -143,7 +143,10 @@ def test_cell_basis_gradient_matches_finite_differences(k, rng):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_cell_basis_nesting(k, rng):
     # span(P_k) is contained in span(P_{k+1}): projecting each degree-k basis
-    # member onto the degree-(k+1) basis reproduces it pointwise
+    # member onto the degree-(k+1) basis reproduces it pointwise; and the
+    # Cholesky orthonormalization of graded monomials makes the leading
+    # dim P_k members of the degree-(k+1) basis the degree-k basis itself,
+    # which the weak gradient and the probe defects read as P_{k-1}
     verts = random_triangle(rng)
     coarse = CellBasis(verts, k)
     fine = CellBasis(verts, k + 1)
@@ -153,6 +156,7 @@ def test_cell_basis_nesting(k, rng):
     pf = fine.eval(pts)
     coef = (pf * w[:, None]).T @ pc
     assert np.allclose(pf @ coef, pc, atol=1e-12)
+    assert np.allclose(pf[:, : coarse.dim], pc, rtol=0, atol=1e-12)
 
 
 def test_edge_basis_orthonormal():

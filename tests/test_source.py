@@ -13,12 +13,19 @@ from wgsteklov.assembly import (
 )
 from wgsteklov.eigen import NumericalError
 from wgsteklov.harness import main, run_source_study
-from helpers import Poly2, assembled_A, project_cell, project_edge, random_poly, renumbered_mesh
+from helpers import (
+    Poly2,
+    assembled_A,
+    map_to_edge,
+    project_cell,
+    project_edge,
+    random_poly,
+    renumbered_mesh,
+)
 from wgsteklov.mesh import DOMAIN_AREA, DOMAINS, L_SHAPE, UNIT_SQUARE, build_structured_mesh
 from wgsteklov.polyquad import (
     EdgeBasis,
     edge_quadrature,
-    map_to_edge,
     map_to_triangle,
     triangle_quadrature,
 )

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from helpers import (
     assembled_A,
     jittered_mesh,
     local_interpolant,
+    map_to_edge,
     project_cell,
     project_edge,
     project_vector,
@@ -16,8 +19,8 @@ from helpers import (
 from wgsteklov.assembly import DofMap, GammaStabilizer, PowerEps, assemble, gamma_of_h, interpolate
 from wgsteklov.mesh import DOMAINS, build_structured_mesh
 from wgsteklov.polyquad import (
+    CellBasis,
     edge_quadrature,
-    map_to_edge,
     map_to_triangle,
     triangle_quadrature,
 )
@@ -43,6 +46,39 @@ def test_local_layout():
     # the weak gradient lives in P_{k-1}, so k = 0 has no space for it
     with pytest.raises(ValueError, match="k must be >= 1"):
         LocalCell(REF, 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_edge_points_match_the_per_segment_map(k, rng):
+    # one call maps the canonical parameters onto all three edges, for every
+    # orientation of the edges; the arclength weights are those of the
+    # per-segment map
+    rule = edge_quadrature(2 * k + 3)
+    for flips in itertools.product((False, True), repeat=3):
+        cell = LocalCell(random_triangle(rng), k, flips)
+        points = cell.edge_points(rule.points)
+        assert points.shape == (3, len(rule.points), 2)
+        for l in range(3):
+            want, weights = map_to_edge(rule, *cell.edge_canonical(l))
+            assert np.array_equal(points[l], want)
+            assert np.allclose(rule.weights * cell.edge_lengths[l], weights, rtol=1e-15, atol=0)
+
+
+def test_dof_map_builds_one_cell_basis_per_class(monkeypatch):
+    # each class's cell holds one basis; the P_{k-1} basis is its leading part
+    builds = []
+    init = CellBasis.__init__
+
+    def counting_init(self, vertices, k):
+        builds.append(k)
+        init(self, vertices, k)
+
+    monkeypatch.setattr(CellBasis, "__init__", counting_init)
+    for domain in DOMAINS:
+        for k in (1, 3):
+            builds.clear()
+            dof_map = DofMap(build_structured_mesh(domain, 4), k)
+            assert builds == [k] * dof_map.classes.n_classes
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -121,8 +157,9 @@ def test_project_vector_exact_and_orthogonal(rng):
     cell = LocalCell(random_triangle(rng), 2)
     c = project_vector(cell, lambda p: np.tile([1.5, -2.0], (len(p), 1)))
     pts, w = map_to_triangle(triangle_quadrature(8), cell.vertices)
-    m = cell.grad_basis.dim
-    phi = cell.grad_basis.eval(pts)
+    grad_basis = CellBasis(cell.vertices, cell.k - 1)
+    m = grad_basis.dim
+    phi = grad_basis.eval(pts)
     vals = np.stack([phi @ c[:m], phi @ c[m:]], axis=1)
     assert np.allclose(vals, np.tile([1.5, -2.0], (len(pts), 1)), atol=1e-12)
     # gradients of P_k polynomials live in the vector space and are reproduced
@@ -134,7 +171,7 @@ def test_project_vector_exact_and_orthogonal(rng):
     F = lambda p: np.stack([np.exp(p[:, 0]), np.zeros(len(p))], axis=1)
     c = project_vector(cell, F, quad_degree=20)
     pts, w = map_to_triangle(triangle_quadrature(28), cell.vertices)
-    phi = cell.grad_basis.eval(pts)
+    phi = grad_basis.eval(pts)
     resid = F(pts) - np.stack([phi @ c[:m], phi @ c[m:]], axis=1)
     defect = np.einsum("qi,q,qd->id", phi, w, resid)
     assert np.all(np.abs(defect) < 1e-12)
@@ -158,11 +195,12 @@ def test_weak_gradient_defining_identity(rng):
     for k in (1, 2, 3):
         cell = LocalCell(random_triangle(rng), k, flips=(True, False, True))
         G = weak_gradient_map(cell)
-        m = cell.grad_basis.dim
+        grad_basis = CellBasis(cell.vertices, k - 1)
+        m = grad_basis.dim
         v = rng.standard_normal(cell.n_loc)
         lhs = G @ v
         pts, w = map_to_triangle(triangle_quadrature(2 * k + 9), cell.vertices)
-        grad = cell.grad_basis.grad(pts)
+        grad = grad_basis.grad(pts)
         v0 = cell.basis.eval(pts) @ v[: cell.n_interior]
         erule = edge_quadrature(2 * k + 9)
         eb = cell.edge_basis.eval(erule.points)
@@ -172,7 +210,7 @@ def test_weak_gradient_defining_identity(rng):
                 lo, hi = cell.edge_canonical(l)
                 epts, ew = map_to_edge(erule, lo, hi)
                 vb = eb @ v[cell.edge_slice(l)]
-                psi_n = cell.grad_basis.eval(epts) * cell.normals[l, comp]
+                psi_n = grad_basis.eval(epts) * cell.normals[l, comp]
                 rhs += (psi_n * ew[:, None]).T @ vb
             assert np.allclose(lhs[rows], rhs, atol=1e-12)
 
