@@ -39,7 +39,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .assembly import cell_runs
-from .mesh import nested_dissection
+from .mesh import group_rows, nested_dissection
 
 
 class NumericalError(RuntimeError):
@@ -252,10 +252,14 @@ def _a_norm(K, class_of, cell_edges, n_edges, d, m):
         cols = slice(d + l * m, d + (l + 1) * m)
         blocks[:, l] = K[:, cols, cols]
         off[:, l] = rows[:, l, :, : cols.start].sum(axis=2) + rows[:, l, :, cols.stop :].sum(axis=2)
-    edge_rows = np.zeros((n_edges, m))
-    same = np.zeros((n_edges, m, m))
-    np.add.at(edge_rows, cell_edges, off[class_of])
-    np.add.at(same, cell_edges, blocks[class_of])
+    # sums over the cells of each edge, in cell order, one column at a time
+    flat = cell_edges.ravel()
+
+    def scatter(values):
+        return np.column_stack([np.bincount(flat, v, n_edges) for v in values.reshape(len(flat), -1).T])
+
+    edge_rows = scatter(off[class_of])
+    same = scatter(blocks[class_of]).reshape(n_edges, m, m)
     edge_rows += np.abs(same).sum(axis=2)
     return float(max(absK[:, :d].sum(axis=2).max(), edge_rows.max()))
 
@@ -334,8 +338,7 @@ def _schur_tree(local_S, class_of, cell_edges, codes, boundary, m):
             np.where(has, node_class[child], -1),
             np.where(has[:, :1], match[child[:, 0]], -1),
         ])
-        _, reps, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-        inverse = inverse.ravel()
+        reps, inverse = group_rows(key)
         members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
         new_kept = np.full((len(child), 2 * w), -1)
         mats_up, width_up = [], []

@@ -12,6 +12,7 @@ import numpy as np
 
 from .assembly import assemble, interpolate
 from .eigen import NumericalError, condense
+from .mesh import group_rows
 from .wgcore import EdgeQuadrature, evaluate
 
 
@@ -58,10 +59,12 @@ def boundary_load(dof_map, flux):
     """
     mesh = dof_map.mesh
     bnd = EdgeQuadrature(dof_map, np.flatnonzero(mesh.boundary_edge))
-    normals, side = np.unique(mesh.boundary_normal(bnd.edges), axis=0, return_inverse=True)
+    normals = mesh.boundary_normal(bnd.edges)
+    first, side = group_rows(normals)
+    normals = normals[first]
     values = np.empty(bnd.weights.shape)
     for i, normal in enumerate(normals):
-        on_side = side.ravel() == i
+        on_side = side == i
         values[on_side] = evaluate(lambda p: flux(p, normal), bnd.points[on_side])
     F = np.zeros(dof_map.n_dofs)
     dof_map.split(F)[1][bnd.edges] = (values * bnd.weights) @ bnd.basis

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .mesh import group_rows
 from .polyquad import (
     CellBasis,
     EdgeBasis,
@@ -177,9 +178,9 @@ class CellClasses:
         rel = np.round(verts - verts[:, :1], 12).reshape(mesh.n_cells, 6)
         # compare the bit patterns of the rounded coordinates
         key = np.concatenate([rel.view(np.int64), mesh.cell_edge_signs], axis=1)
-        _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        first, inverse = group_rows(key)
         order = np.argsort(first)
-        self.class_of = np.argsort(order)[inverse.ravel()]
+        self.class_of = np.argsort(order)[inverse]
         self.representatives = first[order]
         self.members = np.split(
             np.argsort(self.class_of, kind="stable"),

@@ -204,6 +204,15 @@ def test_one_elimination_per_class_and_every_edge_eliminated_once():
     assert np.array_equal(np.sort(covered), np.arange(dof_map.n_dofs - dof_map.n_cell_dofs))
 
 
+@pytest.mark.parametrize("n,n_steps", [(16, 37), (64, 93)])
+def test_lshape_tree_class_count(n, n_steps):
+    # L-shape k=2: the notch breaks the translation symmetry of the square,
+    # so a level of the tree takes several node classes, one elimination
+    # each; the count changes if the node keys merge or split a class
+    dof_map = DofMap(build_structured_mesh(L_SHAPE, n), 2)
+    assert len(condense(assemble(dof_map, GAMMA)).steps) == n_steps
+
+
 @pytest.mark.parametrize("domain", [UNIT_SQUARE, L_SHAPE])
 def test_jittered_mesh_lanczos_matches_full_spectrum(domain, rng):
     # on a mesh with no congruent cells and no grid lines the cuts are not

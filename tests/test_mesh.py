@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from helpers import jittered_mesh, loop_edges, loop_structured_mesh, renumbered_mesh
 from wgsteklov.mesh import (
@@ -14,6 +15,7 @@ from wgsteklov.mesh import (
     Mesh,
     build_structured_mesh,
     check_levels,
+    group_rows,
     locate_cell,
     mesh_stats,
     mesh_to_json,
@@ -281,3 +283,25 @@ def test_edge_with_three_cells_rejected():
     vertices = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 2.0)]
     with pytest.raises(ValueError, match="more than two incident cells"):
         Mesh(vertices, [(0, 1, 2), (1, 3, 2), (1, 4, 2)])
+
+
+TABLES = array_shapes(min_dims=2, max_dims=2, max_side=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    # integer rows from a few values, so with many duplicates
+    arrays(np.int64, TABLES, elements=st.integers(-2, 2)),
+    # float rows with both signed zeros, which compare equal
+    arrays(float, TABLES, elements=st.sampled_from([0.0, -0.0, 0.5, -1.0])),
+))
+@example(np.array([[3, 1, 2]]))
+@example(np.array([[2], [0], [2], [1], [0]]))
+@example(np.array([[0.0, -0.0], [-0.0, 0.0], [0.5, 0.0], [0.0, 0.0]]))
+@example(np.array([[-0.0], [1.0], [0.0], [-0.0]]))
+def test_group_rows_matches_unique_rows(key):
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    got_first, got_inverse = group_rows(key)
+    assert np.array_equal(got_first, first)
+    assert got_inverse.shape == (len(key),) and got_inverse.dtype == np.int64
+    assert np.array_equal(got_inverse, inverse.ravel())
