@@ -18,9 +18,10 @@ Cholesky in its own array.  With D the boundary block of B, which is
 diagonal (|e| on each DOF of boundary edge e), the finite eigenvalues of
 (A, B) are those of (S, D).  The m smallest eigenvalues are the reciprocals of the m largest
 eigenvalues of the symmetric operator T = D^{1/2} S^{-1} D^{1/2}.  Lanczos
-(ARPACK) finds their invariant subspace, each application of T one solve
-with the factor of S; a full-spectrum request, which ARPACK cannot serve,
-takes the whole boundary space.  One block solve Z = S^{-1} D^{1/2} Y on the
+(`lanczos`, with full reorthogonalization and a convergence test after
+every step) finds their invariant subspace, each application of T one
+solve with the factor of S; a full-spectrum request takes the whole
+boundary space.  One block solve Z = S^{-1} D^{1/2} Y on the
 orthonormal basis Y then sets both the values, by a Rayleigh-Ritz step on
 Y^T D^{1/2} Z, whose error is quadratic in that of the subspace, and the
 eigenvectors: with (mu, Q) the eigenpairs of that m x m matrix,
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .assembly import cell_runs
 from .mesh import group_rows, nested_dissection
@@ -58,23 +59,80 @@ DEFAULT_RTOL = 1e-9
 
 # relative residual asked of the Lanczos Ritz pairs: Lanczos only locates
 # the invariant subspace, and the error of that subspace enters the
-# Rayleigh-Ritz values squared
-_LANCZOS_TOL = 1e-10
+# Rayleigh-Ritz values squared; `lanczos` tests after every step, so its
+# residuals end just below this bound and not at a restart's overshoot
+_LANCZOS_TOL = 1e-12
+
+# Lanczos steps after which a run that has not converged fails
+_LANCZOS_MAX_STEPS = 500
 
 
 def lanczos(matvec, size, m, tol):
-    """The m largest eigenpairs (values, vectors) of the symmetric operator
-    y -> matvec(y) on R^size, found by Lanczos (ARPACK) to relative residual
-    `tol`.  Raises NumericalError if ARPACK fails or does not converge."""
-    operator = spla.LinearOperator((size, size), matvec=matvec, dtype=float)
+    """The m largest eigenpairs of the symmetric operator y -> matvec(y) on
+    R^size: the values ascending and their Ritz vectors as columns.
+
+    Step j applies the operator to the newest basis vector v_j and takes
+    out the components of the result along the whole basis by two
+    Gram-Schmidt passes, which keeps the basis orthonormal to rounding;
+    the coefficient along v_j is alpha_j, and the norm of what is left,
+    beta_j, scales the next basis vector.  A Ritz pair (theta_i, s_i) of
+    the (j+1) x (j+1) tridiagonal of the alphas and betas has residual
+    norm beta_j |s_{j,i}|, and the run stops at the first step at which
+    each of the m largest has beta_j |s_{j,i}| <= tol |theta_i|.  A basis
+    that spans R^size leaves no residual, beta = 0.  Raises NumericalError
+    if beta falls to rounding level, the Krylov space invariant, while a
+    wanted pair has not converged, or if `_LANCZOS_MAX_STEPS` steps do
+    not converge.
+    """
     # a fixed start vector keeps repeated solves bit-identical; a random
     # one has components along every eigenvector, where a symmetric one
     # would miss the antisymmetric modes
-    v0 = np.random.default_rng(0).standard_normal(size)
-    try:
-        return spla.eigsh(operator, k=m, which="LA", tol=tol, v0=v0)
-    except spla.ArpackError as exc:
-        raise NumericalError(f"Lanczos solve failed: {exc}") from exc
+    v = np.random.default_rng(0).standard_normal(size)
+    steps = min(size, _LANCZOS_MAX_STEPS)
+    # the basis, one vector per row, doubles in length as it fills
+    basis = np.empty((min(steps, 2 * m + 16), size))
+    basis[0] = v / np.linalg.norm(v)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    for j in range(steps):
+        V = basis[: j + 1]
+        w = matvec(basis[j])
+        h = V @ w
+        w = w - h @ V
+        h2 = V @ w
+        w -= h2 @ V
+        alpha[j] = h[j] + h2[j]
+        beta[j] = np.linalg.norm(w) if j + 1 < size else 0.0
+        theta, S = _top_eigenpairs(alpha[: j + 1], beta[:j], min(m, j + 1))
+        unconverged = m - np.count_nonzero(beta[j] * np.abs(S[-1]) <= tol * np.abs(theta))
+        if unconverged == 0:
+            return theta, V.T @ S
+        if beta[j] <= size * np.finfo(float).eps * np.abs(theta).max():
+            raise NumericalError(
+                f"Lanczos solve failed: breakdown after {j + 1} steps "
+                f"with {unconverged} of {m} wanted pairs unconverged"
+            )
+        if j + 1 == steps:
+            break
+        if j + 1 == len(basis):
+            basis = np.concatenate([basis, np.empty((min(len(basis), steps - len(basis)), size))])
+        basis[j + 1] = w / beta[j]
+    raise NumericalError(f"Lanczos solve failed: No convergence in {steps} steps")
+
+
+def _top_eigenpairs(diagonal, offdiagonal, m):
+    """The m largest eigenvalues, ascending, and their eigenvectors as
+    columns, of the symmetric tridiagonal matrix with the given diagonal
+    and off-diagonal, by LAPACK's `stemr` (MRRR), which computes only the
+    pairs asked for and keeps their vectors orthogonal."""
+    n = len(diagonal)
+    # stemr reads n entries of the off-diagonal and overwrites them
+    e = np.zeros(n)
+    e[: n - 1] = offdiagonal
+    # range 2 asks for the pairs numbered n - m + 1 to n, counting from 1
+    count, values, vectors, info = lapack.dstemr(diagonal, e, 2, 0.0, 0.0, n - m + 1, n)
+    if info != 0 or count != m:
+        raise NumericalError(f"Lanczos solve failed: tridiagonal eigensolve returned info {info}")
+    return values[:m], vectors[:, :m]
 
 
 @dataclass(frozen=True)
@@ -167,7 +225,7 @@ class CondensedPencil:
 
     def _lanczos_matvec(self, y):
         """T y = D^{1/2} S^{-1} D^{1/2} y by one solve with the factor of S."""
-        return self._root_d * self.boundary_solve(self._root_d * y.ravel())
+        return self._root_d * self.boundary_solve(self._root_d * y)
 
     def eigenpairs(self, m):
         """The m smallest eigenvalues of (A, B), ascending, with full DOF

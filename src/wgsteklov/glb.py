@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -35,10 +34,6 @@ from .wgcore import check_alpha, check_degree
 # Reference eigenvalues are themselves numerical, so the below-reference check
 # carries a slack.
 LOWER_BOUND_SLACK = 1e-9
-
-# eigenvalues of the boundary numerator `num` at or below this fraction of
-# its largest are rounding errors of zero and get no column of R
-_NUM_CUTOFF = 1e-12
 
 # relative residual asked of the Lanczos Ritz pair of H in `estimate_delta`;
 # the Rayleigh quotient's error is quadratic in that of the Ritz vector
@@ -169,15 +164,16 @@ def _check_probe_degree(k, probe_degree):
 class ProbeDefects:
     """The two defect forms of the P_p probe space and their common null space.
 
-    `num` is the boundary projection defect on the boundary-edge probe DOFs
-    `boundary` (dense, nb x nb), `den` the gradient projection defect on the
-    whole probe space (sparse), and `Z` the sparse prolongation of the
-    continuous P_k Lagrange basis into the probe space, whose range is the
-    null space of `den` and lies in the null space of `num`.
+    `R` is the exact sparse factor num = R R^T of the boundary projection
+    defect num: p - k columns per boundary edge, in the order of the
+    boundary edges, each supported on its edge's probe DOFs.  `den` is the
+    gradient projection defect on the whole probe space (sparse), and `Z`
+    the sparse prolongation of the continuous P_k Lagrange basis into the
+    probe space, whose range is the null space of `den` and lies in that
+    of R^T.
     """
 
-    num: np.ndarray
-    boundary: np.ndarray
+    R: sp.csc_matrix
     den: sp.csc_matrix
     Z: sp.csc_matrix
 
@@ -191,21 +187,23 @@ def probe_defects(dof_map, probe_degree):
     p = space.p
     deg = 2 * p + 2
 
-    # numerator: boundary projection defect, on the boundary-edge probe DOFs
+    # numerator factor: with psi_0..psi_p the orthonormal Legendre basis on
+    # the edge parameter, the first k + 1 of which span P_k, the residual of
+    # the trace's L2 projection onto P_k is sum_{j>k} psi_j r_j^T with
+    # r_j = (psi_j, trace), so each boundary edge e adds the columns
+    # sqrt(|e|) r_j, at its probe DOFs, to R
     erule = edge_quadrature(deg)
-    eb = EdgeBasis(k).eval(erule.points)
     tnodes = np.concatenate([[0.0, 1.0], np.arange(1, p) / p])
     tv = np.vander(tnodes, p + 1, increasing=True)
     trace = np.vander(erule.points, p + 1, increasing=True) @ np.linalg.inv(tv)
-    proj = eb @ (eb * erule.weights[:, None]).T @ trace
-    resid = trace - proj
-    block = (resid * erule.weights[:, None]).T @ resid
+    high = EdgeBasis(p).eval(erule.points)[:, k + 1 :]
+    r = (high * erule.weights[:, None]).T @ trace
     edges = np.where(mesh.boundary_edge)[0]
     gd = np.hstack([mesh.edges[edges], space.edge_node_dofs(edges)])
-    bnd, lb = np.unique(gd, return_inverse=True)
-    lb = lb.reshape(gd.shape)
-    num = np.zeros((len(bnd), len(bnd)))
-    np.add.at(num, (lb[:, :, None], lb[:, None, :]), mesh.length[edges, None, None] * block)
+    cols = np.arange(len(edges) * (p - k)).reshape(len(edges), 1, p - k)
+    rows, cols = (a.ravel() for a in np.broadcast_arrays(gd[:, :, None], cols))
+    values = np.sqrt(mesh.length[edges])[:, None, None] * r.T
+    R = sp.csc_matrix((values.ravel(), (rows, cols)), shape=(space.n_dofs, len(edges) * (p - k)))
 
     # per class: the local gradient-defect matrix and the P_k nodal basis
     # at the probe nodes
@@ -236,7 +234,7 @@ def probe_defects(dof_map, probe_degree):
     _, first = np.unique(rows * null_space.n_dofs + cols, return_index=True)
     Z = sp.csc_matrix((np.array(prolong)[classes.class_of].ravel()[first],
                        (rows[first], cols[first])), shape=(space.n_dofs, null_space.n_dofs))
-    return ProbeDefects(0.5 * (num + num.T), bnd, (0.5 * (den + den.T)).tocsc(), Z)
+    return ProbeDefects(R, (0.5 * (den + den.T)).tocsc(), Z)
 
 
 def estimate_delta(dof_map, probe_degree):
@@ -246,8 +244,8 @@ def estimate_delta(dof_map, probe_degree):
     || (I - Q_vec) grad f ||^2 over the domain, for f in a continuous
     piecewise P_{probe_degree} probe space.  Both defects vanish on the
     continuous P_k space range(Z), which is exactly the null space of the
-    denominator `den`, so with num = R R^T the maximum is
-    lambda_max(H), H = R^T den^+ R.  One sparse LU of the nonsingular
+    denominator `den`, so with the per-edge factor num = R R^T of
+    `probe_defects` the maximum is lambda_max(H), H = R^T den^+ R.  One sparse LU of the nonsingular
     bordered matrix K = [[den, Z], [Z^T, 0]] gives den^+ R y as the first
     block of K^{-1} [R y; 0], so each application of H is one unrefined
     solve of one vector, and Lanczos (`eigen.lanczos`) finds the largest
@@ -259,11 +257,7 @@ def estimate_delta(dof_map, probe_degree):
     backward error of the last solve exceeds `DEFAULT_RTOL`.
     """
     forms = probe_defects(dof_map, probe_degree)
-    w, V = sla.eigh(forms.num)
-    nonzero = w > _NUM_CUTOFF * w[-1]
-    R = V[:, nonzero] * np.sqrt(w[nonzero])
-    if R.shape[1] == 0:
-        raise ValueError("probe space lies entirely in the defect null space")
+    R = forms.R
     K = sp.bmat([[forms.den, forms.Z], [forms.Z.T, None]], format="csc")
     try:
         lu = splu(K, permc_spec="MMD_AT_PLUS_A")
@@ -273,11 +267,11 @@ def estimate_delta(dof_map, probe_degree):
     def solve(y):
         """[R y; 0] and K^{-1} [R y; 0], unrefined."""
         rhs = np.zeros(K.shape[0])
-        rhs[forms.boundary] = R @ y
+        rhs[: R.shape[0]] = R @ y
         return rhs, lu.solve(rhs)
 
     def apply_h(y):
-        return R.T @ solve(y.ravel())[1][forms.boundary]
+        return R.T @ solve(y)[1][: R.shape[0]]
 
     y = lanczos(apply_h, R.shape[1], 1, _DELTA_TOL)[1][:, 0]
     rhs, x = solve(y)
@@ -286,7 +280,7 @@ def estimate_delta(dof_map, probe_degree):
     if not error <= DEFAULT_RTOL:
         raise NumericalError(f"bordered solve backward error {error:.2e} "
                              f"exceeds tolerance {DEFAULT_RTOL:.1e}")
-    return float(y @ (R.T @ x[forms.boundary]) / (y @ y))
+    return float(y @ (R.T @ x[: R.shape[0]]) / (y @ y))
 
 
 def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):

@@ -1,12 +1,13 @@
 """Shared test utilities: random geometry, and oracles that the package's
 solve paths do not need: the assembled A, a dense QZ eigensolve, the
-Rayleigh quotient, the per-segment edge map and the per-cell L2
-projections."""
+Rayleigh quotient, the per-segment edge map, the per-cell L2 projections
+and the assembled boundary numerator of the delta estimate."""
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from wgsteklov.glb import LagrangeProbeSpace, probe_defects
 from wgsteklov.mesh import L_SHAPE, Mesh
 from wgsteklov.polyquad import (
     CellBasis,
@@ -212,14 +213,33 @@ def jittered_mesh(mesh, rng):
     return Mesh(mesh.vertices + rng.uniform(-shift, shift, mesh.vertices.shape), mesh.cells)
 
 
-def pinv_delta(forms):
-    """Dense reference for `glb.estimate_delta` from its :class:`glb.ProbeDefects`:
-    lambda_max(num^{1/2} pinv(den) num^{1/2}) on the whole probe space, with
-    eigenvalues of den below 1e-10 of the largest cut off."""
-    den = forms.den.toarray()
-    num = np.zeros_like(den)
-    num[np.ix_(forms.boundary, forms.boundary)] = forms.num
-    w, V = np.linalg.eigh(num)
+def boundary_numerator(dof_map, probe_degree):
+    """Dense reference for the boundary projection defect of `glb.probe_defects`
+    on the whole P_{probe_degree} probe space: per boundary edge, the mass of
+    the residual of each probe trace's L2 projection onto P_k, assembled."""
+    mesh, k, p = dof_map.mesh, dof_map.k, probe_degree
+    space = LagrangeProbeSpace(mesh, p)
+    erule = edge_quadrature(2 * p + 2)
+    eb = EdgeBasis(k).eval(erule.points)
+    tnodes = np.concatenate([[0.0, 1.0], np.arange(1, p) / p])
+    tv = np.vander(tnodes, p + 1, increasing=True)
+    trace = np.vander(erule.points, p + 1, increasing=True) @ np.linalg.inv(tv)
+    resid = trace - eb @ (eb * erule.weights[:, None]).T @ trace
+    block = (resid * erule.weights[:, None]).T @ resid
+    edges = np.where(mesh.boundary_edge)[0]
+    gd = np.hstack([mesh.edges[edges], space.edge_node_dofs(edges)])
+    num = np.zeros((space.n_dofs, space.n_dofs))
+    np.add.at(num, (gd[:, :, None], gd[:, None, :]), mesh.length[edges, None, None] * block)
+    return 0.5 * (num + num.T)
+
+
+def pinv_delta(dof_map, probe_degree):
+    """Dense reference for `glb.estimate_delta`: lambda_max(num^{1/2}
+    pinv(den) num^{1/2}) on the whole probe space, with num the
+    `boundary_numerator` and den the denominator of `glb.probe_defects`,
+    whose eigenvalues below 1e-10 of the largest are cut off."""
+    den = probe_defects(dof_map, probe_degree).den.toarray()
+    w, V = np.linalg.eigh(boundary_numerator(dof_map, probe_degree))
     root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
     pinv = np.linalg.pinv(den, rtol=1e-10, hermitian=True)
     return float(np.linalg.eigvalsh(root @ pinv @ root)[-1])

@@ -1,13 +1,12 @@
 import re
 import tracemalloc
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from wgsteklov import harness
+from wgsteklov import eigen, harness
 from wgsteklov.assembly import (
     AlphaStabilizer,
     DofMap,
@@ -431,10 +430,47 @@ def test_repeated_solves_are_bit_identical():
 
 
 def test_lanczos_nonconvergence_raises(monkeypatch):
-    monkeypatch.setattr(spla, "eigsh", partial(spla.eigsh, maxiter=1, ncv=5))
+    # square k=1 n=8 takes 27 Lanczos steps for 4 pairs; a cap of 10 cuts it
+    monkeypatch.setattr(eigen, "_LANCZOS_MAX_STEPS", 10)
     pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 8), 1), GAMMA)
     with pytest.raises(NumericalError, match="Lanczos solve failed.*No convergence"):
         solve_pair(pair, 4)
+
+
+def _symmetric(rng, values):
+    """A random symmetric matrix with the given eigenvalues."""
+    Q = np.linalg.qr(rng.standard_normal((len(values), len(values))))[0]
+    return (Q * values) @ Q.T
+
+
+@pytest.mark.parametrize("spectrum,counts", [("separated", (1, 4)), ("clustered", (1,))])
+def test_lanczos_matches_dense_eigh(rng, spectrum, counts):
+    # the top 4 eigenvalues of the clustered matrix agree to 1e-13
+    # relative, as do the corner modes of the delta estimate's H at n=16,
+    # whose largest eigenvalue alone is wanted; one Krylov space of a
+    # single start vector holds fewer than 4 copies of such a cluster, so
+    # m = 4 is asked only of the separated spectrum
+    size = 60
+    values = np.linspace(1.0, 2.0, size) ** 3
+    if spectrum == "clustered":
+        values[-4:] = 9.0 * (1.0 + np.arange(4) * 3e-14)
+    A = _symmetric(rng, values)
+    dense = np.linalg.eigh(A)[0]
+    for m in (*counts, size - 2, size - 1):
+        got, vectors = eigen.lanczos(lambda y: A @ y, size, m, 1e-12)
+        assert np.allclose(got, dense[-m:], rtol=1e-12, atol=0.0)
+        assert np.allclose(vectors.T @ vectors, np.eye(m), rtol=0.0, atol=1e-12)
+        again = eigen.lanczos(lambda y: A @ y, size, m, 1e-12)
+        assert np.array_equal(got, again[0]) and np.array_equal(vectors, again[1])
+
+
+def test_lanczos_breakdown_raises():
+    # the Krylov space of a rank-1 operator is invariant after two steps,
+    # and its second Ritz value, zero, has not converged to a relative
+    # residual: the run must fail and not divide by a vanishing beta
+    u = np.random.default_rng(3).standard_normal(20)
+    with pytest.raises(NumericalError, match="Lanczos solve failed: breakdown"):
+        eigen.lanczos(lambda y: u * (u @ y), 20, 2, 1e-12)
 
 
 def test_solver_invariants():

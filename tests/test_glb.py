@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import wgsteklov.glb as glb
-from helpers import pinv_delta, renumbered_mesh
+from helpers import boundary_numerator, pinv_delta, renumbered_mesh
 from wgsteklov.assembly import DofMap
 from wgsteklov.eigen import NumericalError
 from wgsteklov.glb import (
     Certificate,
     GlbConfig,
+    LagrangeProbeSpace,
     estimate_delta,
     glb_criterion,
     probe_defects,
@@ -120,20 +121,57 @@ def test_estimate_delta_matches_pseudo_inverse(domain, k, extra, n):
     dof_map = DofMap(mesh, k)
     forms = probe_defects(dof_map, k + extra)
     # range(Z), the continuous P_k space, is the null space of den and lies
-    # in the null space of num
+    # in the null space of num = R R^T
     Z = forms.Z.toarray()
     assert np.abs(forms.den @ Z).max() <= 1e-14 * abs(forms.den).max() * np.abs(Z).max()
-    assert (np.abs(forms.num @ Z[forms.boundary]).max()
-            <= 1e-14 * np.abs(forms.num).max() * np.abs(Z).max())
+    assert np.abs(forms.R.T @ Z).max() <= 1e-14 * abs(forms.R).max() * np.abs(Z).max()
     assert np.linalg.matrix_rank(Z) == Z.shape[1]
     assert np.linalg.matrix_rank(forms.den.toarray(), hermitian=True) == Z.shape[0] - Z.shape[1]
-    assert estimate_delta(dof_map, k + extra) == pytest.approx(pinv_delta(forms), rel=1e-12)
+    delta = estimate_delta(dof_map, k + extra)
+    assert delta == pytest.approx(pinv_delta(dof_map, k + extra), rel=1e-12)
+
+
+@pytest.mark.parametrize("extra", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("domain", [UNIT_SQUARE, L_SHAPE])
+def test_numerator_factor_is_exact(domain, k, extra):
+    # R R^T is the assembled boundary numerator, and R has p - k columns per
+    # boundary edge, in boundary-edge order, each on the probe DOFs of its
+    # edge; the continuous P_k space range(Z) lies in the null space of R^T
+    mesh = build_structured_mesh(domain, 4)
+    dof_map = DofMap(mesh, k)
+    p = k + extra
+    forms = probe_defects(dof_map, p)
+    R, Z = forms.R, forms.Z
+    num = boundary_numerator(dof_map, p)
+    assert np.abs((R @ R.T).toarray() - num).max() <= 1e-14 * np.abs(num).max()
+    assert abs(R.T @ Z).max() <= 1e-14 * (abs(R).T @ abs(Z)).max()
+    edges = np.flatnonzero(mesh.boundary_edge)
+    assert R.shape[1] == (p - k) * len(edges)
+    gd = np.hstack([mesh.edges[edges], LagrangeProbeSpace(mesh, p).edge_node_dofs(edges)])
+    coo = R.tocoo()
+    assert np.all((gd[coo.col // (p - k)] == coo.row[:, None]).any(axis=1))
+
+
+def test_delta_lanczos_stops_at_its_first_converged_step(monkeypatch):
+    # square k=1, probe degree 3, n=16: a convergence test after every
+    # Lanczos step takes 23 applications of H, where ARPACK's test at each
+    # restart of 19 steps took 71
+    count = []
+    lanczos = glb.lanczos
+
+    def counting(f, size, *args):
+        return lanczos(lambda y: count.append(1) or f(y), size, *args)
+
+    monkeypatch.setattr(glb, "lanczos", counting)
+    estimate_delta(DofMap(build_structured_mesh(UNIT_SQUARE, 16), 1), 3)
+    assert len(count) <= 30
 
 
 def test_estimate_delta_keeps_the_columns_of_the_nonzero_numerator(monkeypatch):
-    # square k=1, probe degree 3: the boundary numerator has rank 8n, the
-    # 12n boundary probe DOFs less the 4n of the continuous P_1 traces; the
-    # rest of its eigenvalues are rounding errors and get no column of R
+    # square k=1, probe degree 3: R has p - k = 2 columns on each of the 4n
+    # boundary edges, 8n in all, the rank of the boundary numerator: the 12n
+    # boundary probe DOFs less the 4n of the continuous P_1 traces
     sizes = []
     lanczos = glb.lanczos
     monkeypatch.setattr(
@@ -177,8 +215,7 @@ def test_estimate_delta_numerical_failures(monkeypatch):
 def test_estimate_delta_is_a_lower_estimate(domain, k, extra, n):
     # a Ritz value of H never exceeds its largest eigenvalue
     dof_map = DofMap(build_structured_mesh(domain, n), k)
-    forms = probe_defects(dof_map, k + extra)
-    assert estimate_delta(dof_map, k + extra) <= pinv_delta(forms) * (1.0 + 1e-12)
+    assert estimate_delta(dof_map, k + extra) <= pinv_delta(dof_map, k + extra) * (1.0 + 1e-12)
 
 
 class _LoggingLU:

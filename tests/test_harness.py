@@ -3,16 +3,15 @@ import os
 import subprocess
 import sys
 import weakref
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wgsteklov
+import wgsteklov.eigen as eigen
 import wgsteklov.harness as harness
 from wgsteklov.assembly import AlphaStabilizer, DofMap, GammaStabilizer, NegInvLog, PowerEps
 from wgsteklov.eigen import NumericalError
@@ -764,16 +763,16 @@ def test_cli_numerical_failures_exit_2(monkeypatch, tmp_path, capsys):
     monkeypatch.undo()
 
     # a Lanczos run that stops short of convergence is a numerical failure
-    monkeypatch.setattr(spla, "eigsh", partial(spla.eigsh, maxiter=1, ncv=5))
+    monkeypatch.setattr(eigen, "_LANCZOS_MAX_STEPS", 10)
     capsys.readouterr()
     assert main(["solve", "--domain", "square", "--n", "8", "--k", "1", "--gamma", "pow:0.1"]) == 2
     err = capsys.readouterr().err
     assert "stage 'solve'" in err and "No convergence" in err
-    # on one cell the eigen solve's Lanczos run still converges under the same
-    # cut, and that of the delta estimate does not
+    # at n=2 the eigen solve's Lanczos run converges in 10 steps, within the
+    # same cap, and that of the delta estimate needs 12
     capsys.readouterr()
     assert main(["glb", "--domain", "square", "--k", "1", "--alpha", "0.01", "--stab-bound",
-                 "2.0", "--proj-bound", "estimate", "--levels", "1"]) == 2
+                 "2.0", "--proj-bound", "estimate", "--levels", "2"]) == 2
     err = capsys.readouterr().err
     assert "stage 'estimate_delta'" in err and "No convergence" in err
 
