@@ -67,9 +67,7 @@ from .wgcore import (
     LocalCell,
     LocalKernels,
     epsilon_h_diagnostic,
-    local_aw,
-    local_stabilizer_alpha,
-    local_stabilizer_gamma,
+    local_factor,
     weak_gradient_map,
 )
 

@@ -3,7 +3,7 @@
 DOFs are numbered cell blocks first (dim P_k per cell, ascending cell index)
 followed by edge blocks (k + 1 per edge, ascending edge index).  The boundary
 set consists of all DOFs of boundary edges; the boundary form B is diagonal
-and supported there only.  A is kept as its local matrices, one per
+and supported there only.  A is kept as its local factors, one per
 congruence class, and is never assembled into a global matrix: the solvers
 apply it cell by cell.  Assembly order is deterministic, so repeated runs
 produce bit-identical matrices.
@@ -139,9 +139,11 @@ class DofMap:
 class WgOperatorPair:
     """The symmetric forms A (principal) and B (boundary) of the WG scheme.
 
-    A is held cell by cell: ``local[c]`` is the local matrix of every cell of
-    congruence class c of ``dof_map.classes``, on the global DOFs
-    ``dof_map.local_dofs`` of each such cell; no global A is formed.
+    A is held cell by cell: ``factor[c]`` is the `wgcore.local_factor` F_c,
+    stabilizer rows scaled by sqrt(coefficient), and ``local[c]`` = F_c^T F_c
+    the local matrix of every cell of congruence class c of
+    ``dof_map.classes``, on the global DOFs ``dof_map.local_dofs`` of each
+    such cell; no global A is formed.
 
     B (CSR) is diagonal: the edge basis is orthonormal on the unit parameter,
     so on a boundary edge e the L2 mass of the traces is exactly |e| times
@@ -151,8 +153,10 @@ class WgOperatorPair:
     B is positive semidefinite with support exactly on the boundary DOFs.
     """
 
-    def __init__(self, local, dof_map):
-        self.local = local
+    def __init__(self, factor, dof_map):
+        self.factor = factor
+        # numpy forms F^T F as one triangle (BLAS syrk) and mirrors it
+        self.local = factor.transpose(0, 2, 1) @ factor
         self.dof_map = dof_map
         mesh, g = dof_map.mesh, dof_map.boundary_dofs
         lengths = np.repeat(mesh.length[mesh.boundary_edge], dof_map.dim_edge)
@@ -173,6 +177,15 @@ class WgOperatorPair:
                 np.add.at(AX[:, j], dofs.ravel(), Y[:, j])
         return AX.reshape(V.shape)
 
+    def energy(self, V):
+        """a(v, v) = sum_T |F_c v_T|^2 for each column v of V: a sum of
+        squares, taken a run of cells at a time (`cell_runs`)."""
+        total = np.zeros(V.shape[1])
+        for c, cells in cell_runs(self.dof_map.classes):
+            FV = self.factor[c] @ V[self.dof_map.local_dofs[cells]]
+            total += np.einsum("ijk,ijk->k", FV, FV)
+        return total
+
 
 # cells per run of `cell_runs`: the blocks gathered for a run then stay a
 # small fraction of the full DOF vectors they are gathered from
@@ -191,8 +204,9 @@ def assemble(dof_map, stabilizer):
     """The operator pair of a `DofMap` for a stabilizer spec."""
     kind = "alpha" if isinstance(stabilizer, AlphaStabilizer) else "gamma"
     kernels = LocalKernels(dof_map.classes, kind)
-    local = kernels.per_class(stabilizer.coefficient(dof_map.mesh.h_max))
-    return WgOperatorPair(local, dof_map)
+    factor = kernels.factors
+    factor[:, kernels.n_core :] *= np.sqrt(stabilizer.coefficient(dof_map.mesh.h_max))
+    return WgOperatorPair(factor, dof_map)
 
 
 def interpolate(dof_map, f):

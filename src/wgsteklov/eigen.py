@@ -22,15 +22,18 @@ eigenvalues of the symmetric operator T = D^{1/2} S^{-1} D^{1/2}.  Lanczos
 every step) finds their invariant subspace, each application of T one
 solve with the factor of S; a full-spectrum request takes the whole
 boundary space.  One block solve Z = S^{-1} D^{1/2} Y on the
-orthonormal basis Y then sets both the values, by a Rayleigh-Ritz step on
-Y^T D^{1/2} Z, whose error is quadratic in that of the subspace, and the
-eigenvectors: with (mu, Q) the eigenpairs of that m x m matrix,
-lambda = 1 / mu and the boundary part is u_g = lambda Z Q.  The tree
-extends it inward, top-down, each node setting the edges it eliminated
-from those it kept, and the cell part of each cell is -W applied to its
-edge values.  No solve path assembles A.  `condense` builds all of this
-once, as one `CondensedPencil`, which also serves the boundary-flux source
-problem (`source.solve_source`), whose load is supported on g as well.
+orthonormal basis Y then sets the eigenvectors by a Rayleigh-Ritz step on
+Y^T D^{1/2} Z: with (mu, Q) the eigenpairs of that m x m matrix, the
+boundary part is u_g = Z Q / mu.  The tree extends it inward, top-down,
+each node setting the edges it eliminated from those it kept, and the cell
+part of each cell is -W applied to its edge values.  Each eigenvalue is
+read off its eigenvector u as a(u, u) / b(u, u), with a(u, u) the sum of
+squares sum_T |F_c u_T|^2 of the local factors (`WgOperatorPair.energy`):
+nothing in it cancels, so it does not carry the rounding of the local
+matrices and of the elimination, as 1 / mu does.  No solve path assembles
+A.  `condense` builds all of this once, as one `CondensedPencil`, which
+also serves the boundary-flux source problem (`source.solve_source`),
+whose load is supported on g as well.
 """
 
 from dataclasses import dataclass
@@ -483,11 +486,12 @@ def _front(mat0, mat1, d0, d1, n_keep):
 class EigenResult:
     """Eigenpairs of the WG pencil, ascending, boundary-form normalized.
 
-    `residuals` holds the normwise backward error of each pair,
-    ||A u - lambda B u|| / ((||A|| + lambda ||B||) ||u||); the raw ratio
-    ||A u - lambda B u|| / ||A u|| has a double-precision floor that grows
-    with the operator scaling and would reject correct solves on fine
-    high-degree meshes.
+    Each value is a(u, u) / b(u, u) for its vector u, with a(u, u) a sum of
+    squares, and `b_norms` holds the b(u, u).  `residuals` holds the
+    normwise backward error of each pair, ||A u - lambda B u|| / ((||A|| +
+    lambda ||B||) ||u||); the raw ratio ||A u - lambda B u|| / ||A u|| has a
+    double-precision floor that grows with the operator scaling and would
+    reject correct solves on fine high-degree meshes.
     """
 
     def __init__(self, values, vectors, residuals, b_norms):
@@ -509,25 +513,27 @@ def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
 
     Lanczos on the inverse operator finds the subspace for m below the
     boundary size, the whole boundary space serves the full spectrum, and
-    one refined Rayleigh-Ritz step sets the values and the eigenvectors
-    (`CondensedPencil.eigenpairs`).  Eigenvectors come back b_w-normalized
-    as full DOF vectors.  Raises NumericalError if Lanczos fails to converge or any
-    backward-error residual (see EigenResult) exceeds `rtol`.
+    one refined Rayleigh-Ritz step sets the eigenvectors u
+    (`CondensedPencil.eigenpairs`), b_w-normalized full DOF vectors.  Each
+    value is `pair.energy(u)` / b(u, u), and the pairs are ordered by value.
+    Raises NumericalError if Lanczos fails to converge or any backward-error
+    residual (see EigenResult), with these values, exceeds `rtol`.
     """
     check_eigenpair_count(m, pencil.size)
-    values, vectors = pencil.eigenpairs(m)
+    vectors = pencil.eigenpairs(m)[1]
     pair = pencil.pair
     # B is diagonal and supported on the boundary DOFs g, so B V lives on
     # the rows g and ||B||_inf is the largest |B_ii| there
     g = pair.dof_map.boundary_dofs
     d = pair.B.diagonal()[g]
-    V_g = vectors[g]
-    BV_g = d[:, None] * V_g
+    b_norms = d @ vectors[g] ** 2
+    values = pair.energy(vectors) / b_norms
+    order = np.argsort(values, kind="stable")  # a cluster narrower than rounding may swap
+    values, vectors, b_norms = values[order], vectors[:, order], b_norms[order]
     R = pair.apply(vectors)
-    R[g] -= BV_g * values
+    R[g] -= d[:, None] * vectors[g] * values
     scale = pencil.a_norm + np.abs(values) * float(np.abs(d).max())
     residuals = _column_norms(R) / (scale * _column_norms(vectors))
-    b_norms = np.einsum("ij,ij->j", V_g, BV_g)
     if not np.all(residuals <= rtol):
         raise NumericalError(
             f"eigenpair residual {residuals.max():.2e} exceeds tolerance {rtol:.1e}"

@@ -3,8 +3,8 @@
 A discrete unknown on a cell is the block vector (v0, vb1, vb2, vb3): the
 interior polynomial of degree <= k followed by one polynomial of degree <= k
 per edge, each expressed in the orthonormal bases of :mod:`polyquad`.  This
-module provides the discrete weak gradient, the two trace-penalty
-stabilizers, and the local matrix of the principal form.
+module provides the discrete weak gradient and the local factor F of the
+principal form, whose local matrix is F^T F.
 Whole-mesh quadrature goes through :class:`CellQuadrature`, which tabulates
 the cell basis once per congruence class, and :class:`EdgeQuadrature`.
 """
@@ -107,26 +107,26 @@ def weak_gradient_map(cell):
     return G
 
 
-def _edge_mismatch_blocks(cell):
-    """Per-edge matrices of the quadratic form <v0 - vb, w0 - wb>_{L2(e)}."""
+def local_factor(cell, kind):
+    """The rows F of the local matrix F^T F of the principal form with unit
+    stabilizer coefficient: the weak-gradient rows G, the interior identity
+    rows, then the stabilizer rows, the mismatches v0 - vb at the points of
+    the degree 2k + 3 edge rule, each scaled by the square root of its
+    arclength weight times the edge weight, h_T^{-1} for ``kind`` "gamma"
+    and |T| / (3 h_T^2 |e|) for "alpha"."""
     rule = edge_quadrature(2 * cell.k + POLY_MARGIN)
+    edge_weight = {
+        "gamma": np.full(3, 1.0 / cell.diameter),
+        "alpha": cell.area / (3.0 * cell.diameter**2 * cell.edge_lengths),
+    }[kind]
+    D = np.zeros((3, len(rule.points), cell.n_loc))
+    D[..., : cell.n_interior] = evaluate(cell.basis.eval, cell.edge_points(rule.points))
     eb = cell.edge_basis.eval(rule.points)
-    traces = evaluate(cell.basis.eval, cell.edge_points(rule.points))
-    blocks = []
     for l in range(3):
-        D = np.zeros((len(rule.points), cell.n_loc))
-        D[:, : cell.n_interior] = traces[l]
-        D[:, cell.edge_slice(l)] = -eb
-        blocks.append((D * (rule.weights * cell.edge_lengths[l])[:, None]).T @ D)
-    return blocks
-
-
-def local_stabilizer_gamma(cell, gamma_value):
-    """Trace-penalty stabilizer gamma * h_T^{-1} sum_e <v0 - vb, w0 - wb>_e."""
-    if not 0.0 < gamma_value <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma_value}")
-    blocks = _edge_mismatch_blocks(cell)
-    return gamma_value / cell.diameter * sum(blocks)
+        D[l, :, cell.edge_slice(l)] = -eb
+    D *= np.sqrt(np.outer(cell.edge_lengths * edge_weight, rule.weights))[..., None]
+    mass = np.eye(cell.n_interior, cell.n_loc)
+    return np.concatenate([weak_gradient_map(cell), mass, D.reshape(-1, cell.n_loc)])
 
 
 def check_degree(k):
@@ -142,23 +142,6 @@ def check_alpha(alpha):
     """Reject a stabilizer coefficient alpha that is not finite and positive."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
-
-
-def local_stabilizer_alpha(cell, alpha):
-    """Volume-weighted stabilizer (alpha/3) h_T^{-2} |T| sum_e |e|^{-1} <...>_e."""
-    check_alpha(alpha)
-    blocks = _edge_mismatch_blocks(cell)
-    scale = alpha / 3.0 * cell.area / cell.diameter**2
-    return scale * sum(b / el for b, el in zip(blocks, cell.edge_lengths))
-
-
-def local_aw(cell, stabilizer):
-    """Local matrix of the principal form: weak-gradient energy + interior mass + stabilizer."""
-    G = weak_gradient_map(cell)
-    A = G.T @ G
-    A[: cell.n_interior, : cell.n_interior] += np.eye(cell.n_interior)
-    A += stabilizer
-    return 0.5 * (A + A.T)
 
 
 class CellClasses:
@@ -283,25 +266,14 @@ class EdgeQuadrature:
 
 
 class LocalKernels:
-    """Local operator matrices for every cell of a mesh, one set per congruence class.
-
-    ``kind`` ("gamma" or "alpha") names the stabilizer.  Per class the kernels
-    are the stabilizer-free part G^T G + interior mass and the unit-coefficient
-    stabilizer, to be scaled by gamma(h) or alpha at assembly time.  Kernels
-    are computed on the representative of each :class:`CellClasses` class.
-    """
+    """The local factors of every cell of a mesh, one per congruence class:
+    ``factors[c]`` is the `local_factor` of the representative of class c,
+    whose rows from ``n_core`` on, the stabilizer rows, are scaled by the
+    square root of gamma(h) or alpha at assembly time."""
 
     def __init__(self, classes, kind):
-        stabilizer = {"gamma": local_stabilizer_gamma, "alpha": local_stabilizer_alpha}[kind]
-        self._kernels = []
-        for cell in classes.cells:
-            stab = stabilizer(cell, 1.0)
-            self._kernels.append((local_aw(cell, 0.0), 0.5 * (stab + stab.T)))
-
-    def per_class(self, coefficient):
-        """(n_classes, n_loc, n_loc) array of local matrices with the
-        coefficient applied, one per class."""
-        return np.array([core + coefficient * stab for core, stab in self._kernels])
+        self.factors = np.array([local_factor(cell, kind) for cell in classes.cells])
+        self.n_core = 2 * dim_pk(classes.k - 1) + dim_pk(classes.k)
 
 
 def epsilon_h_diagnostic(u, grad_u, dof_map, gamma_value):

@@ -1,7 +1,8 @@
 """Shared test utilities: random geometry, and oracles that the package's
-solve paths do not need: the assembled A, a dense QZ eigensolve, the
-Rayleigh quotient, the per-segment edge map, the per-cell L2 projections
-and the assembled boundary numerator of the delta estimate."""
+solve paths do not need: the local matrix as a sum of its parts, the
+assembled A, a dense QZ eigensolve, the Rayleigh quotient, the per-segment
+edge map, the per-cell L2 projections and the assembled boundary numerator
+of the delta estimate."""
 
 import numpy as np
 import scipy.linalg as sla
@@ -17,7 +18,7 @@ from wgsteklov.polyquad import (
     monomial_exponents,
     triangle_quadrature,
 )
-from wgsteklov.wgcore import POLY_MARGIN
+from wgsteklov.wgcore import POLY_MARGIN, evaluate, weak_gradient_map
 
 
 def random_triangle(rng, min_area=0.05, scale=1.0):
@@ -67,6 +68,32 @@ def interior_dofs(dof_map):
     interior = np.ones(dof_map.n_dofs, dtype=bool)
     interior[dof_map.boundary_dofs] = False
     return np.flatnonzero(interior)
+
+
+def local_matrix_parts(cell, kind):
+    """Reference for the local matrix F^T F of `wgcore.local_factor`, formed
+    from its parts: (G^T G + the interior identity, the stabilizer with
+    unit coefficient), the stabilizer the sum over the edges of the
+    mismatch blocks D^T W D, with D the rows v0 - vb at the points of the
+    degree 2k + 3 edge rule and W their arclength weights times the edge
+    weight, h_T^{-1} for "gamma" and |T| / (3 h_T^2 |e|) for "alpha"."""
+    G = weak_gradient_map(cell)
+    core = G.T @ G
+    core[: cell.n_interior, : cell.n_interior] += np.eye(cell.n_interior)
+    rule = edge_quadrature(2 * cell.k + POLY_MARGIN)
+    eb = cell.edge_basis.eval(rule.points)
+    traces = evaluate(cell.basis.eval, cell.edge_points(rule.points))
+    if kind == "gamma":
+        edge_weight = np.full(3, 1.0 / cell.diameter)
+    else:
+        edge_weight = cell.area / (3.0 * cell.diameter**2 * cell.edge_lengths)
+    stab = np.zeros_like(core)
+    for l in range(3):
+        D = np.zeros((len(rule.points), cell.n_loc))
+        D[:, : cell.n_interior] = traces[l]
+        D[:, cell.edge_slice(l)] = -eb
+        stab += edge_weight[l] * (D * (rule.weights * cell.edge_lengths[l])[:, None]).T @ D
+    return core, stab
 
 
 def scatter_local(local, gdofs, n_dofs):

@@ -136,8 +136,12 @@ def test_gamma_of_h_validation():
         PowerEps(1.0)
     with pytest.raises(ValueError):
         gamma_of_h(2.0, 0.5)
-    with pytest.raises(ValueError):
-        AlphaStabilizer(0.0)
+    for gamma in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            GammaStabilizer(gamma)
+    for alpha in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            AlphaStabilizer(alpha)
     with pytest.raises(TypeError):
         gamma_of_h("pow", 0.5)
 

@@ -17,8 +17,8 @@ from wgsteklov.assembly import (
     interpolate,
 )
 from wgsteklov.eigen import CondensedPencil, NumericalError, condense, solve_condensed, solve_pair
-from wgsteklov.harness import main
-from wgsteklov.mesh import L_SHAPE, UNIT_SQUARE, build_structured_mesh
+from wgsteklov.harness import SQUARE_REFERENCE_EIGENVALUES, main
+from wgsteklov.mesh import L_SHAPE, UNIT_SQUARE, Mesh, build_structured_mesh
 from wgsteklov.source import exponential_solution, solve_source
 from helpers import assembled_A, dense_eigenvalues, global_elimination, interior_dofs, jittered_mesh
 from helpers import quadrature_boundary_form, rayleigh_quotient, renumbered_mesh
@@ -27,9 +27,9 @@ GAMMA = GammaStabilizer(PowerEps(0.1))
 
 
 def synthetic_pair():
-    # hand-checkable 3x3 pencil: one cell whose local matrix is all of A, with
-    # cell DOF {0}, interior edge DOF {1} and boundary DOF {2}, on edges of
-    # unit length
+    # hand-checkable 3x3 pencil: one cell whose local matrix K is all of A,
+    # held as its factor R (K = R^T R), with cell DOF {0}, interior edge DOF
+    # {1} and boundary DOF {2}, on edges of unit length
     K = np.array([[[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]])
     dof_map = SimpleNamespace(
         n_dofs=3, n_cell_dofs=1, dim_cell=1, dim_edge=1, boundary_dofs=np.array([2]),
@@ -41,7 +41,7 @@ def synthetic_pair():
             edge_cells=np.array([[0, -1], [0, -1]]),
         ),
     )
-    return WgOperatorPair(K, dof_map)
+    return WgOperatorPair(np.linalg.cholesky(K[0]).T[None], dof_map)
 
 
 def test_synthetic_schur_complement():
@@ -490,6 +490,42 @@ def test_reference_eigenvalue_level_16():
     result = solve_pair(pair, 1)
     expected = 0.2400790854320629 - 2.1839e-4
     assert abs(result.values[0] - expected) <= 1e-6
+
+
+def lowest_values(mesh, k):
+    return solve_pair(assemble(DofMap(mesh, k), GAMMA), 4).values
+
+
+@pytest.mark.parametrize(
+    "relabel", [lambda cells: cells[::-1], lambda cells: cells[:, [1, 2, 0]]], ids=["reversed", "rotated"]
+)
+def test_eigenvalues_invariant_under_relabelling(relabel):
+    # reversing the cell list or rotating the vertices of each cell leaves
+    # the discrete problem as it is, but changes the class representatives,
+    # the DOF numbering and the elimination order.  Each value is a sum of
+    # squares, so it moves only by rounding; 1 / mu of the condensed pencil
+    # carries the rounding of the elimination and moves by 7.3e-11 here
+    mesh = build_structured_mesh(L_SHAPE, 32)
+    values = lowest_values(mesh, 5)
+    relabelled = lowest_values(Mesh(mesh.vertices, relabel(mesh.cells)), 5)
+    assert np.abs(relabelled / values - 1.0).max() <= 1e-12
+
+
+def test_square_k2_n128_lies_below_or_at_the_references():
+    # the WG values are lower bounds: lambda_1 lies 5.2e-12 below its
+    # reference, and lambda_2 to lambda_4 have converged to theirs to the
+    # precision of the references
+    values = lowest_values(build_structured_mesh(UNIT_SQUARE, 128), 2)
+    reference = np.array(SQUARE_REFERENCE_EIGENVALUES)
+    assert values[0] < reference[0]
+    assert np.all(np.abs(values[1:] - reference[1:]) <= 1e-12)
+
+
+def test_lshape_k5_lambda1_rises_from_n64_to_n128():
+    # the step of lambda_1 from n=64 to n=128 is 1.4e-11, below the rounding
+    # that the elimination leaves in 1 / mu of the condensed pencil
+    coarse, fine = (lowest_values(build_structured_mesh(L_SHAPE, n), 5)[0] for n in (64, 128))
+    assert fine >= coarse
 
 
 def test_monotone_under_refinement():

@@ -7,6 +7,7 @@ from helpers import (
     assembled_A,
     jittered_mesh,
     local_interpolant,
+    local_matrix_parts,
     map_to_edge,
     project_cell,
     project_edge,
@@ -16,10 +17,19 @@ from helpers import (
     random_triangle,
     renumbered_mesh,
 )
-from wgsteklov.assembly import DofMap, GammaStabilizer, PowerEps, assemble, gamma_of_h, interpolate
+from wgsteklov.assembly import (
+    AlphaStabilizer,
+    DofMap,
+    GammaStabilizer,
+    PowerEps,
+    assemble,
+    gamma_of_h,
+    interpolate,
+)
 from wgsteklov.mesh import DOMAINS, build_structured_mesh
 from wgsteklov.polyquad import (
     CellBasis,
+    dim_pk,
     edge_quadrature,
     map_to_triangle,
     triangle_quadrature,
@@ -28,9 +38,7 @@ from wgsteklov.wgcore import (
     CellClasses,
     LocalCell,
     epsilon_h_diagnostic,
-    local_aw,
-    local_stabilizer_alpha,
-    local_stabilizer_gamma,
+    local_factor,
     weak_gradient_map,
 )
 
@@ -248,12 +256,32 @@ def test_commutativity_random_polynomials(k, rng):
 # stabilizers
 
 
+def scaled_factor(cell, kind, coefficient):
+    """The local factor with its stabilizer rows scaled by the square root of
+    the coefficient, as `assembly.assemble` scales them, and the number of
+    rows before the stabilizer rows."""
+    F = local_factor(cell, kind)
+    n_core = 2 * dim_pk(cell.k - 1) + cell.n_interior
+    F[n_core:] *= np.sqrt(coefficient)
+    return F, n_core
+
+
+def stabilizer(cell, kind, coefficient):
+    F, n_core = scaled_factor(cell, kind, coefficient)
+    return F[n_core:].T @ F[n_core:]
+
+
+def local_matrix(cell, kind, coefficient):
+    F = scaled_factor(cell, kind, coefficient)[0]
+    return F.T @ F
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_stabilizers_vanish_on_consistent_data(k, rng):
     cell = LocalCell(random_triangle(rng), k)
     poly = random_poly(rng, k)
     dofs = local_interpolant(cell, poly)
-    for S in (local_stabilizer_gamma(cell, 0.5), local_stabilizer_alpha(cell, 2.0)):
+    for S in (stabilizer(cell, "gamma", 0.5), stabilizer(cell, "alpha", 2.0)):
         assert abs(dofs @ S @ dofs) < 1e-12
 
 
@@ -263,20 +291,20 @@ def test_stabilizer_closed_forms(rng):
     dofs = np.zeros(cell.n_loc)
     dofs[: cell.n_interior] = project_cell(cell, lambda p: np.ones(len(p)))
     gamma = 0.37
-    energy = dofs @ local_stabilizer_gamma(cell, gamma) @ dofs
+    energy = dofs @ stabilizer(cell, "gamma", gamma) @ dofs
     assert energy == pytest.approx(gamma / cell.diameter * cell.edge_lengths.sum(), rel=1e-12)
     alpha = 1.8
-    energy = dofs @ local_stabilizer_alpha(cell, alpha) @ dofs
+    energy = dofs @ stabilizer(cell, "alpha", alpha) @ dofs
     assert energy == pytest.approx(alpha * cell.area / cell.diameter**2, rel=1e-12)
 
 
 def test_stabilizer_scaling_and_kernel(rng):
     cell = LocalCell(random_triangle(rng), 2)
-    S1 = local_stabilizer_gamma(cell, 0.25)
-    S2 = local_stabilizer_gamma(cell, 0.5)
+    S1 = stabilizer(cell, "gamma", 0.25)
+    S2 = stabilizer(cell, "gamma", 0.5)
     assert np.allclose(S2, 2.0 * S1, atol=1e-14)
-    A1 = local_stabilizer_alpha(cell, 0.7)
-    A2 = local_stabilizer_alpha(cell, 1.4)
+    A1 = stabilizer(cell, "alpha", 0.7)
+    A2 = stabilizer(cell, "alpha", 1.4)
     assert np.allclose(A2, 2.0 * A1, atol=1e-14)
     for S in (S1, A1):
         evals = np.linalg.eigvalsh(S)
@@ -285,24 +313,25 @@ def test_stabilizer_scaling_and_kernel(rng):
         assert rank == 3 * (cell.k + 1)  # kernel = consistent-trace subspace
 
 
-def test_stabilizer_rejects_bad_coefficients(rng):
-    cell = LocalCell(random_triangle(rng), 1)
-    with pytest.raises(ValueError):
-        local_stabilizer_gamma(cell, 0.0)
-    with pytest.raises(ValueError):
-        local_stabilizer_gamma(cell, 1.5)
-    for alpha in (-0.1, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            local_stabilizer_alpha(cell, alpha)
-
-
 # ---------------------------------------------------------------------------
 # local forms
 
 
+@pytest.mark.parametrize("kind", ["gamma", "alpha"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_local_factor_matches_the_summed_parts(k, kind, rng):
+    # F^T F is the weak-gradient energy plus the interior mass plus the
+    # stabilizer, each formed on its own
+    cell = LocalCell(random_triangle(rng), k)
+    core, stab = local_matrix_parts(cell, kind)
+    K = local_matrix(cell, kind, 0.3)
+    want = core + 0.3 * stab
+    assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_local_aw_constant_energy(rng):
     cell = LocalCell(random_triangle(rng), 2)
-    A = local_aw(cell, local_stabilizer_gamma(cell, 0.5))
+    A = local_matrix(cell, "gamma", 0.5)
     c = 1.7
     dofs = local_interpolant(cell, lambda p: np.full(len(p), c))
     assert dofs @ A @ dofs == pytest.approx(c * c * cell.area, rel=1e-12)
@@ -315,7 +344,7 @@ def test_local_aw_consistent_polynomial_energy(k, rng):
     cell = LocalCell(random_triangle(rng), k)
     poly = random_poly(rng, k)
     dofs = local_interpolant(cell, poly)
-    A = local_aw(cell, local_stabilizer_gamma(cell, 0.8))
+    A = local_matrix(cell, "gamma", 0.8)
     pts, w = map_to_triangle(triangle_quadrature(2 * k + 4), cell.vertices)
     g = poly.grad(pts)
     exact = float(w @ (g[:, 0] ** 2 + g[:, 1] ** 2 + poly(pts) ** 2))
@@ -325,10 +354,13 @@ def test_local_aw_consistent_polynomial_energy(k, rng):
 def test_local_aw_symmetric_positive_definite(rng):
     for k in (1, 2, 3):
         cell = LocalCell(random_triangle(rng), k)
-        for S in (local_stabilizer_gamma(cell, 0.3), local_stabilizer_alpha(cell, 0.05)):
-            A = local_aw(cell, S)
+        for A in (local_matrix(cell, "gamma", 0.3), local_matrix(cell, "alpha", 0.05)):
             assert np.abs(A - A.T).max() < 1e-14
             assert np.linalg.eigvalsh(A).min() > 0
+    # the pair's local matrices F^T F are symmetric bit for bit
+    for stabilizer_spec in (GammaStabilizer(0.3), AlphaStabilizer(0.05)):
+        pair = assemble(DofMap(build_structured_mesh("lshape", 4), 3), stabilizer_spec)
+        assert np.array_equal(pair.local, pair.local.transpose(0, 2, 1))
 
 
 def test_boundary_form_matches_quadrature_edge_mass():
