@@ -37,6 +37,7 @@ from wgsteklov.polyquad import (
 from wgsteklov.wgcore import (
     CellClasses,
     LocalCell,
+    check_alpha,
     epsilon_h_diagnostic,
     local_factor,
     weak_gradient_map,
@@ -311,6 +312,18 @@ def test_stabilizer_scaling_and_kernel(rng):
         assert evals.min() > -1e-12  # positive semidefinite
         rank = int((evals > 1e-10 * evals.max()).sum())
         assert rank == 3 * (cell.k + 1)  # kernel = consistent-trace subspace
+
+
+def test_stabilizer_rejects_bad_coefficients():
+    # the coefficients that scale the stabilizer rows of the local factor
+    for gamma in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            GammaStabilizer(gamma)
+    for alpha in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            check_alpha(alpha)
+        with pytest.raises(ValueError):
+            AlphaStabilizer(alpha)
 
 
 # ---------------------------------------------------------------------------
