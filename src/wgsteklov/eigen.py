@@ -16,24 +16,25 @@ other, and one elimination serves each congruence class of nodes.  The
 root gives the dense Schur complement S of E onto g, which is factored by
 Cholesky in its own array.  With D the boundary block of B, which is
 diagonal (|e| on each DOF of boundary edge e), the finite eigenvalues of
-(A, B) are those of (S, D).  The m smallest eigenvalues are the reciprocals of the m largest
-eigenvalues of the symmetric operator T = D^{1/2} S^{-1} D^{1/2}.  Lanczos
-(`lanczos`, with full reorthogonalization and a convergence test after
-every step) finds their invariant subspace, each application of T one
-solve with the factor of S; a full-spectrum request takes the whole
-boundary space.  One block solve Z = S^{-1} D^{1/2} Y on the
-orthonormal basis Y then sets the eigenvectors by a Rayleigh-Ritz step on
-Y^T D^{1/2} Z: with (mu, Q) the eigenpairs of that m x m matrix, the
-boundary part is u_g = Z Q / mu.  The tree extends it inward, top-down,
-each node setting the edges it eliminated from those it kept, and the cell
-part of each cell is -W applied to its edge values.  Each eigenvalue is
+(A, B) are those of (S, D).  The m smallest eigenvalues are the
+reciprocals of the m largest eigenvalues theta of the symmetric operator
+T = D^{1/2} S^{-1} D^{1/2}, and T y = theta y gives S u_g = (1 / theta) D u_g
+for u_g = D^{-1/2} y.  Lanczos (`lanczos`, with full reorthogonalization
+and a convergence test after every step) finds the Ritz vectors y, each
+application of T one solve with the factor of S; a full-spectrum request
+forms T by one block solve and takes all its eigenvectors.  So the
+boundary part of each eigenvector is u_g = D^{-1/2} y, with no further
+solve.  The tree extends it inward, top-down, each node setting the edges
+it eliminated from those it kept, and the cell part of each cell is -W
+applied to its edge values (`CondensedPencil.expand`).  Each eigenvalue is
 read off its eigenvector u as a(u, u) / b(u, u), with a(u, u) the sum of
 squares sum_T |F_c u_T|^2 of the local factors (`WgOperatorPair.energy`):
 nothing in it cancels, so it does not carry the rounding of the local
-matrices and of the elimination, as 1 / mu does.  No solve path assembles
-A.  `condense` builds all of this once, as one `CondensedPencil`, which
-also serves the boundary-flux source problem (`source.solve_source`),
-whose load is supported on g as well.
+matrices and of the elimination, as 1 / theta does, and the error of u
+enters it squared.  No solve path assembles A.  `condense` builds all of
+this once, as one `CondensedPencil`, which also serves the boundary-flux
+source problem (`source.solve_source`), whose load is supported on g as
+well.
 """
 
 from dataclasses import dataclass
@@ -60,10 +61,10 @@ def _stage(name, fn, *args, **kwargs):
 
 DEFAULT_RTOL = 1e-9
 
-# relative residual asked of the Lanczos Ritz pairs: Lanczos only locates
-# the invariant subspace, and the error of that subspace enters the
-# Rayleigh-Ritz values squared; `lanczos` tests after every step, so its
-# residuals end just below this bound and not at a restart's overshoot
+# relative residual asked of the Lanczos Ritz pairs: the eigenvalues are
+# Rayleigh quotients of the Ritz vectors, so the error of a vector enters
+# its value squared; `lanczos` tests after every step, so its residuals end
+# just below this bound and not at a restart's overshoot
 _LANCZOS_TOL = 1e-12
 
 # Lanczos steps after which a run that has not converged fails
@@ -86,14 +87,20 @@ def lanczos(matvec, size, m, tol):
     if beta falls to rounding level, the Krylov space invariant, while a
     wanted pair has not converged, or if `_LANCZOS_MAX_STEPS` steps do
     not converge.
+
+    One start vector spans one direction of each eigenspace, so a cluster
+    of eigenvalues narrower than the tolerance can come out with fewer
+    copies than it has, the next eigenvalues taking the places of the
+    missing ones.  A full-spectrum request, which takes no Lanczos, is the
+    check on such a run.
     """
     # a fixed start vector keeps repeated solves bit-identical; a random
     # one has components along every eigenvector, where a symmetric one
     # would miss the antisymmetric modes
     v = np.random.default_rng(0).standard_normal(size)
     steps = min(size, _LANCZOS_MAX_STEPS)
-    # the basis, one vector per row, doubles in length as it fills
-    basis = np.empty((min(steps, 2 * m + 16), size))
+    # the basis, one vector per row; only the rows written take memory
+    basis = np.empty((steps, size))
     basis[0] = v / np.linalg.norm(v)
     alpha, beta = np.empty(steps), np.empty(steps)
     for j in range(steps):
@@ -116,8 +123,6 @@ def lanczos(matvec, size, m, tol):
             )
         if j + 1 == steps:
             break
-        if j + 1 == len(basis):
-            basis = np.concatenate([basis, np.empty((min(len(basis), steps - len(basis)), size))])
         basis[j + 1] = w / beta[j]
     raise NumericalError(f"Lanczos solve failed: No convergence in {steps} steps")
 
@@ -201,58 +206,44 @@ class CondensedPencil:
         """S^{-1} f_g for right-hand side(s) given on the boundary DOFs."""
         return sla.cho_solve((self._factor, True), f_g, check_finite=False)
 
-    def extend(self, u_g):
-        """The edge DOF vector(s) u_e with E u_e zero off the boundary and
-        boundary values u_g: top-down through the tree, each step sets the
-        DOFs it eliminated to -X applied to those it kept."""
+    def expand(self, u_g):
+        """Full DOF vector(s) u with boundary values u_g that solve A u = 0
+        off the boundary DOFs: top-down through the tree, each step sets the
+        edge DOFs it eliminated to -X applied to those it kept, and then the
+        cell part of each cell is -W applied to the values on its edges,
+        written a bounded run of cells at a time (`cell_runs`)."""
         dof_map = self.pair.dof_map
-        u_e = np.zeros((dof_map.n_dofs - dof_map.n_cell_dofs,) + u_g.shape[1:])
-        u_e[dof_map.boundary_dofs - dof_map.n_cell_dofs] = u_g
-        U = u_e.reshape(len(u_e), -1)
+        u = np.zeros((dof_map.n_dofs,) + u_g.shape[1:])
+        u[dof_map.boundary_dofs] = u_g
+        U = u.reshape(len(u), -1)
+        U_e = U[dof_map.n_cell_dofs :]
         for step in reversed(self.steps):
-            U[step.sep] = -(step.X @ U[step.kept])
-        return u_e
-
-    def expand(self, u_e):
-        """Full DOF vector(s) [u_c; u_e] that solve A u = [0; E u_e]: the cell
-        part of each cell is -W applied to the values on its edges, written
-        into the output a bounded run of cells at a time (`cell_runs`)."""
-        dof_map = self.pair.dof_map
-        u = np.empty((dof_map.n_cell_dofs + len(u_e),) + u_e.shape[1:])
-        u[dof_map.n_cell_dofs :] = u_e
-        X = u_e.reshape(len(u_e), -1)
-        u_c = u[: dof_map.n_cell_dofs].reshape(len(self._edge_dofs), -1, X.shape[1])
+            U_e[step.sep] = -(step.X @ U_e[step.kept])
+        u_c = U[: dof_map.n_cell_dofs].reshape(len(self._edge_dofs), -1, U.shape[1])
         for c, cells in cell_runs(dof_map.classes):
-            u_c[cells] = -(self._W[c] @ X[self._edge_dofs[cells]])
+            u_c[cells] = -(self._W[c] @ U_e[self._edge_dofs[cells]])
         return u
 
     def _lanczos_matvec(self, y):
         """T y = D^{1/2} S^{-1} D^{1/2} y by one solve with the factor of S."""
         return self._root_d * self.boundary_solve(self._root_d * y)
 
-    def eigenpairs(self, m):
-        """The m smallest eigenvalues of (A, B), ascending, with full DOF
-        eigenvectors of unit boundary norm as columns.
+    def eigenvectors(self, m):
+        """Full DOF eigenvectors of (A, B) for its m smallest eigenvalues,
+        ascending, as columns, orthonormal in b.
 
-        A Rayleigh-Ritz step on an orthonormal basis Y takes one block solve
-        Z = S^{-1} D^{1/2} Y: the eigenpairs (mu, Q) of Y^T D^{1/2} Z give
-        the values 1 / mu, and the same Z gives the boundary part
-        lambda Z Q of each eigenvector, which is then extended to the
-        interior edges and to the cells.  Y is the identity for the whole
-        spectrum, and otherwise Lanczos's basis of the invariant subspace
-        of T for its m largest eigenvalues.
+        The eigenvectors y of T for its m largest eigenvalues, orthonormal,
+        are Lanczos's Ritz vectors, or for the whole spectrum those of T
+        formed by one block solve; the boundary part of each eigenvector is
+        D^{-1/2} y, which `expand` extends to the interior edges and the
+        cells.
         """
+        root_d = self._root_d[:, None]
         if m == self.size:
-            Y = np.eye(self.size)
+            Y = sla.eigh(root_d * self.boundary_solve(np.diag(self._root_d)))[1]
         else:
             Y = lanczos(self._lanczos_matvec, self.size, m, _LANCZOS_TOL)[1]
-        root_d = self._root_d[:, None]
-        Z = self.boundary_solve(root_d * Y)
-        H = Y.T @ (root_d * Z)
-        mu, Q = sla.eigh(0.5 * (H + H.T))
-        values = 1.0 / mu[::-1]
-        u_g = (Z @ Q[:, ::-1]) * values
-        return values, self.expand(self.extend(u_g))
+        return self.expand(Y[:, ::-1] / root_d)
 
 
 def condense(pair):
@@ -511,16 +502,16 @@ def check_eigenpair_count(m, size):
 def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
     """Solve for the m smallest eigenpairs of the condensed pencil.
 
-    Lanczos on the inverse operator finds the subspace for m below the
-    boundary size, the whole boundary space serves the full spectrum, and
-    one refined Rayleigh-Ritz step sets the eigenvectors u
-    (`CondensedPencil.eigenpairs`), b_w-normalized full DOF vectors.  Each
-    value is `pair.energy(u)` / b(u, u), and the pairs are ordered by value.
+    The eigenvectors u, b-orthonormal full DOF vectors, come from the Ritz
+    vectors of Lanczos on the inverse operator for m below the boundary
+    size, and from a dense eigensolve of that operator for the full
+    spectrum (`CondensedPencil.eigenvectors`).  Each value is
+    `pair.energy(u)` / b(u, u), and the pairs are ordered by value.
     Raises NumericalError if Lanczos fails to converge or any backward-error
     residual (see EigenResult), with these values, exceeds `rtol`.
     """
     check_eigenpair_count(m, pencil.size)
-    vectors = pencil.eigenpairs(m)[1]
+    vectors = pencil.eigenvectors(m)
     pair = pencil.pair
     # B is diagonal and supported on the boundary DOFs g, so B V lives on
     # the rows g and ||B||_inf is the largest |B_ii| there

@@ -25,7 +25,12 @@ from .wgcore import check_degree
 
 # High-accuracy reference values for the first four eigenvalues on the unit
 # square, used when a study is configured with refs="builtin:square".  They
-# are themselves numerical (see `glb.LOWER_BOUND_SLACK`).
+# are themselves numerical (see `glb.LOWER_BOUND_SLACK`).  The first lies
+# about 4.8e-12 above the limit of the WG values: at k=2, gamma = h^0.1,
+# lambda_1 rises by 7.16e-11, 4.74e-12 and 3.14e-13 from n=32 to 64, 128
+# and 256, and the reference minus it reads 9.91e-12, 5.17e-12 and
+# 4.86e-12 at n=64, 128 and 256, so from n=64 on error_1 and order_1 of a
+# report measure the reference, not the scheme.
 SQUARE_REFERENCE_EIGENVALUES = (
     0.2400790854320629,
     1.492303134033900,

@@ -87,7 +87,7 @@ def solve_source(dof_map, stabilizer, flux, rtol=1e-10):
     g = dof_map.boundary_dofs
     assert not np.delete(F, g).any(), "the boundary load must vanish off the boundary DOFs"
     pencil = condense(pair)
-    u = pencil.expand(pencil.extend(pencil.boundary_solve(F[g])))
+    u = pencil.expand(pencil.boundary_solve(F[g]))
     f_norm = np.linalg.norm(F)
     if f_norm != 0.0:
         R = pair.apply(u)

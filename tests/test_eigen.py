@@ -127,7 +127,7 @@ def check_against_global_elimination(pair):
     want_S = E[np.ix_(g, g)] - E[np.ix_(g, i)] @ np.linalg.solve(E[np.ix_(i, i)], E[np.ix_(i, g)])
     assert np.abs(pencil.S - want_S).max() <= 1e-13 * np.abs(want_S).max()
     u_g = np.random.default_rng(2).standard_normal((len(g), 2))
-    u_e = pencil.extend(u_g)
+    u_e = pencil.expand(u_g)[pair.dof_map.n_cell_dofs :]
     assert np.array_equal(u_e[g], u_g)
     assert np.abs((E @ u_e)[i]).max() <= 1e-13 * np.abs(E).max() * np.abs(u_e).max()
     return pencil, W, E
@@ -136,17 +136,19 @@ def check_against_global_elimination(pair):
 @STABILIZERS
 @pytest.mark.parametrize("domain,k,n", LOCAL_CASES)
 def test_local_elimination_matches_global_elimination(domain, k, n, stabilizer):
-    # the Schur tree, and the cell parts of the expansion, against the
-    # elimination on the assembled A
+    # the Schur tree, and the cell parts of the expansion of random
+    # boundary values, against the elimination on the assembled A
     pair = assemble(DofMap(build_structured_mesh(domain, n), k), stabilizer)
     pencil, W, E = check_against_global_elimination(pair)
-    u_e = np.random.default_rng(0).standard_normal((E.shape[0], 2))
-    want = -(W @ u_e)
-    u = pencil.expand(u_e)
-    assert np.array_equal(u[pair.dof_map.n_cell_dofs :], u_e)
-    assert np.abs(u[: pair.dof_map.n_cell_dofs] - want).max() <= 1e-14 * np.abs(want).max()
-    single = pencil.expand(u_e[:, 0])[: pair.dof_map.n_cell_dofs]
-    assert np.abs(single - want[:, 0]).max() <= 1e-14 * np.abs(want).max()
+    n_c = pair.dof_map.n_cell_dofs
+    u_g = np.random.default_rng(0).standard_normal((pencil.size, 2))
+    u = pencil.expand(u_g)
+    want = -(W @ u[n_c:])
+    assert np.array_equal(u[pair.dof_map.boundary_dofs], u_g)
+    assert np.abs(u[:n_c] - want).max() <= 1e-14 * np.abs(want).max()
+    single = pencil.expand(u_g[:, 0])
+    want = -(W @ single[n_c:])
+    assert np.abs(single[:n_c] - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("domain,k,remesh", [
@@ -256,8 +258,8 @@ def test_solve_paths_never_assemble_A(monkeypatch, tmp_path):
 
 def test_eigen_backward_error_gate_rejects_nan_vectors(monkeypatch):
     pencil = condense(assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 2), 1), GAMMA))
-    values, vectors = pencil.eigenpairs(2)
-    monkeypatch.setattr(pencil, "eigenpairs", lambda m: (values, np.full_like(vectors, np.nan)))
+    vectors = pencil.eigenvectors(2)
+    monkeypatch.setattr(pencil, "eigenvectors", lambda m: np.full_like(vectors, np.nan))
     with pytest.raises(NumericalError, match="eigenpair residual nan"):
         solve_condensed(pencil, 2)
 
@@ -363,8 +365,9 @@ def test_lanczos_matches_dense_spectrum(domain, k, n):
 def test_one_solve_per_lanczos_application_and_one_block_solve(monkeypatch):
     # log "A" per Lanczos application, "s" per boundary solve of one vector
     # and "S" per block solve: each application is one solve with the
-    # factor of S, and one block solve serves Rayleigh-Ritz and the
-    # expansion together; no sparse LU is taken on the eigen or source path
+    # factor of S, the Ritz vectors need no further solve, and a
+    # full-spectrum request forms T by one block solve; no sparse LU is
+    # taken on the eigen or source path
     def no_splu(*args, **kwargs):
         raise AssertionError("splu was called")
 
@@ -380,7 +383,10 @@ def test_one_solve_per_lanczos_application_and_one_block_solve(monkeypatch):
         lambda self, f: log.append("s" if np.ndim(f) == 1 else "S") or solve(self, f),
     )
     solve_condensed(pencil, 4)
-    assert re.fullmatch(r"(As){5,}S", "".join(log)), "".join(log)
+    assert re.fullmatch(r"(As){5,}", "".join(log)), "".join(log)
+    log.clear()
+    solve_condensed(pencil, pencil.size)
+    assert log == ["S"]
     solve_source(DofMap(build_structured_mesh(L_SHAPE, 4), 2), GAMMA, exponential_solution().flux)
 
 
@@ -388,9 +394,10 @@ def test_one_solve_per_lanczos_application_and_one_block_solve(monkeypatch):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("domain", [UNIT_SQUARE, L_SHAPE])
 def test_rayleigh_ritz_step_sets_the_values(monkeypatch, domain, k, n):
-    # a Lanczos operator off by a relative 1e-8 leaves its invariant
-    # subspaces as they are; the refined Rayleigh-Ritz step must still give
-    # the eigenvalues of the full-spectrum path to 1e-12
+    # a Lanczos operator off by a relative 1e-8 leaves its eigenvectors,
+    # and so the Ritz vectors, as they are; the values, Rayleigh quotients
+    # of those vectors, must still be those of the full-spectrum path to
+    # 1e-12
     pencil = condense(assemble(DofMap(build_structured_mesh(domain, n), k), GAMMA))
     dense = solve_condensed(pencil, pencil.size).values[:4]
     matvec = CondensedPencil._lanczos_matvec
@@ -481,6 +488,19 @@ def test_solver_invariants():
     assert np.all(values > 0)
     assert np.all(result.residuals <= 1e-9)
     assert np.all(np.abs(result.b_norms - 1.0) <= 1e-10)
+
+
+@pytest.mark.parametrize("domain,n,m", [(UNIT_SQUARE, 16, 4), (L_SHAPE, 8, None)])
+def test_eigenvectors_are_b_orthonormal(domain, n, m):
+    # the Ritz vectors of Lanczos, and the eigenvectors of the dense T, are
+    # orthonormal, so their boundary parts D^{-1/2} y are orthonormal in D
+    pair = assemble(DofMap(build_structured_mesh(domain, n), 2), GAMMA)
+    pencil = condense(pair)
+    m = m or pencil.size
+    g = pair.dof_map.boundary_dofs
+    V_g = solve_condensed(pencil, m).vectors[g]
+    gram = V_g.T @ (pair.B.diagonal()[g][:, None] * V_g)
+    assert np.abs(gram - np.eye(m)).max() <= 1e-12
 
 
 def test_reference_eigenvalue_level_16():
