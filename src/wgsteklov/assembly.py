@@ -3,9 +3,9 @@
 DOFs are numbered cell blocks first (dim P_k per cell, ascending cell index)
 followed by edge blocks (k + 1 per edge, ascending edge index).  The boundary
 set consists of all DOFs of boundary edges; the boundary form B is diagonal
-and supported there only.  A is kept as its local factors, one per
-congruence class, and is never assembled into a global matrix: the solvers
-apply it cell by cell.  Assembly order is deterministic, so repeated runs
+and supported there only, and is kept as that diagonal.  A is kept as its
+local factors, one per congruence class, and is never assembled into a
+global matrix: the solvers apply it cell by cell.  Assembly order is deterministic, so repeated runs
 produce bit-identical matrices.
 """
 
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .polyquad import dim_pk
 from .wgcore import CellClasses, CellQuadrature, EdgeQuadrature, LocalKernels
@@ -105,6 +104,7 @@ class DofMap:
     dim_cell, dim_edge : block sizes dim P_k and k + 1
     n_dofs : total DOF count C * dim_cell + E * dim_edge
     boundary_dofs : sorted int array of all DOFs on boundary edges
+    edge_dofs : (E, dim_edge) global DOFs of each edge
     local_dofs : (C, n_loc) global DOFs of each cell's block: cell DOFs, then its 3 edges
     classes : the cells' congruence classes (`wgcore.CellClasses`)
     """
@@ -116,9 +116,9 @@ class DofMap:
         self.dim_edge = self.k + 1
         self.n_cell_dofs = mesh.n_cells * self.dim_cell
         self.n_dofs = self.n_cell_dofs + mesh.n_edges * self.dim_edge
-        cell_dofs, edge_dofs = self.split(np.arange(self.n_dofs))
-        self.boundary_dofs = edge_dofs[mesh.boundary_edge].ravel()
-        cell_edge_dofs = edge_dofs[mesh.cell_edges].reshape(mesh.n_cells, -1)
+        cell_dofs, self.edge_dofs = self.split(np.arange(self.n_dofs))
+        self.boundary_dofs = self.edge_dofs[mesh.boundary_edge].ravel()
+        cell_edge_dofs = self.edge_dofs[mesh.cell_edges].reshape(mesh.n_cells, -1)
         self.local_dofs = np.concatenate([cell_dofs, cell_edge_dofs], axis=1)
         self.classes = CellClasses(mesh, self.k)
 
@@ -145,9 +145,11 @@ class WgOperatorPair:
     ``dof_map.classes``, on the global DOFs ``dof_map.local_dofs`` of each
     such cell; no global A is formed.
 
-    B (CSR) is diagonal: the edge basis is orthonormal on the unit parameter,
-    so on a boundary edge e the L2 mass of the traces is exactly |e| times
-    the identity, and B holds |e| on every DOF of e and nothing else.
+    B is diagonal: the edge basis is orthonormal on the unit parameter, so
+    on a boundary edge e the L2 mass of the traces is exactly |e| times the
+    identity, and B holds |e| on every DOF of e and nothing else.
+    ``boundary_mass`` holds that diagonal on the boundary DOFs, in the order
+    of ``dof_map.boundary_dofs``; no n_dofs x n_dofs B is formed.
 
     A is symmetric positive definite for any positive stabilizer coefficient;
     B is positive semidefinite with support exactly on the boundary DOFs.
@@ -158,9 +160,8 @@ class WgOperatorPair:
         # numpy forms F^T F as one triangle (BLAS syrk) and mirrors it
         self.local = factor.transpose(0, 2, 1) @ factor
         self.dof_map = dof_map
-        mesh, g = dof_map.mesh, dof_map.boundary_dofs
-        lengths = np.repeat(mesh.length[mesh.boundary_edge], dof_map.dim_edge)
-        self.B = sp.csr_matrix((lengths, (g, g)), shape=(dof_map.n_dofs, dof_map.n_dofs))
+        mesh = dof_map.mesh
+        self.boundary_mass = np.repeat(mesh.length[mesh.boundary_edge], dof_map.dim_edge)
 
     def apply(self, V):
         """A V for a vector or the columns of a matrix, cell by cell: each

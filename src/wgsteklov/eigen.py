@@ -1,22 +1,24 @@
 """Generalized eigensolver for the WG pencil via boundary condensation.
 
 The boundary form B is supported only on boundary-edge DOFs, so the finite
-eigenpairs of (A, B) live on the boundary block.  Cells couple only to their
-own edges, so the cell DOFs are eliminated exactly, cell by cell: with K the
-local matrix of a cell split into its cell (c) and edge (e) DOFs, the local
-map W = K_cc^{-1} K_ce and the local Schur complement K_ee - K_ce^T W are
-formed once per congruence class.  The edge operator E, the sum of the local
-Schur complements over the cells, is never assembled: a Schur tree condenses
-it onto the boundary edge DOFs g.  The tree is that of
-`mesh.nested_dissection`; its leaves are the cells with their local Schur
-complements, and each node adds the matrices of its two children and
-eliminates, by a dense Cholesky factor, the edges where their cells part.
-On a structured mesh the nodes of one size are mostly translates of each
-other, and one elimination serves each congruence class of nodes.  The
-root gives the dense Schur complement S of E onto g, which is factored by
-Cholesky in its own array.  With D the boundary block of B, which is
-diagonal (|e| on each DOF of boundary edge e), the finite eigenvalues of
-(A, B) are those of (S, D).  The m smallest eigenvalues are the
+eigenpairs of (A, B) live on the boundary block.  Every other DOF is
+eliminated exactly, by the Schur steps of a multifrontal tree (J. W. H.
+Liu, SIAM Review 34, 1992), that of `mesh.nested_dissection`.  Its leaves
+are the cells: cells couple only to their own edges, so with K the local
+matrix of a cell split into its cell (c) and edge (e) DOFs, the local map
+W = K_cc^{-1} K_ce and the local Schur complement K_ee - K_ce^T W are
+formed once per congruence class.  The edge operator E, the sum of the
+local Schur complements over the cells, is never assembled.  Each node
+above the leaves adds the matrices of its two children and eliminates, by
+a dense Cholesky factor, the edges where their cells part.  On a
+structured mesh the nodes of one size are mostly translates of each
+other, and one elimination serves each congruence class of nodes.  An
+edge of one cell is a boundary edge, so the root keeps exactly the
+boundary DOFs g and gives the dense Schur complement S of E onto g,
+which is factored by Cholesky in its own array.  With D the boundary
+block of B, which is diagonal (|e| on each DOF of boundary edge e, the
+`boundary_mass` of the pair), the finite eigenvalues of (A, B) are those
+of (S, D).  The m smallest eigenvalues are the
 reciprocals of the m largest eigenvalues theta of the symmetric operator
 T = D^{1/2} S^{-1} D^{1/2}, and T y = theta y gives S u_g = (1 / theta) D u_g
 for u_g = D^{-1/2} y.  Lanczos (`lanczos`, with full reorthogonalization
@@ -24,11 +26,11 @@ and a convergence test after every step) finds the Ritz vectors y, each
 application of T one solve with the factor of S; a full-spectrum request
 forms T by one block solve and takes all its eigenvectors.  So the
 boundary part of each eigenvector is u_g = D^{-1/2} y, with no further
-solve.  The tree extends it inward, top-down, each node setting the edges
-it eliminated from those it kept, and the cell part of each cell is -W
-applied to its edge values (`CondensedPencil.expand`).  Each eigenvalue is
-read off its eigenvector u as a(u, u) / b(u, u), with a(u, u) the sum of
-squares sum_T |F_c u_T|^2 of the local factors (`WgOperatorPair.energy`):
+solve.  The tree extends it inward, top-down, each step setting the DOFs
+it eliminated to -X applied to those it kept, down to the cells, where X
+is W (`CondensedPencil.expand`).  Each eigenvalue is read off its
+eigenvector u as a(u, u) / b(u, u), with a(u, u) the sum of squares
+sum_T |F_c u_T|^2 of the local factors (`WgOperatorPair.energy`):
 nothing in it cancels, so it does not carry the rounding of the local
 matrices and of the elimination, as 1 / theta does, and the error of u
 enters it squared.  No solve path assembles A.  `condense` builds all of
@@ -43,7 +45,6 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from .assembly import cell_runs
 from .mesh import group_rows, nested_dissection
 
 
@@ -61,17 +62,18 @@ def _stage(name, fn, *args, **kwargs):
 
 DEFAULT_RTOL = 1e-9
 
-# relative residual asked of the Lanczos Ritz pairs: the eigenvalues are
-# Rayleigh quotients of the Ritz vectors, so the error of a vector enters
-# its value squared; `lanczos` tests after every step, so its residuals end
-# just below this bound and not at a restart's overshoot
+# relative residual asked of every Lanczos Ritz pair, here and in
+# `glb.estimate_delta`: the values are Rayleigh quotients of the Ritz
+# vectors, so the error of a vector enters its value squared; `lanczos`
+# tests after every step, so its residuals end just below this bound and
+# not at a restart's overshoot
 _LANCZOS_TOL = 1e-12
 
 # Lanczos steps after which a run that has not converged fails
 _LANCZOS_MAX_STEPS = 500
 
 
-def lanczos(matvec, size, m, tol):
+def lanczos(matvec, size, m):
     """The m largest eigenpairs of the symmetric operator y -> matvec(y) on
     R^size: the values ascending and their Ritz vectors as columns.
 
@@ -82,11 +84,11 @@ def lanczos(matvec, size, m, tol):
     beta_j, scales the next basis vector.  A Ritz pair (theta_i, s_i) of
     the (j+1) x (j+1) tridiagonal of the alphas and betas has residual
     norm beta_j |s_{j,i}|, and the run stops at the first step at which
-    each of the m largest has beta_j |s_{j,i}| <= tol |theta_i|.  A basis
-    that spans R^size leaves no residual, beta = 0.  Raises NumericalError
-    if beta falls to rounding level, the Krylov space invariant, while a
-    wanted pair has not converged, or if `_LANCZOS_MAX_STEPS` steps do
-    not converge.
+    each of the m largest has beta_j |s_{j,i}| <= tol |theta_i|, tol being
+    `_LANCZOS_TOL`.  A basis that spans R^size leaves no residual, beta = 0.
+    Raises NumericalError if beta falls to rounding level, the Krylov space
+    invariant, while a wanted pair has not converged, or if
+    `_LANCZOS_MAX_STEPS` steps do not converge.
 
     One start vector spans one direction of each eigenspace, so a cluster
     of eigenvalues narrower than the tolerance can come out with fewer
@@ -113,7 +115,7 @@ def lanczos(matvec, size, m, tol):
         alpha[j] = h[j] + h2[j]
         beta[j] = np.linalg.norm(w) if j + 1 < size else 0.0
         theta, S = _top_eigenpairs(alpha[: j + 1], beta[:j], min(m, j + 1))
-        unconverged = m - np.count_nonzero(beta[j] * np.abs(S[-1]) <= tol * np.abs(theta))
+        unconverged = m - np.count_nonzero(beta[j] * np.abs(S[-1]) <= _LANCZOS_TOL * np.abs(theta))
         if unconverged == 0:
             return theta, V.T @ S
         if beta[j] <= size * np.finfo(float).eps * np.abs(theta).max():
@@ -148,10 +150,11 @@ class SchurStep:
     """One dense elimination of the Schur tree, shared by the tree nodes of
     one congruence class.
 
-    Row i of ``kept`` and of ``sep`` holds the edge DOFs (counted from the
-    first edge DOF) that node i of the class keeps and eliminates; with M
-    the node's matrix on [kept; sep], ``X`` = M_ss^{-1} M_sk gives the
-    eliminated values as -X u_kept.
+    Row i of ``kept`` and of ``sep`` holds the global DOFs that node i of
+    the class keeps and eliminates; with M the node's matrix on [kept; sep],
+    ``X`` = M_ss^{-1} M_sk gives the eliminated values as -X u_kept.  At a
+    leaf the nodes are the cells of a cell class, ``sep`` their cell DOFs,
+    ``kept`` their edge DOFs and ``X`` the class's W = K_cc^{-1} K_ce.
     """
 
     X: np.ndarray
@@ -160,26 +163,21 @@ class SchurStep:
 
 
 class CondensedPencil:
-    """The boundary reduction (S, D) of an operator pair: its cell DOFs
-    eliminated exactly and the edge operator E condensed onto the boundary
-    by the Schur tree (`condense`).
+    """The boundary reduction (S, D) of an operator pair: every DOF off the
+    boundary eliminated exactly by the Schur tree (`condense`).
 
-    ``W`` holds the local elimination map K_cc^{-1} K_ce of each congruence
-    class, and ``edge_dofs`` (C, 3 (k + 1)) the DOFs of each cell's edges,
-    counted from the first edge DOF.  ``steps`` lists the `SchurStep`s of
-    the tree bottom-up.  The symmetric boundary Schur complement S of E, in
-    the order of ``dof_map.boundary_dofs``, is handed over by `condense` and
-    factored by Cholesky in place: S.T is S in Fortran order, so the factor
-    fills one triangle of S's array and the other still holds S, which with
-    the kept diagonal rebuilds ``S`` on read.  D, the boundary block of B,
-    is diagonal, so only its square root is kept.  `a_norm` is ||A||_inf of
-    the assembled A, for the backward-error gates.
+    ``steps`` lists the `SchurStep`s of the tree bottom-up, the cell
+    classes first.  The symmetric boundary Schur complement S, in the order
+    of ``dof_map.boundary_dofs``, is handed over by `condense` and factored
+    by Cholesky in place: S.T is S in Fortran order, so the factor fills one
+    triangle of S's array and the other still holds S, which with the kept
+    diagonal rebuilds ``S`` on read.  D, the boundary block of B, is the
+    pair's ``boundary_mass``, and only its square root is kept.  `a_norm`
+    is ||A||_inf of the assembled A, for the backward-error gates.
     """
 
-    def __init__(self, pair, edge_dofs, W, steps, S, a_norm):
+    def __init__(self, pair, steps, S, a_norm):
         self.pair = pair
-        self._edge_dofs = edge_dofs
-        self._W = W
         self.steps = steps
         self.a_norm = a_norm
         self._diagonal = S.diagonal().copy()
@@ -187,7 +185,7 @@ class CondensedPencil:
             self._factor = sla.cho_factor(S.T, lower=True, overwrite_a=True, check_finite=False)[0]
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"edge factorization failed: {exc}") from exc
-        self._root_d = np.sqrt(pair.B.diagonal()[pair.dof_map.boundary_dofs])
+        self._root_d = np.sqrt(pair.boundary_mass)
 
     @property
     def S(self):
@@ -208,20 +206,15 @@ class CondensedPencil:
 
     def expand(self, u_g):
         """Full DOF vector(s) u with boundary values u_g that solve A u = 0
-        off the boundary DOFs: top-down through the tree, each step sets the
-        edge DOFs it eliminated to -X applied to those it kept, and then the
-        cell part of each cell is -W applied to the values on its edges,
-        written a bounded run of cells at a time (`cell_runs`)."""
+        off the boundary DOFs: top-down through the tree, down to the cells,
+        each step sets the DOFs it eliminated to -X applied to those it
+        kept."""
         dof_map = self.pair.dof_map
         u = np.zeros((dof_map.n_dofs,) + u_g.shape[1:])
         u[dof_map.boundary_dofs] = u_g
         U = u.reshape(len(u), -1)
-        U_e = U[dof_map.n_cell_dofs :]
         for step in reversed(self.steps):
-            U_e[step.sep] = -(step.X @ U_e[step.kept])
-        u_c = U[: dof_map.n_cell_dofs].reshape(len(self._edge_dofs), -1, U.shape[1])
-        for c, cells in cell_runs(dof_map.classes):
-            u_c[cells] = -(self._W[c] @ U_e[self._edge_dofs[cells]])
+            U[step.sep] = -(step.X @ U[step.kept])
         return u
 
     def _lanczos_matvec(self, y):
@@ -242,23 +235,24 @@ class CondensedPencil:
         if m == self.size:
             Y = sla.eigh(root_d * self.boundary_solve(np.diag(self._root_d)))[1]
         else:
-            Y = lanczos(self._lanczos_matvec, self.size, m, _LANCZOS_TOL)[1]
+            Y = lanczos(self._lanczos_matvec, self.size, m)[1]
         return self.expand(Y[:, ::-1] / root_d)
 
 
 def condense(pair):
-    """Eliminate the cell DOFs of an operator pair class by class, and
-    condense the edge operator onto the boundary by the Schur tree.
+    """Eliminate every DOF of an operator pair off the boundary by the Schur
+    tree, and hand the boundary Schur complement to a `CondensedPencil`.
 
-    Per class, with the Cholesky factor K_cc = L L^T of the local matrix K
-    and Y = L^{-1} K_ce, the map W = L^{-T} Y = K_cc^{-1} K_ce and the local
-    Schur complement K_ee - Y^T Y = K_ee - K_ce^T W are formed.  These are
-    the leaves of `_schur_tree` on the cells' nested-dissection codes; its
-    root, the dense boundary Schur complement S, is checked for symmetry to
-    1e-12 and symmetrized.  Returns a `CondensedPencil`.
+    The leaves are the cell classes: with the Cholesky factor K_cc = L L^T
+    of a class's local matrix K and Y = L^{-1} K_ce, the class's leaf step
+    takes X = W = L^{-T} Y = K_cc^{-1} K_ce, and its local Schur complement
+    K_ee - Y^T Y = K_ee - K_ce^T W is the matrix that `_schur_tree` merges
+    upward on the cells' nested-dissection codes.  The root, the dense
+    boundary Schur complement S, is checked for symmetry to 1e-12 and
+    symmetrized.
     """
     dof_map = pair.dof_map
-    class_of = dof_map.classes.class_of
+    mesh, classes = dof_map.mesh, dof_map.classes
     d, m = dof_map.dim_cell, dof_map.dim_edge
     K = pair.local
     K_cc, K_ce, K_ee = K[:, :d, :d], K[:, :d, d:], K[:, d:, d:]
@@ -268,14 +262,13 @@ def condense(pair):
         raise NumericalError("cell-block elimination failed: singular cell block") from exc
     Y = np.linalg.solve(L, K_ce)
     W = np.linalg.solve(L.transpose(0, 2, 1), Y)
-    edge_dofs = dof_map.local_dofs[:, d:] - dof_map.n_cell_dofs
-    cell_edges = edge_dofs[:, ::m] // m
-    boundary = np.zeros((dof_map.n_dofs - dof_map.n_cell_dofs) // m, dtype=bool)
-    boundary[(dof_map.boundary_dofs - dof_map.n_cell_dofs) // m] = True
-    a_norm = _a_norm(K, class_of, cell_edges, len(boundary), d, m)
+    local_dofs = dof_map.local_dofs
+    leaves = [SchurStep(W[c], local_dofs[cells, d:], local_dofs[cells, :d])
+              for c, cells in enumerate(classes.members)]
+    a_norm = _a_norm(K, classes.class_of, mesh.cell_edges, mesh.n_edges, d, m)
     local_S = K_ee - Y.transpose(0, 2, 1) @ Y
-    codes = nested_dissection(dof_map.mesh)
-    steps, S = _schur_tree(local_S, class_of, cell_edges, codes, boundary, m)
+    codes = nested_dissection(mesh)
+    steps, S = _schur_tree(local_S, classes.class_of, mesh.cell_edges, codes, dof_map.edge_dofs)
     work = S - S.T
     asym = np.abs(work, out=work).max()
     scale = max(S.max(), -S.min())
@@ -283,7 +276,7 @@ def condense(pair):
         raise NumericalError(f"condensed matrix asymmetry {asym / scale:.2e} exceeds 1e-12")
     S = np.add(S, S.T, out=work)
     S *= 0.5
-    return CondensedPencil(pair, edge_dofs, W, steps, S, a_norm)
+    return CondensedPencil(pair, leaves + steps, S, a_norm)
 
 
 def _a_norm(K, class_of, cell_edges, n_edges, d, m):
@@ -341,14 +334,15 @@ def _eliminate(M, n_keep):
     return M[:n_keep, :n_keep], X
 
 
-def _dofs(edges, m):
-    """The m DOFs of each edge of an (..., w) edge table, as (..., w m)."""
-    return (edges[..., None] * m + np.arange(m)).reshape(*edges.shape[:-1], -1)
+def _dofs(places, m):
+    """The m positions in a front of each of its (..., w) edge places, as
+    (..., w m)."""
+    return (places[..., None] * m + np.arange(m)).reshape(*places.shape[:-1], -1)
 
 
-def _schur_tree(local_S, class_of, cell_edges, codes, boundary, m):
+def _schur_tree(local_S, class_of, cell_edges, codes, edge_dofs):
     """Condense the edge operator, the sum of the local Schur complements
-    ``local_S`` of the cell classes, onto the ``boundary`` edges, bottom-up
+    ``local_S`` of the cell classes, onto the boundary edges, bottom-up
     through the tree of the cell ``codes`` (`mesh.nested_dissection`).
 
     A node keeps the edges of its cells that no cell outside it shares, in
@@ -357,11 +351,14 @@ def _schur_tree(local_S, class_of, cell_edges, codes, boundary, m):
     both of them keep.  Its class is keyed by the classes of its children
     and by which positions of theirs are shared, and how they pair up;
     equal keys give equal matrices, so one elimination serves the class.
-    A node with one child is that child.  The root also eliminates every
-    edge that is not a boundary edge, and orders the rest ascending, the
-    order of the boundary DOFs.  Returns (steps, S): the `SchurStep`s
+    A node with one child is that child.  Every edge of two cells is
+    eliminated where its cells meet, so the root keeps the edges of one
+    cell, the boundary edges, and orders them ascending, the order of the
+    boundary DOFs.  The steps name their DOFs by ``edge_dofs`` (E, k + 1),
+    the global DOFs of each edge.  Returns (steps, S): the `SchurStep`s
     bottom-up, and the dense S.
     """
+    m = edge_dofs.shape[1]
     order = np.argsort(codes)
     codes, node_class, kept = codes[order], class_of[order], cell_edges[order]
     mats = list(local_S)
@@ -434,23 +431,16 @@ def _schur_tree(local_S, class_of, cell_edges, codes, boundary, m):
                 mat = mat.copy()
             k0, k1 = kept[child[nodes, 0]], kept[child[nodes, 1]]
             keep = np.concatenate([k0[:, u0], k1[:, u1]], axis=1)
-            steps.append(SchurStep(X, _dofs(keep, m), _dofs(k0[:, s0], m)))
+            sep = edge_dofs[k0[:, s0]].reshape(len(nodes), -1)
+            steps.append(SchurStep(X, edge_dofs[keep].reshape(len(nodes), -1), sep))
             mats_up.append(mat)
             del mat
             width_up.append(n_keep)
             new_kept[nodes, :n_keep] = keep
         codes, node_class, mats, width = parent[new], inverse, mats_up, width_up
         kept = new_kept[:, : max(width)]
-    edges = kept[0, : width[node_class[0]]]
-    place = np.lexsort((edges, ~boundary[edges]))
-    n_keep = int(boundary[edges].sum())
-    d = _dofs(place, m)
-    S = mats.pop(node_class[0])[np.ix_(d, d)]
-    if n_keep < len(edges):
-        S, X = _eliminate(S, n_keep * m)
-        ordered = edges[place][None]
-        steps.append(SchurStep(X, _dofs(ordered[:, :n_keep], m), _dofs(ordered[:, n_keep:], m)))
-    return steps, S
+    d = _dofs(np.argsort(kept[0, : width[node_class[0]]]), m)
+    return steps, mats.pop(node_class[0])[np.ix_(d, d)]
 
 
 def _read(mats, readers, c):
@@ -516,7 +506,7 @@ def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
     # B is diagonal and supported on the boundary DOFs g, so B V lives on
     # the rows g and ||B||_inf is the largest |B_ii| there
     g = pair.dof_map.boundary_dofs
-    d = pair.B.diagonal()[g]
+    d = pair.boundary_mass
     b_norms = d @ vectors[g] ** 2
     values = pair.energy(vectors) / b_norms
     order = np.argsort(values, kind="stable")  # a cluster narrower than rounding may swap

@@ -113,14 +113,22 @@ def assembled_A(pair):
     return scatter_local(local, dof_map.local_dofs, dof_map.n_dofs).tocsr()
 
 
-def dense_eigenvalues(pair):
-    """All finite eigenvalues of (A, B) by a dense QZ solve, ascending.
+def assembled_B(pair):
+    """The boundary form of a `WgOperatorPair` as an n_dofs x n_dofs sparse
+    matrix (CSR): its ``boundary_mass`` on the diagonal at the boundary DOFs."""
+    g, n = pair.dof_map.boundary_dofs, pair.dof_map.n_dofs
+    return sp.csr_matrix((pair.boundary_mass, (g, g)), shape=(n, n))
+
+
+def dense_eigenvalues(pair, B=None):
+    """All finite eigenvalues of (A, B) by a dense QZ solve, ascending; B
+    defaults to the pair's boundary form (`assembled_B`).
 
     Brute-force reference path, independent of the condensation route; only
     sensible for small meshes.
     """
     A = assembled_A(pair).toarray()
-    B = pair.B.toarray()
+    B = (assembled_B(pair) if B is None else B).toarray()
     alpha, beta = sla.eig(A, B, right=False, homogeneous_eigvals=True)
     scale = np.abs(alpha) + np.abs(beta)
     finite = np.abs(beta) > 1e-10 * scale
@@ -130,7 +138,7 @@ def dense_eigenvalues(pair):
 
 def rayleigh_quotient(pair, u):
     """Form quotient a_w(u, u) / b_w(u, u) of a discrete function."""
-    den = float(u @ (pair.B @ u))
+    den = float(u @ (assembled_B(pair) @ u))
     if den <= 0.0:
         raise ValueError("function has no boundary content (b_w(u, u) <= 0)")
     return float(u @ pair.apply(u)) / den
@@ -187,7 +195,7 @@ def project_vector(cell, f, quad_degree=None):
 
 
 def quadrature_boundary_form(dof_map):
-    """Reference for `WgOperatorPair.B`: the L2(e) mass matrix of the edge
+    """Reference for the boundary form B of a `WgOperatorPair`: the L2(e) mass matrix of the edge
     basis on each boundary edge, by quadrature, placed on the edge's boundary
     DOFs.  Returns a sparse matrix (CSR)."""
     mesh, k = dof_map.mesh, dof_map.k

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import assembled_A, dense_eigenvalues, local_interpolant, project_vector, random_poly
-from helpers import random_triangle
+from helpers import assembled_B, random_triangle
 from wgsteklov.assembly import (
     AlphaStabilizer,
     DofMap,
@@ -238,7 +238,7 @@ def test_criterion_07_operator_properties():
         pair = assemble(DofMap(build_structured_mesh(UNIT_SQUARE, n), k), gamma)
         A = assembled_A(pair)
         ok &= np.linalg.eigvalsh(A.toarray()).min() > 0
-        B = pair.B.toarray()
+        B = assembled_B(pair).toarray()
         ok &= np.linalg.matrix_rank(B) == len(pair.dof_map.boundary_dofs)
         ok &= np.linalg.eigvalsh(B).min() > -1e-12
         ok &= (A != A.T).nnz == 0

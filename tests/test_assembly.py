@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assembled_A, interior_dofs, random_poly
+from helpers import assembled_A, assembled_B, interior_dofs, random_poly
 from wgsteklov.assembly import (
     AlphaStabilizer,
     DofMap,
@@ -76,7 +76,7 @@ def test_assembled_pair_structure():
     A = assembled_A(pair)
     assert (A != A.T).nnz == 0  # exactly symmetric
     assert np.linalg.eigvalsh(A.toarray()).min() > 0  # positive definite
-    B = pair.B.toarray()
+    B = assembled_B(pair).toarray()
     assert np.linalg.matrix_rank(B) == 16
     assert np.linalg.eigvalsh(B).min() > -1e-14
     # boundary form supported only on the boundary block
@@ -89,7 +89,7 @@ def test_assembled_pair_structure():
     v = np.zeros(dof_map.n_dofs)
     interior = interior_dofs(dof_map)
     v[interior] = np.arange(len(interior)) + 1.0
-    assert np.linalg.norm(pair.B @ v) == 0.0
+    assert np.linalg.norm(assembled_B(pair) @ v) == 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.1, 1.0])
@@ -180,4 +180,4 @@ def test_assembly_deterministic():
     A1, A2 = assembled_A(p1), assembled_A(p2)
     assert np.array_equal(A1.data, A2.data)
     assert np.array_equal(A1.indices, A2.indices)
-    assert np.array_equal(p1.B.data, p2.B.data)
+    assert np.array_equal(p1.boundary_mass, p2.boundary_mass)

@@ -20,23 +20,25 @@ from wgsteklov.eigen import CondensedPencil, NumericalError, condense, solve_con
 from wgsteklov.harness import SQUARE_REFERENCE_EIGENVALUES, main
 from wgsteklov.mesh import L_SHAPE, UNIT_SQUARE, Mesh, build_structured_mesh
 from wgsteklov.source import exponential_solution, solve_source
-from helpers import assembled_A, dense_eigenvalues, global_elimination, interior_dofs, jittered_mesh
-from helpers import quadrature_boundary_form, rayleigh_quotient, renumbered_mesh
+from helpers import assembled_A, assembled_B, dense_eigenvalues, global_elimination, interior_dofs
+from helpers import jittered_mesh, quadrature_boundary_form, rayleigh_quotient, renumbered_mesh
 
 GAMMA = GammaStabilizer(PowerEps(0.1))
 
 
 def synthetic_pair():
     # hand-checkable 3x3 pencil: one cell whose local matrix K is all of A,
-    # held as its factor R (K = R^T R), with cell DOF {0}, interior edge DOF
-    # {1} and boundary DOF {2}, on edges of unit length
+    # held as its factor R (K = R^T R), with cell DOF {0} and two edges of
+    # unit length, one cell each and so both on the boundary, with DOFs {1}
+    # and {2}
     K = np.array([[[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]])
     dof_map = SimpleNamespace(
-        n_dofs=3, n_cell_dofs=1, dim_cell=1, dim_edge=1, boundary_dofs=np.array([2]),
-        local_dofs=np.array([[0, 1, 2]]),
+        n_dofs=3, dim_cell=1, dim_edge=1, boundary_dofs=np.array([1, 2]),
+        edge_dofs=np.array([[1], [2]]), local_dofs=np.array([[0, 1, 2]]),
         classes=SimpleNamespace(class_of=np.array([0]), members=[np.array([0])]),
         mesh=SimpleNamespace(
-            length=np.ones(2), boundary_edge=np.array([False, True]),
+            length=np.ones(2), boundary_edge=np.array([True, True]), n_edges=2,
+            cell_edges=np.array([[0, 1]]),
             vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), cells=np.array([[0, 1, 2]]),
             edge_cells=np.array([[0, -1], [0, -1]]),
         ),
@@ -45,23 +47,26 @@ def synthetic_pair():
 
 
 def test_synthetic_schur_complement():
-    # eliminating the cell leaves the edge operator [[3/2, 1], [1, 2]], whose
-    # boundary Schur complement is 2 - 1 * (2/3) * 1 = 4/3
+    # eliminating the cell leaves the boundary Schur complement
+    # S = [[3/2, 1], [1, 2]], with D = I, whose smaller eigenvalue is
+    # (7 - sqrt 17) / 4
     pencil = condense(synthetic_pair())
-    assert pencil.S.shape == (1, 1)
-    assert pencil.S[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert pencil.S.shape == (2, 2)
+    assert np.allclose(pencil.S, [[1.5, 1.0], [1.0, 2.0]], rtol=1e-15, atol=0.0)
+    lam = (7.0 - np.sqrt(17.0)) / 4.0
     result = solve_condensed(pencil, 1)
-    assert result.values[0] == pytest.approx(4.0 / 3.0, rel=1e-14)
+    assert result.values[0] == pytest.approx(lam, rel=1e-14)
     assert result.residuals[0] < 1e-14
-    # back-substitution: u_1 = -(2/3) u_2 on the edge, u_0 = -(1/2) u_1 = (1/3) u_2
+    # back-substitution: u_0 = -(1/2) u_1 in the cell, and on the boundary
+    # (3/2 - lam) u_1 + u_2 = 0
     u = result.vectors[:, 0]
-    assert u[1] == pytest.approx(-2.0 / 3.0 * u[2], rel=1e-14)
-    assert u[0] == pytest.approx(1.0 / 3.0 * u[2], rel=1e-14)
+    assert u[0] == pytest.approx(-0.5 * u[1], rel=1e-14)
+    assert u[2] == pytest.approx((lam - 1.5) * u[1], rel=1e-14)
 
 
 def singular_edge_pair():
     # the synthetic pair with a zero edge block: eliminating the cell leaves
-    # E = [[-1/2, 0], [0, 0]], which is exactly singular
+    # S = [[-1/2, 0], [0, 0]], which is exactly singular
     pair = synthetic_pair()
     pair.local[0, 1:, 1:] = 0.0
     return pair
@@ -187,29 +192,41 @@ def test_edge_operator_does_not_couple_the_halves_of_the_top_cut():
     on_cut = np.flatnonzero((x == 0.5).all(axis=1))
     assert len(on_cut) == 8
     assert root.sep.shape == (1, 8 * (k + 1))
-    assert np.array_equal(np.unique(root.sep // (k + 1)), on_cut)
-    assert np.array_equal(np.sort(root.kept[0]), dof_map.boundary_dofs - dof_map.n_cell_dofs)
+    assert np.array_equal(np.sort(root.sep[0]), dof_map.edge_dofs[on_cut].ravel())
+    assert np.array_equal(np.sort(root.kept[0]), dof_map.boundary_dofs)
 
 
-def test_one_elimination_per_class_and_every_edge_eliminated_once():
-    # square k=2 n=16: every node of a tree level is a translate of the
-    # others, so each level that merges (the 256 grid squares, then their
-    # 128 pairs, and so on up to the root) takes one dense elimination for
-    # all its nodes; the DOFs eliminated by the steps and the boundary DOFs
-    # cover the edge DOFs once each
-    dof_map = DofMap(build_structured_mesh(UNIT_SQUARE, 16), 2)
-    steps = condense(assemble(dof_map, GAMMA)).steps
-    assert [len(step.sep) for step in steps] == [2 ** j for j in range(8, -1, -1)]
-    covered = [step.sep.ravel() for step in steps] + [dof_map.boundary_dofs - dof_map.n_cell_dofs]
-    covered = np.concatenate(covered)
-    assert np.array_equal(np.sort(covered), np.arange(dof_map.n_dofs - dof_map.n_cell_dofs))
+def test_one_elimination_per_class_and_every_edge_eliminated_once(rng):
+    # square k=2 n=16: the 512 cells form two classes of 256, one leaf step
+    # each, and every node of a tree level is a translate of the others, so
+    # each level that merges (the 256 grid squares, then their 128 pairs,
+    # and so on up to the root) takes one dense elimination for all its
+    # nodes.  On that mesh, the L-shape and a jittered mesh the DOFs
+    # eliminated by the steps and the boundary DOFs cover every DOF once,
+    # and each step keeps only boundary DOFs and DOFs that a later step
+    # eliminates, so the expansion, top-down, sets every DOF it reads
+    square = build_structured_mesh(UNIT_SQUARE, 16)
+    steps = condense(assemble(DofMap(square, 2), GAMMA)).steps
+    assert [len(step.sep) for step in steps] == [256, 256] + [2 ** j for j in range(8, -1, -1)]
+    lshape = build_structured_mesh(L_SHAPE, 8)
+    for mesh in (square, lshape, jittered_mesh(lshape, rng)):
+        dof_map = DofMap(mesh, 2)
+        steps = condense(assemble(dof_map, GAMMA)).steps
+        covered = np.concatenate([step.sep.ravel() for step in steps] + [dof_map.boundary_dofs])
+        assert np.array_equal(np.sort(covered), np.arange(dof_map.n_dofs))
+        known = np.zeros(dof_map.n_dofs, dtype=bool)
+        known[dof_map.boundary_dofs] = True
+        for step in reversed(steps):
+            assert known[step.kept].all()
+            known[step.sep] = True
 
 
-@pytest.mark.parametrize("n,n_steps", [(16, 37), (64, 93)])
+@pytest.mark.parametrize("n,n_steps", [(16, 39), (64, 95)])
 def test_lshape_tree_class_count(n, n_steps):
     # L-shape k=2: the notch breaks the translation symmetry of the square,
     # so a level of the tree takes several node classes, one elimination
-    # each; the count changes if the node keys merge or split a class
+    # each, above one leaf step for each of the 2 cell classes; the count
+    # changes if the node keys merge or split a class
     dof_map = DofMap(build_structured_mesh(L_SHAPE, n), 2)
     assert len(condense(assemble(dof_map, GAMMA)).steps) == n_steps
 
@@ -231,9 +248,11 @@ def test_boundary_mass_is_the_boundary_block_of_B():
     dof_map = DofMap(build_structured_mesh(L_SHAPE, 4), 2)
     pair = assemble(dof_map, GAMMA)
     mesh, g = dof_map.mesh, dof_map.boundary_dofs
-    want = np.diag(np.repeat(mesh.length[mesh.boundary_edge], dof_map.dim_edge))
-    assert np.array_equal(pair.B[g][:, g].toarray(), want)
-    assert pair.B.nnz == len(g)
+    edge = (g - dof_map.n_cell_dofs) // dof_map.dim_edge
+    assert np.array_equal(pair.boundary_mass, mesh.length[edge])
+    B = assembled_B(pair)
+    assert np.array_equal(B[g][:, g].toarray(), np.diag(mesh.length[edge]))
+    assert B.nnz == len(g)
 
 
 def test_solve_paths_never_assemble_A(monkeypatch, tmp_path):
@@ -280,9 +299,9 @@ def test_pencil_factors_S_in_place(monkeypatch):
     handed = []
     init = CondensedPencil.__init__
 
-    def recording(self, pair, edge_dofs, W, steps, S, a_norm):
+    def recording(self, pair, steps, S, a_norm):
         handed.append(S.copy())
-        init(self, pair, edge_dofs, W, steps, S, a_norm)
+        init(self, pair, steps, S, a_norm)
 
     monkeypatch.setattr(CondensedPencil, "__init__", recording)
     pencil = condense(assemble(DofMap(build_structured_mesh(UNIT_SQUARE, 32), 2), GAMMA))
@@ -343,10 +362,8 @@ def test_spectrum_matches_quadrature_boundary_form(domain, k, n):
     pair = assemble(DofMap(build_structured_mesh(domain, n), k), GAMMA)
     pencil = condense(pair)
     full = solve_condensed(pencil, pencil.size).values
-    quadrature = SimpleNamespace(
-        local=pair.local, dof_map=pair.dof_map, B=quadrature_boundary_form(pair.dof_map)
-    )
-    assert np.allclose(full, dense_eigenvalues(quadrature), rtol=1e-12, atol=0.0)
+    quadrature = dense_eigenvalues(pair, quadrature_boundary_form(pair.dof_map))
+    assert np.allclose(full, quadrature, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -412,9 +429,10 @@ def test_backward_errors_match_per_pair_formula():
     result = solve_pair(pair, 4)
     A = assembled_A(pair)
     a_norm = abs(A).sum(axis=1).max()
-    b_norm = abs(pair.B).sum(axis=1).max()
+    B = assembled_B(pair)
+    b_norm = abs(B).sum(axis=1).max()
     for lam, u, res in zip(result.values, result.vectors.T, result.residuals):
-        r = np.linalg.norm(A @ u - lam * (pair.B @ u))
+        r = np.linalg.norm(A @ u - lam * (B @ u))
         assert res == pytest.approx(r / ((a_norm + lam * b_norm) * np.linalg.norm(u)), rel=1e-12)
     with pytest.raises(NumericalError, match=r"eigenpair residual .* exceeds tolerance 1\.0e-30"):
         solve_pair(pair, 4, rtol=1e-30)
@@ -464,10 +482,10 @@ def test_lanczos_matches_dense_eigh(rng, spectrum, counts):
     A = _symmetric(rng, values)
     dense = np.linalg.eigh(A)[0]
     for m in (*counts, size - 2, size - 1):
-        got, vectors = eigen.lanczos(lambda y: A @ y, size, m, 1e-12)
+        got, vectors = eigen.lanczos(lambda y: A @ y, size, m)
         assert np.allclose(got, dense[-m:], rtol=1e-12, atol=0.0)
         assert np.allclose(vectors.T @ vectors, np.eye(m), rtol=0.0, atol=1e-12)
-        again = eigen.lanczos(lambda y: A @ y, size, m, 1e-12)
+        again = eigen.lanczos(lambda y: A @ y, size, m)
         assert np.array_equal(got, again[0]) and np.array_equal(vectors, again[1])
 
 
@@ -477,7 +495,7 @@ def test_lanczos_breakdown_raises():
     # residual: the run must fail and not divide by a vanishing beta
     u = np.random.default_rng(3).standard_normal(20)
     with pytest.raises(NumericalError, match="Lanczos solve failed: breakdown"):
-        eigen.lanczos(lambda y: u * (u @ y), 20, 2, 1e-12)
+        eigen.lanczos(lambda y: u * (u @ y), 20, 2)
 
 
 def test_solver_invariants():
@@ -499,7 +517,7 @@ def test_eigenvectors_are_b_orthonormal(domain, n, m):
     m = m or pencil.size
     g = pair.dof_map.boundary_dofs
     V_g = solve_condensed(pencil, m).vectors[g]
-    gram = V_g.T @ (pair.B.diagonal()[g][:, None] * V_g)
+    gram = V_g.T @ (pair.boundary_mass[:, None] * V_g)
     assert np.abs(gram - np.eye(m)).max() <= 1e-12
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     assembled_A,
+    assembled_B,
     jittered_mesh,
     local_interpolant,
     local_matrix_parts,
@@ -381,7 +382,7 @@ def test_boundary_form_matches_quadrature_edge_mass():
     # B holds exactly; quadrature reproduces it up to roundoff
     for k in (1, 2, 6):
         dof_map = DofMap(build_structured_mesh("lshape", 4), k)
-        B = assemble(dof_map, GammaStabilizer(0.5)).B
+        B = assembled_B(assemble(dof_map, GammaStabilizer(0.5)))
         deviation = abs(B - quadrature_boundary_form(dof_map)).max(axis=1).toarray().ravel()
         assert np.all(deviation <= 1e-14 * B.diagonal())
 
