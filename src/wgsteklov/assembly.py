@@ -98,10 +98,15 @@ class DofMap:
     """The WG space of degree k on a mesh, built once per level and shared by
     every consumer: its global numbering and its per-cell tables.
 
+    Given ``dim_cell`` and ``dim_edge``, the same layout holds another
+    space on the mesh, with those block sizes and the cell classes
+    ``classes`` of the WG space of degree k (the probe space of
+    `glb.estimate_delta`, whose cell block may be empty).
+
     Attributes
     ----------
     k : polynomial degree (>= 1)
-    dim_cell, dim_edge : block sizes dim P_k and k + 1
+    dim_cell, dim_edge : block sizes, dim P_k and k + 1 for the WG space
     n_dofs : total DOF count C * dim_cell + E * dim_edge
     boundary_dofs : sorted int array of all DOFs on boundary edges
     edge_dofs : (E, dim_edge) global DOFs of each edge
@@ -109,18 +114,18 @@ class DofMap:
     classes : the cells' congruence classes (`wgcore.CellClasses`)
     """
 
-    def __init__(self, mesh, k):
+    def __init__(self, mesh, k, dim_cell=None, dim_edge=None, classes=None):
         self.mesh = mesh
         self.k = check_degree(k)
-        self.dim_cell = dim_pk(self.k)
-        self.dim_edge = self.k + 1
+        self.dim_cell = dim_pk(self.k) if dim_cell is None else dim_cell
+        self.dim_edge = self.k + 1 if dim_edge is None else dim_edge
         self.n_cell_dofs = mesh.n_cells * self.dim_cell
         self.n_dofs = self.n_cell_dofs + mesh.n_edges * self.dim_edge
         cell_dofs, self.edge_dofs = self.split(np.arange(self.n_dofs))
         self.boundary_dofs = self.edge_dofs[mesh.boundary_edge].ravel()
         cell_edge_dofs = self.edge_dofs[mesh.cell_edges].reshape(mesh.n_cells, -1)
         self.local_dofs = np.concatenate([cell_dofs, cell_edge_dofs], axis=1)
-        self.classes = CellClasses(mesh, self.k)
+        self.classes = CellClasses(mesh, self.k) if classes is None else classes
 
     @cached_property
     def cell_quadrature(self):
@@ -131,7 +136,7 @@ class DofMap:
     def split(self, coeffs):
         """Views of a global vector as cell rows (C, dim_cell) and edge rows (E, dim_edge)."""
         return (
-            coeffs[: self.n_cell_dofs].reshape(-1, self.dim_cell),
+            coeffs[: self.n_cell_dofs].reshape(self.mesh.n_cells, -1),
             coeffs[self.n_cell_dofs :].reshape(-1, self.dim_edge),
         )
 
@@ -147,7 +152,9 @@ class WgOperatorPair:
 
     B is diagonal: the edge basis is orthonormal on the unit parameter, so
     on a boundary edge e the L2 mass of the traces is exactly |e| times the
-    identity, and B holds |e| on every DOF of e and nothing else.
+    identity, and B holds |e| on every DOF of e and nothing else.  (The
+    probe pencil of `glb.estimate_delta` is a pair of the same kind: its
+    edge basis makes the boundary numerator |e| times the identity.)
     ``boundary_mass`` holds that diagonal on the boundary DOFs, in the order
     of ``dof_map.boundary_dofs``; no n_dofs x n_dofs B is formed.
 

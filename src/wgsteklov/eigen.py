@@ -306,7 +306,7 @@ def _a_norm(K, class_of, cell_edges, n_edges, d, m):
     edge_rows = scatter(off[class_of])
     same = scatter(blocks[class_of]).reshape(n_edges, m, m)
     edge_rows += np.abs(same).sum(axis=2)
-    return float(max(absK[:, :d].sum(axis=2).max(), edge_rows.max()))
+    return float(max(absK[:, :d].sum(axis=2).max(initial=0.0), edge_rows.max()))
 
 
 # rows per block of the update of the kept block in `_eliminate`

@@ -6,29 +6,22 @@ boundary projection defect by the gradient projection defect, and
 same defect.  Proof-grade values come from external analysis and enter as
 configuration; :func:`estimate_delta` provides a numerical lower estimate of
 `proj_bound` by maximizing the defect ratio over a continuous piecewise
-polynomial probe space, for exploratory certification only.
+polynomial probe space, for exploratory certification only.  In a
+hierarchical basis the probe space has the DOF layout of the WG space, so
+the estimate is the smallest eigenvalue of a second pencil through the eigen
+path's `condense` and `solve_condensed`.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from numpy.polynomial.legendre import legder, legval
 
-from .assembly import AlphaStabilizer, DofMap, assemble
-from .eigen import DEFAULT_RTOL, NumericalError, _stage, check_eigenpair_count, lanczos, solve_pair
+from .assembly import AlphaStabilizer, DofMap, WgOperatorPair, assemble
+from .eigen import _stage, check_eigenpair_count, condense, solve_condensed, solve_pair
 from .mesh import boundary_dof_count, build_structured_mesh, check_grid, check_levels
-from .polyquad import (
-    EdgeBasis,
-    dim_pk,
-    edge_quadrature,
-    map_to_triangle,
-    monomial_exponents,
-    scaled_monomial_grads,
-    scaled_monomials,
-    triangle_quadrature,
-)
+from .polyquad import EdgeBasis, dim_pk, edge_quadrature, map_to_triangle, triangle_quadrature
 from .wgcore import check_alpha, check_degree
 
 # Reference eigenvalues are themselves numerical, so the below-reference check
@@ -98,53 +91,6 @@ def glb_criterion(config, lambda_exact, lambda_h):
     return Certificate(False, 0)
 
 
-class LagrangeProbeSpace:
-    """Continuous piecewise P_p space on a triangulation, nodal basis.
-
-    Nodes sit at vertices, at p - 1 points along each edge (ordered by the
-    canonical edge parameter), and at interior barycentric lattice points,
-    so shared nodes coincide between neighboring cells and traces match.
-    """
-
-    def __init__(self, mesh, degree):
-        if degree < 1:
-            raise ValueError(f"probe degree must be >= 1, got {degree}")
-        self.mesh = mesh
-        self.p = int(degree)
-        self.n_edge_nodes = self.p - 1
-        self.n_cell_nodes = dim_pk(self.p) - 3 - 3 * self.n_edge_nodes
-        self.n_dofs = (
-            mesh.n_vertices + mesh.n_edges * self.n_edge_nodes + mesh.n_cells * self.n_cell_nodes
-        )
-
-    def edge_node_dofs(self, ei):
-        """Edge-node DOFs of edge ei, or one row per edge for an index array."""
-        start = self.mesh.n_vertices + np.asarray(ei)[..., None] * self.n_edge_nodes
-        return start + np.arange(self.n_edge_nodes)
-
-    def cell_dofs(self):
-        """Local-to-global table, one row per cell in :meth:`cell_nodes` order."""
-        mesh = self.mesh
-        start = mesh.n_vertices + mesh.n_edges * self.n_edge_nodes
-        return np.hstack([
-            mesh.cells,
-            self.edge_node_dofs(mesh.cell_edges).reshape(mesh.n_cells, -1),
-            start + np.arange(mesh.n_cells * self.n_cell_nodes).reshape(mesh.n_cells, -1),
-        ])
-
-    def cell_nodes(self, cell):
-        """Physical node positions of a :class:`LocalCell`: vertices, edge
-        nodes in canonical order, then the interior lattice."""
-        points = list(cell.vertices)
-        points.extend(cell.edge_points(np.arange(1, self.p) / self.p).reshape(-1, 2))
-        verts = cell.vertices
-        for a in range(1, self.p):
-            for b in range(1, self.p - a):
-                c = self.p - a - b
-                points.append((a * verts[0] + b * verts[1] + c * verts[2]) / self.p)
-        return np.array(points)
-
-
 def _check_probe_degree(k, probe_degree):
     if probe_degree <= k:
         raise ValueError(
@@ -153,127 +99,115 @@ def _check_probe_degree(k, probe_degree):
         )
 
 
-@dataclass(frozen=True)
-class ProbeDefects:
-    """The two defect forms of the P_p probe space and their common null space.
+def edge_kernels(k, p):
+    """Legendre coefficients, one column each, of the kernels q_i of the
+    p - k edge functions lambda_a lambda_b q_i(lambda_b - lambda_a) of the
+    probe space W.
 
-    `R` is the exact sparse factor num = R R^T of the boundary projection
-    defect num: p - k columns per boundary edge, in the order of the
-    boundary edges, each supported on its edge's probe DOFs.  `den` is the
-    gradient projection defect on the whole probe space (sparse), and `Z`
-    the sparse prolongation of the continuous P_k Lagrange basis into the
-    probe space, whose range is the null space of `den` and lies in that
-    of R^T.
+    With t the canonical edge parameter, lambda_a = 1 - t and lambda_b = t
+    on the edge.  The kernels L_{j-2}, j = k + 1 .. p, give functions of
+    degree j; one fixed change of basis makes the residual of the i-th
+    function's L2 projection onto P_k the orthonormal Legendre polynomial
+    of degree k + 1 + i, so the boundary numerator on each edge e is |e| I.
     """
+    rule = edge_quadrature(2 * p)
+    t, w = rule.points, rule.weights
+    E = np.eye(p - 1)[:, k - 1 :]
+    trace = (t * (1.0 - t))[:, None] * legval(2.0 * t - 1.0, E).T
+    high = EdgeBasis(p).eval(t)[:, k + 1 :]
+    return E @ np.linalg.inv((high * w[:, None]).T @ trace)
 
-    R: sp.csc_matrix
-    den: sp.csc_matrix
-    Z: sp.csc_matrix
+
+def probe_basis(k, p, flips, lam):
+    """The hierarchical basis of W on one cell at points of barycentric
+    coordinates ``lam`` (n, 3): the bubbles, then the edge functions of
+    local edges 0, 1 and 2 (`edge_kernels`), each edge oriented from its
+    canonical start a to its end b as ``flips`` says (`wgcore.LocalCell`).
+
+    The bubbles are lambda_0 lambda_1 lambda_2 lambda_0^s lambda_1^t with
+    3 + s + t = j for j = max(3, k + 1) .. p, each scaled to peak at 1.
+    Returns the values (n, n_loc) and their derivatives in lambda_0,
+    lambda_1 and lambda_2 (n, n_loc, 3).
+    """
+    values, partials = [], []
+    for j in range(max(3, k + 1), p + 1):
+        for s in range(j - 2):
+            e = np.array([s + 1, j - 2 - s, 1])
+            scale = j**j / np.prod(e.astype(float) ** e)
+            values.append(scale * np.prod(lam**e, axis=1))
+            # d/d lambda_i lowers the power of lambda_i by one
+            lower = np.prod(lam[:, None, :] ** (e - np.eye(3, dtype=int)), axis=2)
+            partials.append(scale * e * lower)
+    kernels = edge_kernels(k, p)
+    dkernels = legder(kernels)
+    for l in range(3):
+        a, b = ((l + 1) % 3, l) if flips[l] else (l, (l + 1) % 3)
+        la, lb = lam[:, a, None], lam[:, b, None]
+        q = legval(lam[:, b] - lam[:, a], kernels).T
+        dq = legval(lam[:, b] - lam[:, a], dkernels).T
+        values.extend((la * lb * q).T)
+        d = np.zeros((len(lam), p - k, 3))
+        d[..., a] = lb * q - la * lb * dq
+        d[..., b] = la * q + la * lb * dq
+        partials.extend(d.transpose(1, 0, 2))
+    return np.array(values).T, np.array(partials).transpose(1, 0, 2)
 
 
-def probe_defects(dof_map, probe_degree):
-    """Assemble the :class:`ProbeDefects` of a P_{probe_degree} probe space on a DofMap's mesh."""
-    mesh, k, classes = dof_map.mesh, dof_map.k, dof_map.classes
+def probe_factor(cell, k, p):
+    """The local factor of the denominator on W: the rows sqrt(w) (I -
+    Q_{k-1}) grad of the basis of `probe_basis`, x then y, at the points of
+    a triangle rule of degree 2p - 2, with Q_{k-1} the L2 projection onto
+    the leading dim P_{k-1} members of ``cell.basis``."""
+    rule = triangle_quadrature(2 * p - 2)
+    pts, w = map_to_triangle(rule, cell.vertices)
+    # the gradients of lambda_1 and lambda_2 are the rows of the inverse
+    # of the cell's affine map, and those of the three sum to zero
+    inv = np.linalg.inv((cell.vertices[1:] - cell.vertices[0]).T)
+    grads = probe_basis(k, p, cell.flips, rule.points)[1] @ np.vstack([-inv.sum(axis=0), inv])
+    phi = cell.basis.eval(pts)[:, : dim_pk(k - 1)]
+    defect = grads - np.einsum("pq,qjc->pjc", phi @ (phi * w[:, None]).T, grads)
+    root_w = np.sqrt(w)[:, None]
+    return np.concatenate([root_w * defect[..., 0], root_w * defect[..., 1]])
+
+
+def probe_pair(dof_map, probe_degree):
+    """The defect pencil on the probe space W of a DofMap's mesh, as a
+    `WgOperatorPair`: the denominator, by the `probe_factor` of each cell
+    class of ``dof_map.classes``, and the numerator as ``boundary_mass``.
+
+    W is the hierarchical complement of the continuous P_k space V_k in
+    the continuous P_p space, p = probe_degree (B. Szabo and I. Babuska,
+    Finite Element Analysis, 1991): the edge functions of degree k + 1 ..
+    p of every edge and the bubbles of every cell.  Its DofMap has the WG
+    layout, with the bubbles as cell DOFs and p - k DOFs per edge.
+    """
+    k = dof_map.k
     _check_probe_degree(k, probe_degree)
-    space = LagrangeProbeSpace(mesh, probe_degree)
-    null_space = LagrangeProbeSpace(mesh, k)
-    p = space.p
-    deg = 2 * p + 2
-
-    # numerator factor: with psi_0..psi_p the orthonormal Legendre basis on
-    # the edge parameter, the first k + 1 of which span P_k, the residual of
-    # the trace's L2 projection onto P_k is sum_{j>k} psi_j r_j^T with
-    # r_j = (psi_j, trace), so each boundary edge e adds the columns
-    # sqrt(|e|) r_j, at its probe DOFs, to R
-    erule = edge_quadrature(deg)
-    tnodes = np.concatenate([[0.0, 1.0], np.arange(1, p) / p])
-    tv = np.vander(tnodes, p + 1, increasing=True)
-    trace = np.vander(erule.points, p + 1, increasing=True) @ np.linalg.inv(tv)
-    high = EdgeBasis(p).eval(erule.points)[:, k + 1 :]
-    r = (high * erule.weights[:, None]).T @ trace
-    edges = np.where(mesh.boundary_edge)[0]
-    gd = np.hstack([mesh.edges[edges], space.edge_node_dofs(edges)])
-    cols = np.arange(len(edges) * (p - k)).reshape(len(edges), 1, p - k)
-    rows, cols = (a.ravel() for a in np.broadcast_arrays(gd[:, :, None], cols))
-    values = np.sqrt(mesh.length[edges])[:, None, None] * r.T
-    R = sp.csc_matrix((values.ravel(), (rows, cols)), shape=(space.n_dofs, len(edges) * (p - k)))
-
-    # per class: the local gradient-defect matrix and the P_k nodal basis
-    # at the probe nodes
-    rule = triangle_quadrature(deg)
-    exps = monomial_exponents(p)
-    exps_k = monomial_exponents(k)
-    local, prolong = [], []
-    for cell in classes.cells:
-        centroid, scale = cell.basis.centroid, cell.diameter
-        nodes = space.cell_nodes(cell)
-        vinv = np.linalg.inv(scaled_monomials(nodes, centroid, scale, exps))
-        pts, w = map_to_triangle(rule, cell.vertices)
-        gx, gy = (g @ vinv for g in scaled_monomial_grads(pts, centroid, scale, exps))
-        phiv = cell.basis.eval(pts)[:, : dim_pk(k - 1)]
-        wproj = phiv @ (phiv * w[:, None]).T
-        rx = gx - wproj @ gx
-        ry = gy - wproj @ gy
-        local.append((rx * w[:, None]).T @ rx + (ry * w[:, None]).T @ ry)
-        vk = scaled_monomials(null_space.cell_nodes(cell), centroid, scale, exps_k)
-        prolong.append(scaled_monomials(nodes, centroid, scale, exps_k) @ np.linalg.inv(vk))
-
-    dofs, dofs_k = space.cell_dofs(), null_space.cell_dofs()
-    rows, cols = (a.ravel() for a in np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :]))
-    den = sp.csc_matrix((np.array(local)[classes.class_of].ravel(), (rows, cols)),
-                        shape=(space.n_dofs, space.n_dofs))
-    # a node shared by several cells takes its value from the first of them
-    rows, cols = (a.ravel() for a in np.broadcast_arrays(dofs[:, :, None], dofs_k[:, None, :]))
-    _, first = np.unique(rows * null_space.n_dofs + cols, return_index=True)
-    Z = sp.csc_matrix((np.array(prolong)[classes.class_of].ravel()[first],
-                       (rows[first], cols[first])), shape=(space.n_dofs, null_space.n_dofs))
-    return ProbeDefects(R, (0.5 * (den + den.T)).tocsc(), Z)
+    factor = np.array([probe_factor(cell, k, probe_degree) for cell in dof_map.classes.cells])
+    n_edge = probe_degree - k
+    probe_map = DofMap(dof_map.mesh, k, factor.shape[2] - 3 * n_edge, n_edge, dof_map.classes)
+    return WgOperatorPair(factor, probe_map)
 
 
 def estimate_delta(dof_map, probe_degree):
     """Numerical lower estimate of the boundary-defect constant.
 
     Maximizes || (I - Q_b) f ||^2 over the boundary against
-    || (I - Q_vec) grad f ||^2 over the domain, for f in a continuous
-    piecewise P_{probe_degree} probe space.  Both defects vanish on the
-    continuous P_k space range(Z), which is exactly the null space of the
-    denominator `den`, so with the per-edge factor num = R R^T of
-    `probe_defects` the maximum is lambda_max(H), H = R^T den^+ R.  One sparse LU of the nonsingular
-    bordered matrix K = [[den, Z], [Z^T, 0]] gives den^+ R y as the first
-    block of K^{-1} [R y; 0], so each application of H is one unrefined
-    solve of one vector, and Lanczos (`eigen.lanczos`) finds the largest
-    eigenvector y of H without forming it.  One more solve with the Ritz
-    vector y gives the value as the Rayleigh quotient y^T H y / y^T y,
-    which never exceeds lambda_max(H); the true constant can only be
-    larger still, so this is a lower estimate.  Raises NumericalError if
-    the factorization fails, Lanczos does not converge, or the normwise
-    backward error of the last solve exceeds `DEFAULT_RTOL`.
+    || (I - Q_vec) grad f ||^2 over the domain, for f in the continuous
+    piecewise P_{probe_degree} probe space V_p.  Both forms vanish on the
+    continuous P_k space V_k, so the maximum over V_p is that over the
+    complement W of `probe_pair`, where the denominator is positive
+    definite and the numerator is the diagonal ``boundary_mass``: it is
+    1 / lambda_1 of the pencil (denominator, numerator), which
+    `eigen.condense` and `eigen.solve_condensed` compute as they do for
+    the WG pencil, with the same Lanczos and backward-error gate.
+    lambda_1 is a Rayleigh quotient, never below the smallest eigenvalue,
+    so this is a lower estimate.  Raises NumericalError if a factorization
+    fails, Lanczos does not converge, or the backward error exceeds
+    `eigen.DEFAULT_RTOL`.
     """
-    forms = probe_defects(dof_map, probe_degree)
-    R = forms.R
-    K = sp.bmat([[forms.den, forms.Z], [forms.Z.T, None]], format="csc")
-    try:
-        lu = splu(K, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise NumericalError(f"bordered factorization failed: {exc}") from exc
-
-    def solve(y):
-        """[R y; 0] and K^{-1} [R y; 0], unrefined."""
-        rhs = np.zeros(K.shape[0])
-        rhs[: R.shape[0]] = R @ y
-        return rhs, lu.solve(rhs)
-
-    def apply_h(y):
-        return R.T @ solve(y)[1][: R.shape[0]]
-
-    y = lanczos(apply_h, R.shape[1], 1)[1][:, 0]
-    rhs, x = solve(y)
-    k_norm = float(abs(K).sum(axis=1).max())
-    error = np.linalg.norm(K @ x - rhs) / (k_norm * np.linalg.norm(x) + np.linalg.norm(rhs))
-    if not error <= DEFAULT_RTOL:
-        raise NumericalError(f"bordered solve backward error {error:.2e} "
-                             f"exceeds tolerance {DEFAULT_RTOL:.1e}")
-    return float(y @ (R.T @ x[: R.shape[0]]) / (y @ y))
+    pencil = condense(probe_pair(dof_map, probe_degree))
+    return 1.0 / float(solve_condensed(pencil, 1).values[0])
 
 
 def run_glb_study(domain, levels, k, config, refs=None, probe_degree=None):

@@ -8,14 +8,16 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from wgsteklov.glb import LagrangeProbeSpace, probe_defects
 from wgsteklov.mesh import L_SHAPE, Mesh
 from wgsteklov.polyquad import (
     CellBasis,
     EdgeBasis,
+    dim_pk,
     edge_quadrature,
     map_to_triangle,
     monomial_exponents,
+    scaled_monomial_grads,
+    scaled_monomials,
     triangle_quadrature,
 )
 from wgsteklov.wgcore import POLY_MARGIN, evaluate, weak_gradient_map
@@ -248,10 +250,91 @@ def jittered_mesh(mesh, rng):
     return Mesh(mesh.vertices + rng.uniform(-shift, shift, mesh.vertices.shape), mesh.cells)
 
 
+class LagrangeProbeSpace:
+    """Continuous piecewise P_p space on a triangulation, nodal basis: the
+    probe space V_p of `glb.estimate_delta` in the Lagrange basis.
+
+    Nodes sit at vertices, at p - 1 points along each edge (ordered by the
+    canonical edge parameter), and at interior barycentric lattice points,
+    so shared nodes coincide between neighboring cells and traces match.
+    """
+
+    def __init__(self, mesh, degree):
+        self.mesh = mesh
+        self.p = int(degree)
+        self.n_edge_nodes = self.p - 1
+        self.n_cell_nodes = dim_pk(self.p) - 3 - 3 * self.n_edge_nodes
+        self.n_dofs = (
+            mesh.n_vertices + mesh.n_edges * self.n_edge_nodes + mesh.n_cells * self.n_cell_nodes
+        )
+
+    def edge_node_dofs(self, ei):
+        """Edge-node DOFs of edge ei, or one row per edge for an index array."""
+        start = self.mesh.n_vertices + np.asarray(ei)[..., None] * self.n_edge_nodes
+        return start + np.arange(self.n_edge_nodes)
+
+    def cell_dofs(self):
+        """Local-to-global table, one row per cell in :meth:`cell_nodes` order."""
+        mesh = self.mesh
+        start = mesh.n_vertices + mesh.n_edges * self.n_edge_nodes
+        return np.hstack([
+            mesh.cells,
+            self.edge_node_dofs(mesh.cell_edges).reshape(mesh.n_cells, -1),
+            start + np.arange(mesh.n_cells * self.n_cell_nodes).reshape(mesh.n_cells, -1),
+        ])
+
+    def cell_nodes(self, cell):
+        """Physical node positions of a `wgcore.LocalCell`: vertices, edge
+        nodes in canonical order, then the interior lattice."""
+        points = list(cell.vertices)
+        points.extend(cell.edge_points(np.arange(1, self.p) / self.p).reshape(-1, 2))
+        verts = cell.vertices
+        for a in range(1, self.p):
+            for b in range(1, self.p - a):
+                c = self.p - a - b
+                points.append((a * verts[0] + b * verts[1] + c * verts[2]) / self.p)
+        return np.array(points)
+
+
+def lagrange_defects(dof_map, probe_degree):
+    """The denominator of `glb.estimate_delta` on the whole Lagrange probe
+    space V_p, dense, and the prolongation Z of the continuous P_k Lagrange
+    basis into V_p, whose range V_k is the null space of den.  Returns
+    (den, Z)."""
+    mesh, k, classes = dof_map.mesh, dof_map.k, dof_map.classes
+    space = LagrangeProbeSpace(mesh, probe_degree)
+    null_space = LagrangeProbeSpace(mesh, k)
+    p = space.p
+    rule = triangle_quadrature(2 * p + 2)
+    exps, exps_k = monomial_exponents(p), monomial_exponents(k)
+    local, prolong = [], []
+    for cell in classes.cells:
+        centroid, scale = cell.basis.centroid, cell.diameter
+        nodes = space.cell_nodes(cell)
+        vinv = np.linalg.inv(scaled_monomials(nodes, centroid, scale, exps))
+        pts, w = map_to_triangle(rule, cell.vertices)
+        gx, gy = (g @ vinv for g in scaled_monomial_grads(pts, centroid, scale, exps))
+        phiv = cell.basis.eval(pts)[:, : dim_pk(k - 1)]
+        wproj = phiv @ (phiv * w[:, None]).T
+        rx = gx - wproj @ gx
+        ry = gy - wproj @ gy
+        local.append((rx * w[:, None]).T @ rx + (ry * w[:, None]).T @ ry)
+        vk = scaled_monomials(null_space.cell_nodes(cell), centroid, scale, exps_k)
+        prolong.append(scaled_monomials(nodes, centroid, scale, exps_k) @ np.linalg.inv(vk))
+    dofs, dofs_k = space.cell_dofs(), null_space.cell_dofs()
+    den = np.zeros((space.n_dofs, space.n_dofs))
+    np.add.at(den, (dofs[:, :, None], dofs[:, None, :]), np.array(local)[classes.class_of])
+    # a node shared by several cells takes its value from any of them
+    Z = np.zeros((space.n_dofs, null_space.n_dofs))
+    Z[dofs[:, :, None], dofs_k[:, None, :]] = np.array(prolong)[classes.class_of]
+    return 0.5 * (den + den.T), Z
+
+
 def boundary_numerator(dof_map, probe_degree):
-    """Dense reference for the boundary projection defect of `glb.probe_defects`
-    on the whole P_{probe_degree} probe space: per boundary edge, the mass of
-    the residual of each probe trace's L2 projection onto P_k, assembled."""
+    """Dense reference for the boundary projection defect of
+    `glb.estimate_delta` on the whole Lagrange probe space V_p: per boundary
+    edge, the mass of the residual of each probe trace's L2 projection onto
+    P_k, assembled."""
     mesh, k, p = dof_map.mesh, dof_map.k, probe_degree
     space = LagrangeProbeSpace(mesh, p)
     erule = edge_quadrature(2 * p + 2)
@@ -270,10 +353,10 @@ def boundary_numerator(dof_map, probe_degree):
 
 def pinv_delta(dof_map, probe_degree):
     """Dense reference for `glb.estimate_delta`: lambda_max(num^{1/2}
-    pinv(den) num^{1/2}) on the whole probe space, with num the
-    `boundary_numerator` and den the denominator of `glb.probe_defects`,
-    whose eigenvalues below 1e-10 of the largest are cut off."""
-    den = probe_defects(dof_map, probe_degree).den.toarray()
+    pinv(den) num^{1/2}) on the whole Lagrange probe space, with num the
+    `boundary_numerator` and den that of `lagrange_defects`, whose
+    eigenvalues below 1e-10 of the largest are cut off."""
+    den = lagrange_defects(dof_map, probe_degree)[0]
     w, V = np.linalg.eigh(boundary_numerator(dof_map, probe_degree))
     root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
     pinv = np.linalg.pinv(den, rtol=1e-10, hermitian=True)

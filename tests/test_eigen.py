@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from wgsteklov import eigen, harness
@@ -20,6 +21,7 @@ from wgsteklov.eigen import CondensedPencil, NumericalError, condense, solve_con
 from wgsteklov.harness import SQUARE_REFERENCE_EIGENVALUES, main
 from wgsteklov.mesh import L_SHAPE, UNIT_SQUARE, Mesh, build_structured_mesh
 from wgsteklov.source import exponential_solution, solve_source
+from wgsteklov.wgcore import CellClasses
 from helpers import assembled_A, assembled_B, dense_eigenvalues, global_elimination, interior_dofs
 from helpers import jittered_mesh, quadrature_boundary_form, rayleigh_quotient, renumbered_mesh
 
@@ -352,6 +354,24 @@ def test_condensation_matches_dense_bruteforce(domain, k, n):
     reference = dense_eigenvalues(pair)
     assert len(reference) == len(pair.dof_map.boundary_dofs)
     assert np.allclose(full, reference, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("domain", [UNIT_SQUARE, L_SHAPE])
+def test_pure_edge_pencil_condenses_and_solves(domain, rng):
+    # a layout with no cell DOFs, as the delta estimate's probe space at
+    # k=1, p=2 has: the leaves of the tree eliminate nothing, and the
+    # spectrum is that of a dense eigh of the assembled pencil, whose
+    # largest eigenvalues mu of (B, A) are the reciprocals of the smallest
+    # of (A, B)
+    mesh = build_structured_mesh(domain, 4)
+    dof_map = DofMap(mesh, 1, 0, 2, CellClasses(mesh, 1))
+    assert dof_map.local_dofs.shape == (mesh.n_cells, 6)
+    pair = WgOperatorPair(rng.standard_normal((dof_map.classes.n_classes, 9, 6)), dof_map)
+    pencil = condense(pair)
+    mu = sla.eigh(assembled_B(pair).toarray(), assembled_A(pair).toarray(), eigvals_only=True)
+    want = 1.0 / mu[::-1][: pencil.size]
+    assert np.allclose(solve_condensed(pencil, pencil.size).values, want, rtol=1e-10, atol=0)
+    assert np.allclose(solve_condensed(pencil, 3).values, want[:3], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -299,12 +299,17 @@ def test_cli_source_and_glb_json_reruns_byte_identical(tmp_path):
         assert out.read_bytes() == first
 
 
-def test_python_m_wgsteklov_runs_the_cli():
+def _package_env():
+    """The environment with the package's source directory first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(wgsteklov.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+def test_python_m_wgsteklov_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "wgsteklov", "mesh", "--domain", "square",
-                           "--n", "2"], capture_output=True, text=True, env=env, timeout=120)
+                           "--n", "2"], capture_output=True, text=True, env=_package_env(),
+                          timeout=120)
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "total_area = 1.0" in proc.stdout
@@ -326,11 +331,18 @@ for argv in (
     assert main(argv + ["--out", out]) == 0, argv
 print("scipy.special" in sys.modules)
 """
-    src = os.path.dirname(os.path.dirname(wgsteklov.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=_package_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_harness_import_leaves_out_scipy_sparse():
+    # no module of the package imports scipy.sparse, which would add start-up
+    # time and memory to every run
+    script = "import sys, wgsteklov.harness; print('scipy.sparse' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_package_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -750,16 +762,21 @@ def test_cli_numerical_failures_exit_2(monkeypatch, tmp_path, capsys):
         assert f"stage '{stage}'" in capsys.readouterr().err
     monkeypatch.undo()
 
-    # a singular bordered matrix in the delta estimate fails stage estimate_delta
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+    # a probe leaf that is not positive definite, a bubble with no
+    # gradient, fails stage estimate_delta
+    factor = harness.glb_mod.probe_factor
 
-    monkeypatch.setattr(harness.glb_mod, "splu", singular)
+    def flat_bubble(*args):
+        F = factor(*args)
+        F[:, 0] = 0.0
+        return F
+
+    monkeypatch.setattr(harness.glb_mod, "probe_factor", flat_bubble)
     capsys.readouterr()
     assert main(["glb", "--domain", "square", "--k", "1", "--alpha", "0.01", "--stab-bound",
                  "2.0", "--proj-bound", "estimate", "--levels", "2"]) == 2
     err = capsys.readouterr().err
-    assert "stage 'estimate_delta'" in err and "exactly singular" in err
+    assert "stage 'estimate_delta'" in err and "singular cell block" in err
     monkeypatch.undo()
 
     # a Lanczos run that stops short of convergence is a numerical failure
