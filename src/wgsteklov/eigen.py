@@ -60,6 +60,7 @@ def _stage(name, fn, *args, **kwargs):
         raise NumericalError(f"stage '{name}' failed: {exc}") from exc
 
 
+# bound on the normwise backward error of every eigenpair `solve_condensed` returns
 DEFAULT_RTOL = 1e-9
 
 # relative residual asked of every Lanczos Ritz pair, here and in
@@ -489,7 +490,7 @@ def check_eigenpair_count(m, size):
         raise ValueError(f"m must lie in [1, {size}], the number of boundary DOFs, got {m}")
 
 
-def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
+def solve_condensed(pencil, m):
     """Solve for the m smallest eigenpairs of the condensed pencil.
 
     The eigenvectors u, b-orthonormal full DOF vectors, come from the Ritz
@@ -498,7 +499,7 @@ def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
     spectrum (`CondensedPencil.eigenvectors`).  Each value is
     `pair.energy(u)` / b(u, u), and the pairs are ordered by value.
     Raises NumericalError if Lanczos fails to converge or any backward-error
-    residual (see EigenResult), with these values, exceeds `rtol`.
+    residual (see EigenResult), with these values, exceeds `DEFAULT_RTOL`.
     """
     check_eigenpair_count(m, pencil.size)
     vectors = pencil.eigenvectors(m)
@@ -515,9 +516,9 @@ def solve_condensed(pencil, m, rtol=DEFAULT_RTOL):
     R[g] -= d[:, None] * vectors[g] * values
     scale = pencil.a_norm + np.abs(values) * float(np.abs(d).max())
     residuals = _column_norms(R) / (scale * _column_norms(vectors))
-    if not np.all(residuals <= rtol):
+    if not np.all(residuals <= DEFAULT_RTOL):
         raise NumericalError(
-            f"eigenpair residual {residuals.max():.2e} exceeds tolerance {rtol:.1e}"
+            f"eigenpair residual {residuals.max():.2e} exceeds tolerance {DEFAULT_RTOL:.1e}"
         )
     return EigenResult(values, vectors, residuals, b_norms)
 
@@ -527,6 +528,6 @@ def _column_norms(V):
     return np.sqrt(np.einsum("ij,ij->j", V, V))
 
 
-def solve_pair(pair, m, rtol=DEFAULT_RTOL):
+def solve_pair(pair, m):
     """Condense and solve in one step."""
-    return solve_condensed(condense(pair), m, rtol=rtol)
+    return solve_condensed(condense(pair), m)

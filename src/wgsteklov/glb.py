@@ -204,7 +204,7 @@ def estimate_delta(dof_map, probe_degree):
     lambda_1 is a Rayleigh quotient, never below the smallest eigenvalue,
     so this is a lower estimate.  Raises NumericalError if a factorization
     fails, Lanczos does not converge, or the backward error exceeds
-    `eigen.DEFAULT_RTOL`.
+    `eigen.DEFAULT_RTOL`, the bound of every eigenpair solve.
     """
     pencil = condense(probe_pair(dof_map, probe_degree))
     return 1.0 / float(solve_condensed(pencil, 1).values[0])

@@ -54,12 +54,8 @@ class StudyConfig:
     refs: tuple = None
 
     def __post_init__(self):
-        if self.domain not in DOMAINS:
-            raise ValueError(f"unknown domain {self.domain!r}")
         self.k = check_degree(self.k)
         self.levels = tuple(check_grid(self.domain, n) for n in check_levels(self.levels))
-        if self.n_eigs < 1:
-            raise ValueError(f"number of eigenvalues must be >= 1, got {self.n_eigs}")
         check_eigenpair_count(self.n_eigs, boundary_dof_count(self.domain, self.levels[0], self.k))
         if self.refs is not None:
             self.refs = glb_mod.check_refs(self.refs)

@@ -1,13 +1,13 @@
 """Polynomial bases on triangles and edges, and quadrature rules of controlled exactness.
 
-Triangle rules are conical (Duffy-type) products of Gauss-Legendre and
-Gauss-Jacobi rules, so any requested exactness degree is available with
-strictly positive weights; the Gauss-Jacobi rule is computed here from its
-three-term recurrence (Golub-Welsch), so the package needs no
-scipy.special.  Cell bases are monomials centered at the cell centroid and
-scaled by the cell diameter, then orthonormalized in L2 of the physical
-cell; edge bases are Legendre polynomials orthonormal with respect to the
-unit parameter interval.
+Every rule comes from numpy's Gauss-Legendre rule: edge rules map it to
+[0, 1], and triangle rules are conical (Duffy-type) products of two such
+rules, with the collapse's area factor folded into the weights, so any
+requested exactness degree is available with strictly positive weights.
+Cell bases are monomials centered at the cell centroid and scaled by the
+cell diameter, then orthonormalized in L2 of the physical cell; edge bases
+are Legendre polynomials orthonormal with respect to the unit parameter
+interval.
 """
 
 from functools import lru_cache
@@ -35,88 +35,43 @@ class QuadratureRule:
     with weights summing to one; the integral over a physical triangle T is
     |T| * sum(w * f(points @ vertices)).  Edge rules store points on [0, 1]
     with weights summing to one, so integrals over an edge pick up a factor
-    of the edge length.
+    of the edge length.  Both arrays are read-only, since rules are cached
+    and shared.
     """
 
     def __init__(self, points, weights):
         self.points = np.asarray(points, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
+        self.points.setflags(write=False)
+        self.weights.setflags(write=False)
 
 
-def gauss_jacobi_1_0(m):
-    """The m-point Gauss rule on [-1, 1] for the weight 1 - x (Gauss-Jacobi
-    with alpha = 1, beta = 0): nodes ascending, and weights.
-
-    The nodes are the eigenvalues of the Jacobi matrix of the weight's
-    orthonormal polynomials p_n (Golub-Welsch), refined by one Newton step
-    on p_m; each weight is mu_0 / sum_{n<m} p_n(x)^2, with p_0 = 1 and
-    mu_0 = 2 the integral of the weight.
-    """
-    n = np.arange(m + 1, dtype=float)
-    a = -1.0 / ((2.0 * n + 1.0) * (2.0 * n + 3.0))
-    b = np.sqrt(n * (n + 1.0)) / (2.0 * n + 1.0)
-    x = np.linalg.eigvalsh(np.diag(a[:m]) + np.diag(b[1:m], 1) + np.diag(b[1:m], -1))
-    p, dp, _ = _jacobi_1_0_recurrence(x, a, b, m)
-    x = x - p / dp
-    return x, 2.0 / _jacobi_1_0_recurrence(x, a, b, m)[2]
-
-
-def _jacobi_1_0_recurrence(x, a, b, m):
-    """p_m(x), p_m'(x) and sum_{n<m} p_n(x)^2 by the three-term recurrence
-    b_{n+1} p_{n+1} = (x - a_n) p_n - b_n p_{n-1}, differentiated for p'."""
-    p_prev, p = np.zeros_like(x), np.ones_like(x)
-    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
-    total = np.zeros_like(x)
-    for j in range(m):
-        total += p * p
-        p_next = ((x - a[j]) * p - b[j] * p_prev) / b[j + 1]
-        dp_next = (p + (x - a[j]) * dp - b[j] * dp_prev) / b[j + 1]
-        p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
-    return p, dp, total
+@lru_cache(maxsize=None)
+def edge_quadrature(degree):
+    """Gauss-Legendre rule on [0, 1] exact for polynomial degree <= `degree`."""
+    if degree < 0:
+        raise ValueError(f"quadrature degree must be nonnegative, got {degree}")
+    x, w = leggauss((degree + 2) // 2)
+    return QuadratureRule((x + 1.0) / 2.0, w / 2.0)
 
 
 @lru_cache(maxsize=None)
 def triangle_quadrature(degree):
     """Quadrature rule on the triangle exact for total degree <= `degree`.
 
-    Built as a conical product of an m-point Gauss-Legendre rule and an
-    m-point Gauss-Jacobi rule with weight (1 - x), m = (degree + 2) // 2.
-    All weights are positive and any nonnegative degree is supported.
-    Rules are cached; treat the returned arrays as read-only.
+    The collapse (xi, eta) -> (xi (1 - eta), eta) maps the unit square onto
+    the triangle with area factor 1 - eta and turns x^a y^b into
+    xi^a (1 - eta)^(a+1) eta^b, of degree <= `degree` in xi and
+    <= `degree` + 1 in eta.  The rule is the product of the Gauss-Legendre
+    rules on [0, 1] for these degrees, (degree + 2) // 2 points in xi and
+    (degree + 3) // 2 in eta, with the area factor folded into the eta
+    weights, so all weights are positive.
     """
-    if degree < 0:
-        raise ValueError(f"quadrature degree must be nonnegative, got {degree}")
-    m = max(1, (degree + 2) // 2)
-    xg, wg = leggauss(m)
-    xi = (xg + 1.0) / 2.0
-    wxi = wg / 2.0
-    xj, wj = gauss_jacobi_1_0(m)
-    eta = (xj + 1.0) / 2.0
-    weta = wj / 4.0
-    x = np.outer(xi, 1.0 - eta).ravel()
-    y = np.tile(eta, m)
-    w = np.outer(wxi, weta).ravel()
-    bary = np.column_stack([1.0 - x - y, x, y])
-    rule = QuadratureRule(bary, 2.0 * w)
-    rule.points.setflags(write=False)
-    rule.weights.setflags(write=False)
-    return rule
-
-
-@lru_cache(maxsize=None)
-def edge_quadrature(degree):
-    """Gauss-Legendre rule on [0, 1] exact for polynomial degree <= `degree`.
-
-    Rules are cached; treat the returned arrays as read-only.
-    """
-    if degree < 0:
-        raise ValueError(f"quadrature degree must be nonnegative, got {degree}")
-    m = max(1, (degree + 2) // 2)
-    x, w = leggauss(m)
-    rule = QuadratureRule((x + 1.0) / 2.0, w / 2.0)
-    rule.points.setflags(write=False)
-    rule.weights.setflags(write=False)
-    return rule
+    xi, eta = edge_quadrature(degree), edge_quadrature(degree + 1)
+    x = np.outer(xi.points, 1.0 - eta.points).ravel()
+    y = np.tile(eta.points, len(xi.points))
+    w = np.outer(xi.weights, eta.weights * (1.0 - eta.points)).ravel()
+    return QuadratureRule(np.column_stack([1.0 - x - y, x, y]), 2.0 * w)
 
 
 def map_to_triangle(rule, vertices):

@@ -15,6 +15,9 @@ from .eigen import NumericalError, condense
 from .mesh import group_rows
 from .wgcore import EdgeQuadrature, evaluate
 
+# bound on the normwise backward error of `solve_source`
+DEFAULT_RTOL = 1e-10
+
 
 class ManufacturedSolution:
     """A smooth solution of the homogeneous interior equation -lap(u) + u = 0.
@@ -71,7 +74,7 @@ def boundary_load(dof_map, flux):
     return F
 
 
-def solve_source(dof_map, stabilizer, flux, rtol=1e-10):
+def solve_source(dof_map, stabilizer, flux):
     """Solve the boundary-flux problem: find u_h with a_w(u_h, v) = <f, v_b>.
 
     The load is supported on the boundary DOFs, so one solve with the
@@ -79,8 +82,8 @@ def solve_source(dof_map, stabilizer, flux, rtol=1e-10):
     u_h, which the Schur tree extends to the interior edges and the cells
     (`eigen.condense`).  Raises NumericalError when the elimination
     fails or the normwise backward error ||A u - F|| / (||A|| ||u|| + ||F||)
-    on the full operator exceeds `rtol`; the gate is skipped only for a load
-    that is exactly zero.
+    on the full operator exceeds `DEFAULT_RTOL`; the gate is skipped only
+    for a load that is exactly zero.
     """
     pair = assemble(dof_map, stabilizer)
     F = boundary_load(dof_map, flux)
@@ -93,8 +96,8 @@ def solve_source(dof_map, stabilizer, flux, rtol=1e-10):
         R = pair.apply(u)
         R -= F
         residual = np.linalg.norm(R) / (pencil.a_norm * np.linalg.norm(u) + f_norm)
-        if not residual <= rtol:
-            raise NumericalError(f"source solve residual {residual:.2e} exceeds {rtol:.1e}")
+        if not residual <= DEFAULT_RTOL:
+            raise NumericalError(f"source solve residual {residual:.2e} exceeds {DEFAULT_RTOL:.1e}")
     return u
 
 
